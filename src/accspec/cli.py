@@ -10,7 +10,9 @@ Subcommands:
   admissibility, inequality diagnostics); exit 1 on any failure.
 * ``lens``: both lens-volume routes for one (dim, r, R).
 
-Exit codes: 0 success, 1 check failure, 2 usage/configuration error.
+Exit codes: 0 success, 1 check failure, 2 usage/configuration error,
+3 numerical failure (a series that misses its tolerance within the term
+cap, or a resource limit).
 Identical configurations produce byte-identical output apart from the
 version header line. ``ACC_SPECGRAM_THREADS`` caps how many dilation
 scales run concurrently (0 or unset: automatic).
@@ -26,21 +28,24 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .discretize import assemble_operator, build_grid, spectral_decompose
+from .discretize import (ResourceLimitError, assemble_operator, build_grid,
+                         spectral_decompose)
 from .geometry import (Ball, Box, DisjointBallUnion, LensSpec, Region,
-                       lens_volume_exact, lens_volume_series)
+                       SeriesDivergenceError, lens_volume_exact,
+                       lens_volume_series)
 from .kernels import (GinibreKernel, Kernel, PaleyWienerKernel, bessel_j,
                       radial_normalization_check, sine_kernel)
-from .spectrogram import (ResolutionPolicy, accumulated_spectrogram,
-                          build_eval_grid, compute_psi, defect_g,
-                          dilation_snapshot, inequality_report,
-                          inner_product_direct, inner_product_spectral)
+from .spectrogram import (InequalityCheck, ResolutionPolicy,
+                          accumulated_spectrogram, build_eval_grid,
+                          compute_psi, defect_g, dilation_snapshot,
+                          inequality_report, inner_product_direct,
+                          inner_product_spectral)
 from .variance import (FitRangeError, asymptotic_constant,
                        asymptotic_constant_geometric, fit_asymptotics,
                        hyperuniformity_curve)
@@ -424,18 +429,6 @@ def cmd_lens(cfg: RunConfig) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class CheckLine:
-    name: str
-    lhs: float
-    rhs: float
-    slack: float
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.rhs + self.slack
-
-
 def _self_checks(cfg: RunConfig):
     """The check suite: every line is (name, lhs <= rhs + slack)."""
     lines = []
@@ -448,7 +441,8 @@ def _self_checks(cfg: RunConfig):
             series = lens_volume_series(spec, tol=cfg.lens_tol,
                                         max_terms=cfg.debug_max_series_terms)
             worst = max(worst, abs(series - lens_volume_exact(spec)))
-        lines.append(CheckLine(f"lens_series_vs_exact_d{d}", worst, 1e-8, 0.0))
+        lines.append(InequalityCheck(f"lens_series_vs_exact_d{d}", worst,
+                                     1e-8, 0.0))
 
     # Bessel implementation against a compensated direct series sum
     for nu in (0.5, 1.0, 1.5):
@@ -457,11 +451,12 @@ def _self_checks(cfg: RunConfig):
         for x in xs:
             ref = _bessel_series_fsum(nu, float(x))
             worst = max(worst, abs(bessel_j(nu, float(x)) - ref))
-        lines.append(CheckLine(f"bessel_vs_series_nu{nu}", worst, 1e-10, 0.0))
+        lines.append(InequalityCheck(f"bessel_vs_series_nu{nu}", worst,
+                                     1e-10, 0.0))
 
     # asymptotic constant: Gamma closed form vs geometric pre-simplification
     for d in (1, 2, 3):
-        lines.append(CheckLine(
+        lines.append(InequalityCheck(
             f"asymptotic_constant_identity_d{d}",
             abs(asymptotic_constant(d) - asymptotic_constant_geometric(d)),
             1e-12, 0.0))
@@ -471,7 +466,7 @@ def _self_checks(cfg: RunConfig):
                                  (sine_kernel(), 1e4, 1e-3),
                                  (PaleyWienerKernel(2), 1e4, 1e-2)):
         res = radial_normalization_check(kernel, r_max)
-        lines.append(CheckLine(
+        lines.append(InequalityCheck(
             f"radial_normalization_{kernel.name}_d{kernel.ambient_dim}",
             abs(res), bound, 0.0))
 
@@ -487,17 +482,18 @@ def _self_checks(cfg: RunConfig):
     defect = defect_g(kernel, grid, eval_grid)
     report = inequality_report(kernel, spectral, fld, psi, defect, cfg.delta)
     for chk in report.checks:
-        lines.append(CheckLine(f"{chk.name}_delta{cfg.delta:g}"
-                               f"_Cdelta{report.c_delta:g}",
-                               chk.lhs, chk.rhs, chk.slack))
+        lines.append(replace(chk, name=f"{chk.name}_delta{cfg.delta:g}"
+                                       f"_Cdelta{report.c_delta:g}"))
 
     ips, _ = inner_product_spectral(psi)
     ipd = inner_product_direct(kernel, grid, eval_grid.nodes)
     rel = float(np.max(np.abs(ips - ipd) / ipd))
-    lines.append(CheckLine("inner_product_identity_max_rel", rel, 0.02, 0.0))
+    lines.append(InequalityCheck("inner_product_identity_max_rel", rel,
+                                 0.02, 0.0))
 
     conservation = abs(fld.integral() + fld.tail_mass - fld.n_count)
-    lines.append(CheckLine("rho_mass_conservation", conservation, 1e-8, 0.0))
+    lines.append(InequalityCheck("rho_mass_conservation", conservation,
+                                 1e-8, 0.0))
     return lines
 
 
@@ -586,9 +582,13 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args) -> RunConfig:
     command = args.command
     if command == "lens":
+        if not args.tol > 0:
+            raise UsageError("tol: must be positive")
         return RunConfig(command="lens", lens_dim=args.dim, lens_r=args.r,
                          lens_R=args.R, lens_tol=args.tol)
     if command == "check":
+        if not args.lens_tol > 0:
+            raise UsageError("lens-tol: must be positive")
         return RunConfig(command="check", delta=args.delta, margin=args.margin,
                          lens_tol=args.lens_tol,
                          debug_max_series_terms=args.debug_max_series_terms)
@@ -622,12 +622,12 @@ def main(argv=None) -> int:
         if cfg.command == "lens":
             return cmd_lens(cfg)
         raise UsageError(f"unknown command {cfg.command}")
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (SeriesDivergenceError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

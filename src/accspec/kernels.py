@@ -9,7 +9,10 @@ Two translation-invariant families are provided:
   for d = 1 this is the sine kernel sin(r)/(pi r).
 
 Both have squared modulus depending on |x-y| only, which is what the
-radial variance machinery consumes.
+radial variance machinery consumes. Being projections, both satisfy
+int |K(x,y)|^2 dy = K(x,x), so the radial variance on a ball of radius
+R is a closed integral over [0, 2R] and needs no bound on the profile
+tail.
 """
 
 from __future__ import annotations
@@ -111,7 +114,12 @@ def _j1_hankel(x: np.ndarray) -> np.ndarray:
 
 
 class Kernel:
-    """Shared interface: Hermitian translation-invariant radial kernels."""
+    """Shared interface: Hermitian translation-invariant radial kernels.
+
+    The radial variance route uses ``diagonal_value``, ``radial_profile``
+    and ``radial_panel_edges`` on [0, 2R] only: the projection identity
+    int |K(x,y)|^2 dy = K(x,x) replaces everything beyond the diameter.
+    """
 
     ambient_dim: int
     diagonal_value: float
@@ -143,13 +151,6 @@ class Kernel:
 
     def radial_panel_edges(self, a: float, b: float) -> np.ndarray:
         """Panel edges resolving the radial profile's structure on [a, b]."""
-        raise NotImplementedError
-
-    def radial_tail_bound(self, r_max: float) -> float:
-        """Upper bound for int_{r_max}^inf r^{d-1} phi(r) dr."""
-        raise NotImplementedError
-
-    def default_r_max(self) -> float:
         raise NotImplementedError
 
 
@@ -202,15 +203,6 @@ class GinibreKernel(Kernel):
 
     def radial_panel_edges(self, a: float, b: float) -> np.ndarray:
         return geometric_edges(a, b, first_width=0.25, growth=1.4)
-
-    def radial_tail_bound(self, r_max: float) -> float:
-        d = self.ambient_dim
-        if r_max <= d:
-            raise ValueError("tail bound needs r_max beyond the profile core")
-        return 1.25 * r_max ** (d - 2) * math.exp(-math.pi * r_max ** 2) / (2 * math.pi)
-
-    def default_r_max(self) -> float:
-        return 12.0
 
 
 @dataclass(frozen=True)
@@ -274,15 +266,6 @@ class PaleyWienerKernel(Kernel):
 
     def radial_panel_edges(self, a: float, b: float) -> np.ndarray:
         return uniform_edges(a, b, max_width=0.5 * math.pi)
-
-    def radial_tail_bound(self, r_max: float) -> float:
-        if r_max < 10.0:
-            raise ValueError("envelope tail bound needs r_max >= 10")
-        # J_nu(r)^2 <= 1.1 * 2/(pi r) for r >= 10 at these orders
-        return 1.1 * (2.0 / math.pi) / (2.0 * math.pi) ** self.dim / r_max
-
-    def default_r_max(self) -> float:
-        return 1e4
 
 
 def sine_kernel() -> PaleyWienerKernel:

@@ -75,11 +75,13 @@ def test_criterion_1_lens_equivalence():
 def test_criterion_2_asymptotic_constant():
     t0 = time.perf_counter()
     scales = np.logspace(1.0, math.log10(200.0), 20)
-    for d in (1, 2):
+    constants = {1: 1.0 / math.pi ** 2, 2: 1.0 / math.pi ** 2,
+                 3: 1.0 / (2.0 * math.pi ** 2)}
+    for d, constant in constants.items():
         kernel = PaleyWienerKernel(d)
         variances = [variance_radial(kernel, float(s)).value for s in scales]
         fit = fit_asymptotics(d, scales, variances)
-        assert fit.reference_constant == approx(1.0 / math.pi ** 2, rel=1e-12)
+        assert fit.reference_constant == approx(constant, rel=1e-12)
         assert fit.relative_deviation < 0.10, (d, fit.slope)
     _stamp("criterion-2 asymptotic-constant", t0, 30.0)
 

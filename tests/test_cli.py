@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from accspec import cli
 from accspec.cli import (SUMMARY_COLUMNS, UsageError, main, parse_region,
                          parse_scale_list)
+from accspec.discretize import ResourceLimitError
 from accspec.geometry import Ball, Box, DisjointBallUnion
 
 
@@ -79,6 +81,36 @@ def test_lens_command(capsys):
 
 def test_lens_command_invalid(capsys):
     assert main(["lens", "--dim", "0", "--r", "1", "--R", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["lens", "--dim", "2", "--r", "1.9999", "--R", "1", "--tol", "0"],
+    ["lens", "--dim", "2", "--r", "1", "--R", "1", "--tol=-1e-9"],
+    ["lens", "--dim", "2", "--r", "1", "--R", "1", "--tol", "nan"],
+    ["check", "--lens-tol", "0"],
+])
+def test_nonpositive_tolerance_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_series_divergence_is_numerical_failure(capsys):
+    # near-tangent balls: the series converges too slowly for 1e-300
+    argv = ["lens", "--dim", "2", "--r", "1.9999", "--R", "1",
+            "--tol", "1e-300"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: lens series did not reach")
+    assert "Traceback" not in err
+
+
+def test_resource_limit_is_numerical_failure(capsys, monkeypatch):
+    def over_cap(*args, **kwargs):
+        raise ResourceLimitError("grid has 5000 nodes, cap is 4096")
+
+    monkeypatch.setattr(cli, "lens_volume_series", over_cap)
+    assert main(["lens", "--dim", "2", "--r", "1", "--R", "1"]) == 3
+    assert capsys.readouterr().err == "error: grid has 5000 nodes, cap is 4096\n"
 
 
 def test_schema_flag(capsys):

@@ -51,10 +51,24 @@ def test_variance_radial_rejects_bad_radius():
 
 
 def test_variance_radial_error_budget():
-    rv = variance_radial(sine_kernel(), 5.0)
-    assert rv.error_estimate > 0.0
+    # two-resolution difference plus eps * E for the cancellation against E
+    kernel = sine_kernel()
+    rv = variance_radial(kernel, 5.0)
+    e_count = expected_count(kernel, Ball(np.zeros(1), 5.0))
+    assert np.finfo(float).eps * e_count <= rv.error_estimate < 1e-12
     assert not rv.accuracy_warning
-    assert rv.r_max == approx(1e4)
+
+
+def test_variance_radial_sine_exact():
+    # E - 2 int_0^10 (10 - r) sin(r)^2 / (pi r)^2 dr, by mpmath at 30 digits
+    rv = variance_radial(sine_kernel(), 5.0)
+    assert abs(rv.value - 0.463193699062683) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_variance_radial_no_warning_at_large_radius(d):
+    rv = variance_radial(PaleyWienerKernel(d), 1000.0)
+    assert not rv.accuracy_warning, rv
 
 
 def test_cross_route_sine(sine_run):
