@@ -12,7 +12,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 check failure, 2 usage/configuration error,
 3 numerical failure (a series that misses its tolerance within the term
-cap, or a resource limit).
+cap, a resource limit, an eigensolve that fails its residual check, or
+a spectrum with fewer modes above the floor than the mode count needs).
 Identical configurations produce byte-identical output apart from the
 version header line. ``ACC_SPECGRAM_THREADS`` caps how many dilation
 scales run concurrently (0 or unset: automatic).
@@ -34,18 +35,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .discretize import (ResourceLimitError, assemble_operator, build_grid,
-                         spectral_decompose)
+from .discretize import (ResourceLimitError, SpectralSolverError,
+                         assemble_operator, build_grid, spectral_decompose)
 from .geometry import (Ball, Box, DisjointBallUnion, LensSpec, Region,
                        SeriesDivergenceError, lens_volume_exact,
                        lens_volume_series)
 from .kernels import (GinibreKernel, Kernel, PaleyWienerKernel, bessel_j,
                       radial_normalization_check, sine_kernel)
-from .spectrogram import (InequalityCheck, ResolutionPolicy,
-                          accumulated_spectrogram, build_eval_grid,
-                          compute_psi, defect_g, dilation_snapshot,
-                          inequality_report, inner_product_direct,
-                          inner_product_spectral)
+from .spectrogram import (InequalityCheck, RankDeficiencyError,
+                          ResolutionPolicy, accumulated_spectrogram,
+                          build_eval_grid, compute_psi, defect_g,
+                          dilation_snapshot, inequality_report,
+                          inner_product_direct, inner_product_spectral)
 from .variance import (FitRangeError, asymptotic_constant,
                        asymptotic_constant_geometric, fit_asymptotics,
                        hyperuniformity_curve)
@@ -625,7 +626,8 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SeriesDivergenceError, ResourceLimitError) as exc:
+    except (SeriesDivergenceError, ResourceLimitError, SpectralSolverError,
+            RankDeficiencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,4 +1,4 @@
-"""Midpoint quadrature grids and the matrix form of the restricted operator.
+"""Midpoint grids and the low-rank spectrum of the restricted operator.
 
 A region is discretized by the midpoint rule on its bounding box, keeping
 the cells whose midpoints lie inside. The restriction of a kernel operator
@@ -8,11 +8,18 @@ to the region then becomes the Hermitian matrix
 
 whose eigenvalues approximate the continuum restriction's spectrum in
 [0, 1] and whose scaled eigenvectors give eigenfunction values at the
-nodes. Everything is deterministic; no randomness enters anywhere.
+nodes. For a projection kernel that spectrum plunges: only about
+tr A + O(log) eigenvalues are not negligible. ``spectral_decompose``
+therefore factors A by greedy diagonal-pivoted Cholesky, stopping once
+the residual diagonal holds at most 1e-14 of the trace, and diagonalizes
+the factor through its QR and a small Hermitian eigenproblem. The
+residual trace is kept, so the trace identity stays exact. Everything is
+deterministic; no randomness enters anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +29,20 @@ from .kernels import Kernel
 
 DEFAULT_NODE_CAP = 4096
 _CANDIDATE_CELL_CAP = 4_000_000
+# largest operator block assemble_operator allocates, counted in complex
+# entries; the default node cap needs 268 MB
+_OPERATOR_BYTE_BUDGET = 2 ** 30
+# the pivoted Cholesky stops once the residual diagonal sums to at most
+# this share of the trace
+_RESIDUAL_TRACE_TOL = 1e-14
 
 
 class ResourceLimitError(RuntimeError):
     """A grid or matrix would exceed the configured size cap."""
+
+
+class SpectralSolverError(RuntimeError):
+    """The eigensolver failed or its eigenpairs missed the residual check."""
 
 
 class DegenerateGridError(ValueError):
@@ -125,9 +142,22 @@ class OperatorMatrix:
 
 
 def assemble_operator(kernel: Kernel, grid: QuadratureGrid) -> OperatorMatrix:
+    """Dense n x n Nystrom matrix; refuses blocks above the byte budget.
+
+    The budget is counted in complex entries, the widest a kernel
+    returns, before any kernel evaluation, so an oversized ``node_cap``
+    fails as a resource limit instead of exhausting memory.
+    """
     if kernel.ambient_dim != grid.dim:
         raise ValueError(
             f"kernel acts on R^{kernel.ambient_dim} but grid lives in R^{grid.dim}"
+        )
+    n = grid.n_nodes
+    block_bytes = n * n * np.dtype(complex).itemsize
+    if block_bytes > _OPERATOR_BYTE_BUDGET:
+        raise ResourceLimitError(
+            f"a {n} x {n} operator needs {block_bytes / 2 ** 30:.2f} GiB, "
+            f"budget is {_OPERATOR_BYTE_BUDGET / 2 ** 30:.2f} GiB"
         )
     sw = np.sqrt(grid.weights)
     a = kernel.eval_matrix(grid.nodes, grid.nodes)
@@ -138,28 +168,30 @@ def assemble_operator(kernel: Kernel, grid: QuadratureGrid) -> OperatorMatrix:
 
 @dataclass(eq=False)
 class SpectralData:
-    """Eigendecomposition of an OperatorMatrix, eigenvalues descending.
+    """Eigenpairs of an OperatorMatrix, eigenvalues descending.
 
-    ``eigenvalues`` are the raw solver outputs (may overshoot [0, 1] by
-    the discretization slack); ``eigenvalues_clamped`` are clipped to
-    [0, 1] for use in the variance and count formulas, which are
-    sign-sensitive to the overshoot. ``vectors`` is None when the
-    decomposition was values-only.
+    ``eigenvalues`` has one entry per node: the solver's k eigenvalues
+    (which may overshoot [0, 1] by the discretization slack) followed by
+    zeros past the rank k. ``eigenvalues_clamped`` clips them to [0, 1]
+    for the variance and count formulas, which are sign-sensitive to the
+    overshoot. ``vectors`` is n x k, orthonormal columns matching the
+    leading k eigenvalues. ``residual_trace`` is the trace the factor
+    left out, so that ``trace`` = sum(eigenvalues) + residual_trace
+    reproduces the operator's trace.
     """
 
     eigenvalues: np.ndarray
     eigenvalues_clamped: np.ndarray
-    vectors: np.ndarray | None
+    vectors: np.ndarray
     grid: QuadratureGrid
+    residual_trace: float = 0.0
 
     @property
     def trace(self) -> float:
-        return float(self.eigenvalues.sum())
+        return float(self.eigenvalues.sum()) + self.residual_trace
 
     def phi_values(self, j_slice=None) -> np.ndarray:
         """Eigenfunction values at the grid nodes, Phi_j(x_i) = V[i,j]/sqrt(w_i)."""
-        if self.vectors is None:
-            raise ValueError("decomposition was computed without eigenvectors")
         cols = self.vectors if j_slice is None else self.vectors[:, j_slice]
         return cols / np.sqrt(self.grid.weights)[:, None]
 
@@ -167,41 +199,79 @@ class SpectralData:
         return int(np.sum(self.eigenvalues_clamped > threshold))
 
 
-def spectral_decompose(operator: OperatorMatrix,
-                       residual_sample: int = 16,
-                       eigenvectors: bool = True) -> SpectralData:
-    """Dense Hermitian eigendecomposition with a sampled residual check.
+def _pivoted_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Greedy diagonal-pivoted Cholesky of a Hermitian PSD matrix.
 
-    ``eigenvectors=False`` skips the (several times more expensive)
-    vector computation for eigenvalue-only consumers like the spectral
-    variance; the residual check requires vectors and is then skipped.
+    Returns (F, residual_trace) with a ~= F.T @ F.conj(): row j of F is
+    column j of the factor L in a ~= L L^*. Each step pivots on the
+    largest residual diagonal entry (the first on ties) and takes the
+    pivot column of the Schur complement, O(n k) work. It stops once
+    the residual diagonal sums to at most ``_RESIDUAL_TRACE_TOL`` times
+    the trace; the residual is PSD, so that sum also bounds its norm.
+    """
+    n = a.shape[0]
+    diag = np.real(np.diagonal(a)).copy()
+    stop = _RESIDUAL_TRACE_TOL * float(diag.sum())
+    rows = np.empty((min(n, 64), n), dtype=a.dtype)
+    k = 0
+    while k < n and float(diag.sum()) > stop:
+        if k == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty_like(rows[:n - k])])
+        p = int(np.argmax(diag))
+        # column p of the Schur complement; a is Hermitian, so column p
+        # is the conjugate of the contiguous row p
+        col = a[p].conj() - rows[:k].T @ rows[:k, p].conj()
+        col /= math.sqrt(diag[p])
+        rows[k] = col
+        diag -= col.real ** 2 + col.imag ** 2
+        k += 1
+    return rows[:k], float(diag.sum())
+
+
+def spectral_decompose(operator: OperatorMatrix,
+                       residual_sample: int = 16) -> SpectralData:
+    """Low-rank eigendecomposition with a sampled residual check.
+
+    The restriction of a projection kernel has a plunge spectrum: only
+    about trace + O(log) eigenvalues are not negligible. Greedy pivoted
+    Cholesky factors the operator as A ~= L L^* with k columns, stopping
+    once the residual diagonal holds at most 1e-14 of the trace; that
+    residual trace is carried in ``residual_trace``. The QR of the n x k
+    factor, L = Q R, turns A ~= Q (R R^*) Q^* into a k x k Hermitian
+    eigenproblem, whose eigenvectors mapped through Q are the returned
+    vectors. The cost is O(n k^2) instead of O(n^3). Up to
+    ``residual_sample`` eigenpairs, spread over the k, are checked
+    against the full matrix: |A v - mu v| must stay within 1e-9 of the
+    largest |eigenvalue|, else SpectralSolverError.
     """
     a = operator.matrix
+    n = a.shape[0]
+    factor, residual_trace = _pivoted_cholesky(a)
+    k = factor.shape[0]
+    q, r = np.linalg.qr(factor.T)
+    # near full rank the factor is as large as the operator
+    del factor
     try:
-        if eigenvectors:
-            vals, vecs = np.linalg.eigh(a)
-        else:
-            vals, vecs = np.linalg.eigvalsh(a), None
+        vals, small_vecs = np.linalg.eigh(r @ r.conj().T)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"eigendecomposition failed for size {a.shape[0]} matrix "
-            f"(max |entry| {np.abs(a).max():.3e}, "
-            f"frobenius {np.linalg.norm(a):.3e}): {exc}"
+        raise SpectralSolverError(
+            f"eigendecomposition failed for rank {k} factor of size {n} "
+            f"matrix: {exc}"
         ) from exc
     order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
+    vecs = q @ small_vecs[:, order]
+    vals = np.concatenate([vals[order], np.zeros(n - k)])
     norm = max(abs(vals[0]), abs(vals[-1]), 1e-300)
-    if vecs is not None:
-        vecs = vecs[:, order]
-        if residual_sample > 0:
-            idx = np.unique(np.linspace(0, vals.size - 1,
-                                        min(residual_sample, vals.size)).astype(int))
-            resid = np.abs(a @ vecs[:, idx] - vecs[:, idx] * vals[idx][None, :]).max()
-            if resid > 1e-9 * norm:
-                raise RuntimeError(
-                    f"eigenpair residual {resid:.3e} exceeds 1e-9 * {norm:.3e}"
-                )
+    if residual_sample > 0 and k > 0:
+        idx = np.unique(np.linspace(0, k - 1,
+                                    min(residual_sample, k)).astype(int))
+        resid = np.abs(a @ vecs[:, idx] - vecs[:, idx] * vals[idx][None, :]).max()
+        if not resid <= 1e-9 * norm:  # a NaN residual fails as well
+            raise SpectralSolverError(
+                f"eigenpair residual {resid:.3e} exceeds 1e-9 * {norm:.3e}"
+            )
     return SpectralData(eigenvalues=vals,
                         eigenvalues_clamped=np.clip(vals, 0.0, 1.0),
                         vectors=vecs,
-                        grid=operator.grid)
+                        grid=operator.grid,
+                        residual_trace=residual_trace)

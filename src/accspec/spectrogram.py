@@ -33,7 +33,7 @@ _CHUNK = 4096
 _COUNT_TIE_TOL = 1e-9
 
 
-class RankDeficiencyError(ValueError):
+class RankDeficiencyError(RuntimeError):
     """More Psi modes were requested than the spectrum supports."""
 
 

@@ -6,8 +6,8 @@ discretized eigenvalues. For radial kernels on balls the same quantity
 is E minus a one-dimensional integral of the radial profile against the
 volume of two overlapping balls; the overlap vanishes past the diameter,
 so the integral runs over the closed interval [0, 2R] and needs no
-cut-off or tail bound. It scales to radii where dense eigensolvers
-cannot follow. Agreement of the two routes is the package's main
+cut-off or tail bound. It scales to radii where no operator matrix
+can follow. Agreement of the two routes is the package's main
 cross-validation; the log-asymptotic fit of the band-limited family's
 variance is its quantitative benchmark.
 """
@@ -74,7 +74,14 @@ def variance_radial(kernel: Kernel, radius: float) -> RadialVariance:
     overlap. The closed interval is integrated on panels sized to the
     profile's oscillation, a fixed number of panels at a time, at 64
     and 32 nodes per panel. The error estimate is the difference of the
-    two resolutions plus eps * E for the cancellation against E.
+    two resolutions plus N * eps * E, N being the fine node count, which
+    bounds the accumulated rounding: the terms of the fine sum are
+    non-negative and add up to E - value <= E, so summing them in any
+    order errs by at most (N - 1) * eps * E; the weights and the profile
+    carry a few eps of relative error per term; the overlap c_d R^d -
+    lens carries an absolute eps * c_d R^d, which sums to at most
+    eps * E since sigma int r^{d-1} phi = K(x, x); and the subtraction
+    from E adds eps * E. With N >= 64, N * eps * E covers them together.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -94,7 +101,8 @@ def variance_radial(kernel: Kernel, radius: float) -> RadialVariance:
         return unit_sphere_area(d) * total
 
     fine, coarse = pair_integral(64), pair_integral(32)
-    error = float(abs(fine - coarse) + np.finfo(float).eps * e_count)
+    n_fine = 64 * (edges.size - 1)
+    error = float(abs(fine - coarse) + n_fine * np.finfo(float).eps * e_count)
     return RadialVariance(value=e_count - fine, error_estimate=error)
 
 
@@ -166,8 +174,7 @@ def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
                     n_axis = max(2, int(math.ceil(nodes_per_unit * side)))
                 grid = build_grid(dilated, n_axis, node_cap=node_cap)
                 var_spec = variance_spectral(
-                    spectral_decompose(assemble_operator(kernel, grid),
-                                       eigenvectors=False))
+                    spectral_decompose(assemble_operator(kernel, grid)))
             except (ResourceLimitError, DegenerateGridError):
                 var_spec = None
         best = var_rad if var_rad is not None else var_spec

@@ -54,7 +54,7 @@ def ginibre_disk_spectrum():
     grid = build_grid(Ball(np.zeros(2), 1.0), 64)
     assert grid.n_nodes <= 4096
     op = assemble_operator(kernel, grid)
-    spectral = spectral_decompose(op, eigenvectors=False)
+    spectral = spectral_decompose(op)
     _record_trace("ginibre-disk-n64", op, spectral)
     return kernel, spectral, time.perf_counter() - t0
 

@@ -10,6 +10,7 @@ from accspec.cli import (SUMMARY_COLUMNS, UsageError, main, parse_region,
                          parse_scale_list)
 from accspec.discretize import ResourceLimitError
 from accspec.geometry import Ball, Box, DisjointBallUnion
+from accspec.spectrogram import RankDeficiencyError
 
 
 def test_parse_scale_list_explicit():
@@ -111,6 +112,35 @@ def test_resource_limit_is_numerical_failure(capsys, monkeypatch):
     monkeypatch.setattr(cli, "lens_volume_series", over_cap)
     assert main(["lens", "--dim", "2", "--r", "1", "--R", "1"]) == 3
     assert capsys.readouterr().err == "error: grid has 5000 nodes, cap is 4096\n"
+
+
+def test_eigenpair_residual_failure_is_numerical_failure(capsys,
+                                                          monkeypatch):
+    eigh = np.linalg.eigh
+
+    def shifted_eigh(a, *args, **kwargs):
+        vals, vecs = eigh(a, *args, **kwargs)
+        return vals + 1e-3, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted_eigh)
+    argv = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+            "--R", "2", "--n", "40"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: eigenpair residual")
+    assert "Traceback" not in err
+
+
+def test_rank_deficiency_is_numerical_failure(capsys, monkeypatch):
+    def too_few_modes(*args, **kwargs):
+        raise RankDeficiencyError("psi set holds 2 modes but N = 3")
+
+    monkeypatch.setattr(cli, "dilation_snapshot", too_few_modes)
+    argv = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+            "--R", "2", "--n", "40"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "error: psi set holds 2 modes but N = 3\n"
 
 
 def test_schema_flag(capsys):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from accspec import discretize
 from accspec.discretize import (DegenerateGridError, OperatorMatrix,
                                 QuadratureGrid, ResourceLimitError,
                                 assemble_operator, build_grid, max_n_per_axis,
                                 spectral_decompose)
 from accspec.geometry import Ball, Box, DisjointBallUnion
-from accspec.kernels import GinibreKernel, sine_kernel
+from accspec.kernels import GinibreKernel, PaleyWienerKernel, sine_kernel
 
 
 def test_interval_midpoint_rule():
@@ -85,6 +86,20 @@ def test_sine_trace_on_symmetric_interval():
     assert op.trace == approx(2.0, abs=1e-12)
 
 
+def test_operator_byte_budget_checked_before_evaluation(monkeypatch):
+    class NeverEvaluated:
+        ambient_dim = 1
+
+        def eval_matrix(self, xs, ys):
+            raise AssertionError("kernel evaluated past the byte budget")
+
+    grid = build_grid(Box(np.array([0.0]), np.array([1.0])), 64)
+    # 64 x 64 complex entries need 65536 bytes
+    monkeypatch.setattr(discretize, "_OPERATOR_BYTE_BUDGET", 65535)
+    with pytest.raises(ResourceLimitError, match="64 x 64 operator"):
+        assemble_operator(NeverEvaluated(), grid)
+
+
 def test_dimension_mismatch_rejected():
     grid = build_grid(Box(np.array([0.0]), np.array([1.0])), 4)
     with pytest.raises(ValueError):
@@ -141,23 +156,41 @@ def test_eigenpair_residual(sine_run):
     a = sine_run.operator.matrix
     v = sine_run.spectral.vectors
     mu = sine_run.spectral.eigenvalues
-    resid = np.abs(a @ v - v * mu[None, :]).max()
+    resid = np.abs(a @ v - v * mu[None, :v.shape[1]]).max()
     assert resid < 1e-9 * max(abs(mu[0]), abs(mu[-1]))
 
 
-def test_values_only_decomposition_matches(sine_run):
-    sd = spectral_decompose(sine_run.operator, eigenvectors=False)
-    assert sd.vectors is None
-    assert sd.eigenvalues == approx(sine_run.spectral.eigenvalues, abs=1e-11)
-    with pytest.raises(ValueError):
-        sd.phi_values()
+def _region_operator(kernel, region, n_per_axis):
+    return assemble_operator(kernel, build_grid(region, n_per_axis))
+
+
+@pytest.mark.parametrize("make_operator", [
+    lambda: _region_operator(sine_kernel(),
+                             Box(np.array([-5.0]), np.array([5.0])), 400),
+    lambda: _region_operator(GinibreKernel(1), Ball(np.zeros(2), 2.0), 40),
+    lambda: _region_operator(PaleyWienerKernel(2), Ball(np.zeros(2), 5.0), 40),
+    lambda: _toy_operator(np.zeros((3, 3))),
+    lambda: _toy_operator(np.eye(2)),
+], ids=["sine-n400", "ginibre-disk-40", "pw2-disk-40", "zero-3x3",
+        "identity-2x2"])
+def test_low_rank_solver_matches_dense_oracle(make_operator):
+    op = make_operator()
+    sd = spectral_decompose(op)
+    dense = np.linalg.eigh(op.matrix)[0][::-1]
+    assert np.abs(sd.eigenvalues - dense).max() <= 1e-11
+    assert sd.count_above(1e-12) == int(np.sum(np.clip(dense, 0, 1) > 1e-12))
+    v = sd.vectors
+    mu = sd.eigenvalues[:v.shape[1]]
+    norm = max(abs(dense[0]), abs(dense[-1]), 1e-300)
+    resid = np.abs(op.matrix @ v - v * mu[None, :]).max(initial=0.0)
+    assert resid <= 1e-9 * norm
+    assert sd.trace == approx(op.trace, abs=1e-10)
 
 
 @pytest.mark.parametrize("n", [100, 200, 400])
 def test_spectrum_overshoot_small(n):
     grid = build_grid(Box(np.array([-5.0]), np.array([5.0])), n)
-    sd = spectral_decompose(assemble_operator(sine_kernel(), grid),
-                            eigenvectors=False)
+    sd = spectral_decompose(assemble_operator(sine_kernel(), grid))
     overshoot = max(float(sd.eigenvalues.max()) - 1.0,
                     -float(sd.eigenvalues.min()), 0.0)
     assert overshoot <= 0.05
@@ -169,8 +202,7 @@ def test_refinement_ladder_cauchy():
     overshoots = {}
     for n in (100, 200, 400):
         sd = spectral_decompose(assemble_operator(sine_kernel(),
-                                                  build_grid(region, n)),
-                                eigenvectors=False)
+                                                  build_grid(region, n)))
         stats[n] = (sd.trace, float(np.sum(sd.eigenvalues ** 2)))
         overshoots[n] = max(float(sd.eigenvalues.max()) - 1.0,
                             -float(sd.eigenvalues.min()), 0.0)

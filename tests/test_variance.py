@@ -51,7 +51,7 @@ def test_variance_radial_rejects_bad_radius():
 
 
 def test_variance_radial_error_budget():
-    # two-resolution difference plus eps * E for the cancellation against E
+    # two-resolution difference plus N * eps * E for the rounding
     kernel = sine_kernel()
     rv = variance_radial(kernel, 5.0)
     e_count = expected_count(kernel, Ball(np.zeros(1), 5.0))
@@ -60,9 +60,15 @@ def test_variance_radial_error_budget():
 
 
 def test_variance_radial_sine_exact():
-    # E - 2 int_0^10 (10 - r) sin(r)^2 / (pi r)^2 dr, by mpmath at 30 digits
+    # E - 2 int_0^{2R} (2R - r) sin(r)^2 / (pi r)^2 dr, by mpmath at 30
+    # digits; the error estimate must bound the actual error
     rv = variance_radial(sine_kernel(), 5.0)
     assert abs(rv.value - 0.463193699062683) <= 1e-12
+    for radius, exact in ((5.0, 0.46319369906268280465),
+                          (20.0, 0.60380000990764356824),
+                          (50.0, 0.69663595562777189382)):
+        rv = variance_radial(sine_kernel(), radius)
+        assert abs(rv.value - exact) <= rv.error_estimate, (radius, rv)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -79,8 +85,7 @@ def test_cross_route_sine(sine_run):
 
 def test_cross_route_sine_r2():
     grid = build_grid(Box(np.array([-2.0]), np.array([2.0])), 400)
-    sd = spectral_decompose(assemble_operator(sine_kernel(), grid),
-                            eigenvectors=False)
+    sd = spectral_decompose(assemble_operator(sine_kernel(), grid))
     vr = variance_radial(sine_kernel(), 2.0)
     assert abs(variance_spectral(sd) - vr.value) / vr.value < 0.02
 
@@ -88,7 +93,7 @@ def test_cross_route_sine_r2():
 def test_cross_route_ginibre_disk():
     k = GinibreKernel(1)
     grid = build_grid(Ball(np.zeros(2), 1.0), 50)
-    sd = spectral_decompose(assemble_operator(k, grid), eigenvectors=False)
+    sd = spectral_decompose(assemble_operator(k, grid))
     vr = variance_radial(k, 1.0)
     assert abs(variance_spectral(sd) - vr.value) / vr.value < 0.02
 
@@ -97,7 +102,7 @@ def test_cross_route_ginibre_disk_radius_two():
     k = GinibreKernel(1)
     grid = build_grid(Ball(np.zeros(2), 2.0), 64)
     assert grid.n_nodes <= 4096
-    sd = spectral_decompose(assemble_operator(k, grid), eigenvectors=False)
+    sd = spectral_decompose(assemble_operator(k, grid))
     vr = variance_radial(k, 2.0)
     assert abs(variance_spectral(sd) - vr.value) / vr.value < 0.02
 
@@ -123,7 +128,7 @@ def test_subadditive_bound_vs_spectral_union():
     union = DisjointBallUnion((Ball(np.array([0.0]), 1.0),
                                Ball(np.array([2.6]), 0.5)))
     grid = build_grid(union, 450)
-    sd = spectral_decompose(assemble_operator(k, grid), eigenvectors=False)
+    sd = spectral_decompose(assemble_operator(k, grid))
     bound = variance_subadditive_upper(k, union)
     assert variance_spectral(sd) <= bound + 0.01
 
