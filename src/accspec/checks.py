@@ -1,0 +1,112 @@
+"""The self-check suite: the package's identities as pass/fail lines.
+
+Each line is an ``InequalityCheck`` (name, lhs <= rhs + slack). The
+suite covers the two lens-volume routes, the Bessel implementation
+against a compensated power series, the two forms of the asymptotic
+variance constant, the kernels' radial normalization, and, on the
+reference sine window (-5, 5) at 400 nodes, the four spectral-count
+inequalities, the dual inner-product identity and mass conservation of
+the accumulated spectrogram. ``accspec check`` prints these lines.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from .discretize import assemble_operator, build_grid, spectral_decompose
+from .geometry import Box, LensSpec, lens_volume_exact, lens_volume_series
+from .kernels import (GinibreKernel, PaleyWienerKernel, bessel_j,
+                      radial_normalization_check, sine_kernel)
+from .spectrogram import (InequalityCheck, accumulated_spectrogram,
+                          build_eval_grid, compute_psi, defect_g,
+                          inequality_report, inner_product_spectral)
+from .variance import asymptotic_constant, asymptotic_constant_geometric
+
+
+def self_checks(delta: float = 0.25, margin: float | None = None,
+                lens_tol: float = 1e-9,
+                max_series_terms: int | None = None) -> list[InequalityCheck]:
+    """Every check of the suite, in a fixed order.
+
+    ``delta`` is the spectral-count threshold of the inequality suite,
+    ``margin`` the evaluation margin around the reference window (None:
+    four correlation lengths), ``lens_tol`` the lens series tolerance and
+    ``max_series_terms`` a hard truncation of that series (fault
+    injection: the lens lines must then fail).
+    """
+    lines = []
+
+    # lens: series agrees with the cap-integral route on a 50-point grid
+    for d in (1, 2, 3):
+        worst = 0.0
+        for r in np.linspace(0.0, 2.0, 50):
+            spec = LensSpec(d, float(r), 1.0)
+            series = lens_volume_series(spec, tol=lens_tol,
+                                        max_terms=max_series_terms)
+            worst = max(worst, abs(series - lens_volume_exact(spec)))
+        lines.append(InequalityCheck(f"lens_series_vs_exact_d{d}", worst,
+                                     1e-8, 0.0))
+
+    # Bessel implementation against a compensated direct series sum
+    for nu in (0.5, 1.0, 1.5):
+        xs = np.linspace(0.0, 10.0, 101)
+        worst = 0.0
+        for x in xs:
+            ref = _bessel_series_fsum(nu, float(x))
+            worst = max(worst, abs(bessel_j(nu, float(x)) - ref))
+        lines.append(InequalityCheck(f"bessel_vs_series_nu{nu}", worst,
+                                     1e-10, 0.0))
+
+    # asymptotic constant: Gamma closed form vs geometric pre-simplification
+    for d in (1, 2, 3):
+        lines.append(InequalityCheck(
+            f"asymptotic_constant_identity_d{d}",
+            abs(asymptotic_constant(d) - asymptotic_constant_geometric(d)),
+            1e-12, 0.0))
+
+    # kernel admissibility residuals
+    for kernel, r_max, bound in ((GinibreKernel(1), 10.0, 1e-10),
+                                 (sine_kernel(), 1e4, 1e-3),
+                                 (PaleyWienerKernel(2), 1e4, 1e-2)):
+        res = radial_normalization_check(kernel, r_max)
+        lines.append(InequalityCheck(
+            f"radial_normalization_{kernel.name}_d{kernel.ambient_dim}",
+            abs(res), bound, 0.0))
+
+    # inequality suite and identities on the reference configuration
+    kernel = sine_kernel()
+    region = Box(np.array([-5.0]), np.array([5.0]))
+    grid = build_grid(region, 400)
+    spectral = spectral_decompose(assemble_operator(kernel, grid))
+    eval_grid = build_eval_grid(kernel, region, margin=margin,
+                                reference_grid=grid)
+    psi = compute_psi(kernel, spectral, eval_grid)
+    fld = accumulated_spectrogram(kernel, spectral, eval_grid, psi=psi)
+    defect = defect_g(kernel, grid, eval_grid)
+    report = inequality_report(kernel, spectral, fld, psi, defect, delta)
+    for chk in report.checks:
+        lines.append(replace(chk, name=f"{chk.name}_delta{delta:g}"
+                                       f"_Cdelta{report.c_delta:g}"))
+
+    ips, _ = inner_product_spectral(psi)
+    ipd = defect.window_integral
+    rel = float(np.max(np.abs(ips - ipd) / ipd))
+    lines.append(InequalityCheck("inner_product_identity_max_rel", rel,
+                                 0.02, 0.0))
+
+    conservation = abs(fld.integral() + fld.tail_mass - fld.n_count)
+    lines.append(InequalityCheck("rho_mass_conservation", conservation,
+                                 1e-8, 0.0))
+    return lines
+
+
+def _bessel_series_fsum(nu: float, x: float) -> float:
+    terms = []
+    t = (x / 2.0) ** nu / math.gamma(1.0 + nu)
+    for k in range(60):
+        terms.append(t)
+        t *= -(x / 2.0) ** 2 / ((k + 1.0) * (k + 1.0 + nu))
+    return math.fsum(terms)

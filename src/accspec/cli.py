@@ -6,10 +6,12 @@ Subcommands:
   summary table and a per-node field table.
 * ``variance``: hyperuniformity curve (expectation, variance routes,
   ratio) plus the log-asymptotic fit when the radii span a decade.
-* ``check``: self-check suite (lens routes, Bessel series, kernel
-  admissibility, inequality diagnostics); exit 1 on any failure.
+* ``check``: prints the self-check suite of ``accspec.checks`` (lens
+  routes, Bessel series, kernel admissibility, inequality diagnostics);
+  exit 1 on any failure.
 * ``lens``: both lens-volume routes for one (dim, r, R).
 
+The module only parses arguments, calls the library and prints.
 Exit codes: 0 success, 1 check failure, 2 usage/configuration error,
 3 numerical failure (a series that misses its tolerance within the term
 cap, a resource limit, an eigensolve that fails its residual check, or
@@ -29,27 +31,21 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .discretize import (ResourceLimitError, SpectralSolverError,
-                         assemble_operator, build_grid, spectral_decompose)
+from .checks import self_checks
+from .discretize import (DEFAULT_NODE_CAP, DegenerateGridError,
+                         ResourceLimitError, SpectralSolverError, build_grid)
 from .geometry import (Ball, Box, DisjointBallUnion, LensSpec, Region,
                        SeriesDivergenceError, lens_volume_exact,
                        lens_volume_series)
-from .kernels import (GinibreKernel, Kernel, PaleyWienerKernel, bessel_j,
-                      radial_normalization_check, sine_kernel)
-from .spectrogram import (InequalityCheck, RankDeficiencyError,
-                          ResolutionPolicy, accumulated_spectrogram,
-                          build_eval_grid, compute_psi, defect_g,
-                          dilation_snapshot, inequality_report,
-                          inner_product_direct, inner_product_spectral)
-from .variance import (FitRangeError, asymptotic_constant,
-                       asymptotic_constant_geometric, fit_asymptotics,
-                       hyperuniformity_curve)
+from .kernels import GinibreKernel, Kernel, PaleyWienerKernel, sine_kernel
+from .spectrogram import (RankDeficiencyError, ResolutionPolicy,
+                          dilation_snapshot)
+from .variance import FitRangeError, fit_asymptotics, hyperuniformity_curve
 
 SUMMARY_COLUMNS = ("R", "trace", "N", "E_count", "var_spectral", "var_radial",
                    "ratio", "err_raw", "err_normalized", "tail_mass")
@@ -89,30 +85,6 @@ and 'fit' entries.
 
 class UsageError(Exception):
     """Configuration problem; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    kernel_name: str | None = None
-    dim: int = 1
-    cdim: int = 1
-    region_spec: str | None = None
-    scales: tuple = ()
-    n_per_axis: int | None = None
-    nodes_per_unit: float = 40.0
-    margin: float | None = None
-    eval_spacing: float | None = None
-    delta: float = 0.25
-    lens_tol: float = 1e-9
-    node_cap: int = 4096
-    spectral_mode: str = "auto"
-    fmt: str = "csv"
-    out: Path | None = None
-    debug_max_series_terms: int | None = None
-    lens_dim: int = 2
-    lens_r: float = 1.0
-    lens_R: float = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +149,35 @@ def parse_region(text: str) -> Region:
                      "(want interval/box/ball/union)")
 
 
-def make_kernel(cfg: RunConfig) -> Kernel:
-    if cfg.kernel_name is None:
+def kernel_region_scales(args, region_required: bool):
+    """The run's kernel, window (default: the unit ball) and scales."""
+    scales = parse_scale_list(args.R) if args.R else ()
+    if args.kernel is None:
         raise UsageError("kernel: required")
-    name = cfg.kernel_name.lower()
+    name = args.kernel.lower()
     if name == "sine":
-        return sine_kernel()
-    if name in ("paley-wiener", "paleywiener", "pw"):
-        return PaleyWienerKernel(cfg.dim)
-    if name == "ginibre":
-        return GinibreKernel(cfg.cdim)
-    raise UsageError(f"kernel: unknown '{cfg.kernel_name}' "
-                     "(want sine, paley-wiener or ginibre)")
-
-
-def default_region(kernel: Kernel) -> Region:
-    return Ball(np.zeros(kernel.ambient_dim), 1.0)
+        kernel = sine_kernel()
+    elif name in ("paley-wiener", "paleywiener", "pw"):
+        kernel = PaleyWienerKernel(args.dim)
+    elif name == "ginibre":
+        kernel = GinibreKernel(args.cdim)
+    else:
+        raise UsageError(f"kernel: unknown '{args.kernel}' "
+                         "(want sine, paley-wiener or ginibre)")
+    if args.region is not None:
+        region = parse_region(args.region)
+    elif region_required:
+        raise UsageError("region: required")
+    else:
+        region = Ball(np.zeros(kernel.ambient_dim), 1.0)
+    if region.dim != kernel.ambient_dim:
+        raise UsageError(
+            f"region dimension {region.dim} does not match kernel dimension "
+            f"{kernel.ambient_dim}"
+        )
+    if not scales:
+        raise UsageError("R: required")
+    return kernel, region, scales
 
 
 def worker_count(n_tasks: int) -> int:
@@ -262,66 +247,6 @@ def fields_path(out: Path) -> Path:
     return out.with_name(out.stem + ".fields" + (out.suffix or ".csv"))
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def cmd_spectrogram(cfg: RunConfig) -> int:
-    kernel = make_kernel(cfg)
-    if cfg.region_spec is None:
-        raise UsageError("region: required")
-    region = parse_region(cfg.region_spec)
-    if region.dim != kernel.ambient_dim:
-        raise UsageError(
-            f"region dimension {region.dim} does not match kernel dimension "
-            f"{kernel.ambient_dim}"
-        )
-    if not cfg.scales:
-        raise UsageError("R: required")
-    policy = ResolutionPolicy(nodes_per_unit=cfg.nodes_per_unit,
-                              margin=cfg.margin, eval_spacing=cfg.eval_spacing,
-                              node_cap=cfg.node_cap)
-
-    def run_one(scale):
-        return dilation_snapshot(kernel, region, scale, policy,
-                                 n_per_axis=cfg.n_per_axis)
-
-    with ThreadPoolExecutor(max_workers=worker_count(len(cfg.scales))) as pool:
-        results = list(pool.map(run_one, cfg.scales))
-
-    summary = []
-    for row, _ in results:
-        summary.append((row.scale, row.trace, row.n_count, row.trace, None,
-                        None, None, row.err_raw, row.err_normalized,
-                        row.tail_mass))
-
-    field_header = None
-    field_rows = []
-    for (row, fld) in results:
-        nodes = fld.eval_grid.nodes
-        d = nodes.shape[1]
-        if field_header is None:
-            field_header = ("R", *[f"x{k + 1}" for k in range(d)], "rho", "target")
-        inside = fld.eval_grid.inside_base()
-        target = kernel.diagonal_value * inside
-        for i in range(nodes.shape[0]):
-            field_rows.append((row.scale, *nodes[i], fld.rho[i], target[i]))
-
-    if cfg.fmt == "json":
-        doc = {
-            "summary": [dict(zip(SUMMARY_COLUMNS, map(_json_val, row)))
-                        for row in summary],
-            "fields": [dict(zip(field_header, map(_json_val, row)))
-                       for row in field_rows],
-        }
-        write_json(cfg.out, doc)
-    else:
-        write_csv(cfg.out, SUMMARY_COLUMNS, summary)
-        if cfg.out is not None:
-            write_csv(fields_path(cfg.out), field_header, field_rows)
-    return 0
-
-
 def _json_val(v):
     if v is None:
         return None
@@ -330,99 +255,134 @@ def _json_val(v):
     return float(v)
 
 
-def cmd_variance(cfg: RunConfig) -> int:
-    kernel = make_kernel(cfg)
-    region = (parse_region(cfg.region_spec) if cfg.region_spec is not None
-              else default_region(kernel))
-    if region.dim != kernel.ambient_dim:
-        raise UsageError(
-            f"region dimension {region.dim} does not match kernel dimension "
-            f"{kernel.ambient_dim}"
-        )
-    if not cfg.scales:
-        raise UsageError("R: required")
-    include_spectral, curve_npu = _spectral_policy(cfg, kernel, region)
-    points = hyperuniformity_curve(kernel, region, cfg.scales,
+def write_tables(args, summary, fields=None, fit=None) -> None:
+    """Summary, (header, rows) field table and fit block: one JSON
+    document, or CSV with '# fit_*' comments and the fields file."""
+    if args.format == "json":
+        doc = {"summary": [dict(zip(SUMMARY_COLUMNS, map(_json_val, row)))
+                           for row in summary]}
+        if fields is not None:
+            header, rows = fields
+            doc["fields"] = [dict(zip(header, map(_json_val, row)))
+                             for row in rows]
+        if fit is not None:
+            doc["fit"] = fit
+        write_json(args.out, doc)
+        return
+    comments = [f"fit_{key}: {v if isinstance(v, str) else _fmt(v)}"
+                for key, v in (fit or {}).items()]
+    write_csv(args.out, SUMMARY_COLUMNS, summary, comments=comments)
+    if fields is not None and args.out is not None:
+        write_csv(fields_path(args.out), *fields)
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def cmd_spectrogram(args) -> int:
+    kernel, region, scales = kernel_region_scales(args, region_required=True)
+    policy = ResolutionPolicy(nodes_per_unit=args.nodes_per_unit,
+                              margin=args.margin,
+                              eval_spacing=args.eval_spacing,
+                              node_cap=args.node_cap)
+
+    def run_one(scale):
+        return dilation_snapshot(kernel, region, scale, policy,
+                                 n_per_axis=args.n)
+
+    with ThreadPoolExecutor(max_workers=worker_count(len(scales))) as pool:
+        results = list(pool.map(run_one, scales))
+
+    summary = []
+    for row, _ in results:
+        summary.append((row.scale, row.trace, row.n_count, row.trace, None,
+                        None, None, row.err_raw, row.err_normalized,
+                        row.tail_mass))
+
+    field_header = ("R", *[f"x{k + 1}" for k in range(kernel.ambient_dim)],
+                    "rho", "target")
+    field_rows = []
+    for (row, fld) in results:
+        nodes = fld.eval_grid.nodes
+        target = kernel.diagonal_value * fld.eval_grid.inside_base()
+        for i in range(nodes.shape[0]):
+            field_rows.append((row.scale, *nodes[i], fld.rho[i], target[i]))
+
+    write_tables(args, summary, fields=(field_header, field_rows))
+    return 0
+
+
+def cmd_variance(args) -> int:
+    kernel, region, scales = kernel_region_scales(args, region_required=False)
+    include_spectral, curve_npu = _spectral_policy(args, kernel, region,
+                                                   scales)
+    points = hyperuniformity_curve(kernel, region, scales,
                                    include_spectral=include_spectral,
-                                   node_cap=cfg.node_cap,
+                                   node_cap=args.node_cap,
                                    nodes_per_unit=curve_npu,
-                                   n_per_axis=cfg.n_per_axis)
+                                   n_per_axis=args.n)
     summary = [(p.scale, None, None, p.e_count, p.var_spectral, p.var_radial,
                 p.ratio, None, None, None) for p in points]
 
     fit = None
-    fit_warning = None
     if isinstance(kernel, PaleyWienerKernel) and isinstance(region, Ball):
         try:
-            fit = fit_asymptotics(kernel.dim,
-                                  [p.scale * region.radius for p in points],
-                                  [p.var_radial for p in points])
+            result = fit_asymptotics(kernel.dim,
+                                     [p.scale * region.radius for p in points],
+                                     [p.var_radial for p in points])
+            fit = {"slope": result.slope,
+                   "reference_constant": result.reference_constant,
+                   "relative_deviation": result.relative_deviation,
+                   "window_low": result.window_low}
         except FitRangeError as exc:
-            fit_warning = str(exc)
+            fit = {"warning": str(exc)}
 
-    if cfg.fmt == "json":
-        doc = {"summary": [dict(zip(SUMMARY_COLUMNS, map(_json_val, row)))
-                           for row in summary]}
-        if fit is not None:
-            doc["fit"] = {"slope": fit.slope,
-                          "reference_constant": fit.reference_constant,
-                          "relative_deviation": fit.relative_deviation,
-                          "window_low": fit.window_low}
-        elif fit_warning is not None:
-            doc["fit"] = {"warning": fit_warning}
-        write_json(cfg.out, doc)
-    else:
-        comments = []
-        if fit is not None:
-            comments = [f"fit_slope: {_fmt(fit.slope)}",
-                        f"fit_reference_constant: {_fmt(fit.reference_constant)}",
-                        f"fit_relative_deviation: {_fmt(fit.relative_deviation)}",
-                        f"fit_window_low: {_fmt(fit.window_low)}"]
-        elif fit_warning is not None:
-            comments = [f"fit_warning: {fit_warning}"]
-        write_csv(cfg.out, SUMMARY_COLUMNS, summary, comments=comments)
+    write_tables(args, summary, fit=fit)
     return 0
 
 
-def _spectral_policy(cfg: RunConfig, kernel: Kernel,
-                     region: Region) -> tuple[bool, float | None]:
+def _spectral_policy(args, kernel: Kernel, region: Region,
+                     scales) -> tuple[bool, float | None]:
     """Whether the spectral variance column is computed, and at which
     per-unit resolution (None = fill the node cap per scale).
 
-    In one dimension the grid scales with the window and the column is
-    feasible as long as every scale fits the cap; in higher dimensions
-    the cap is filled, feasible as long as the resulting spacing still
-    resolves the kernel's correlation structure at every scale.
+    ``auto`` computes the column at every scale or at none. Where the
+    grid size is fixed (one dimension, or ``--n``) the column is
+    feasible as long as every scale's grid fits the cap; in higher
+    dimensions the cap is filled, feasible as long as the resulting
+    spacing still resolves the kernel's correlation structure at every
+    scale.
     """
     d = kernel.ambient_dim
-    npu = cfg.nodes_per_unit if d == 1 else None
-    if cfg.spectral_mode == "off":
-        return False, npu
-    if cfg.spectral_mode == "on":
-        return True, npu
-    for scale in cfg.scales:
+    npu = args.nodes_per_unit if d == 1 else None
+    if args.spectral != "auto":
+        return args.spectral == "on", npu
+    for scale in scales:
         dilated = region.dilate(scale)
         bbox = dilated.bounding_box()
         side = float((bbox.upper - bbox.lower).max())
-        fill = dilated.volume() / bbox.volume()
-        if d == 1:
-            n_axis = max(2, int(math.ceil(cfg.nodes_per_unit * side)))
-            if fill * n_axis ** d > cfg.node_cap * 1.05:
+        n_axis = args.n
+        if n_axis is None and d == 1:
+            n_axis = max(2, int(math.ceil(args.nodes_per_unit * side)))
+        if n_axis is not None:
+            try:
+                build_grid(dilated, n_axis, node_cap=args.node_cap)
+            except (ResourceLimitError, DegenerateGridError):
                 return False, npu
-        else:
-            n_axis = int((cfg.node_cap / fill) ** (1.0 / d))
+        if d > 1:
+            fill = dilated.volume() / bbox.volume()
+            n_axis = int((args.node_cap / fill) ** (1.0 / d))
             if side / n_axis > kernel.correlation_length() / 4.0:
                 return False, npu
     return True, npu
 
 
-def cmd_lens(cfg: RunConfig) -> int:
-    try:
-        spec = LensSpec(cfg.lens_dim, cfg.lens_r, cfg.lens_R)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    series = lens_volume_series(spec, tol=cfg.lens_tol,
-                                max_terms=cfg.debug_max_series_terms)
+def cmd_lens(args) -> int:
+    if not args.tol > 0:
+        raise UsageError("tol: must be positive")
+    spec = LensSpec(args.dim, args.r, args.R)
+    series = lens_volume_series(spec, tol=args.tol)
     exact = lens_volume_exact(spec)
     print(f"series = {_fmt(series)}")
     print(f"exact  = {_fmt(exact)}")
@@ -430,85 +390,11 @@ def cmd_lens(cfg: RunConfig) -> int:
     return 0
 
 
-def _self_checks(cfg: RunConfig):
-    """The check suite: every line is (name, lhs <= rhs + slack)."""
-    lines = []
-
-    # lens: series agrees with the cap-integral route on a 50-point grid
-    for d in (1, 2, 3):
-        worst = 0.0
-        for r in np.linspace(0.0, 2.0, 50):
-            spec = LensSpec(d, float(r), 1.0)
-            series = lens_volume_series(spec, tol=cfg.lens_tol,
-                                        max_terms=cfg.debug_max_series_terms)
-            worst = max(worst, abs(series - lens_volume_exact(spec)))
-        lines.append(InequalityCheck(f"lens_series_vs_exact_d{d}", worst,
-                                     1e-8, 0.0))
-
-    # Bessel implementation against a compensated direct series sum
-    for nu in (0.5, 1.0, 1.5):
-        xs = np.linspace(0.0, 10.0, 101)
-        worst = 0.0
-        for x in xs:
-            ref = _bessel_series_fsum(nu, float(x))
-            worst = max(worst, abs(bessel_j(nu, float(x)) - ref))
-        lines.append(InequalityCheck(f"bessel_vs_series_nu{nu}", worst,
-                                     1e-10, 0.0))
-
-    # asymptotic constant: Gamma closed form vs geometric pre-simplification
-    for d in (1, 2, 3):
-        lines.append(InequalityCheck(
-            f"asymptotic_constant_identity_d{d}",
-            abs(asymptotic_constant(d) - asymptotic_constant_geometric(d)),
-            1e-12, 0.0))
-
-    # kernel admissibility residuals
-    for kernel, r_max, bound in ((GinibreKernel(1), 10.0, 1e-10),
-                                 (sine_kernel(), 1e4, 1e-3),
-                                 (PaleyWienerKernel(2), 1e4, 1e-2)):
-        res = radial_normalization_check(kernel, r_max)
-        lines.append(InequalityCheck(
-            f"radial_normalization_{kernel.name}_d{kernel.ambient_dim}",
-            abs(res), bound, 0.0))
-
-    # inequality suite and identities on the reference configuration
-    kernel = sine_kernel()
-    region = Box(np.array([-5.0]), np.array([5.0]))
-    grid = build_grid(region, 400)
-    spectral = spectral_decompose(assemble_operator(kernel, grid))
-    eval_grid = build_eval_grid(kernel, region, margin=cfg.margin,
-                                reference_grid=grid)
-    psi = compute_psi(kernel, spectral, eval_grid)
-    fld = accumulated_spectrogram(kernel, spectral, eval_grid, psi=psi)
-    defect = defect_g(kernel, grid, eval_grid)
-    report = inequality_report(kernel, spectral, fld, psi, defect, cfg.delta)
-    for chk in report.checks:
-        lines.append(replace(chk, name=f"{chk.name}_delta{cfg.delta:g}"
-                                       f"_Cdelta{report.c_delta:g}"))
-
-    ips, _ = inner_product_spectral(psi)
-    ipd = inner_product_direct(kernel, grid, eval_grid.nodes)
-    rel = float(np.max(np.abs(ips - ipd) / ipd))
-    lines.append(InequalityCheck("inner_product_identity_max_rel", rel,
-                                 0.02, 0.0))
-
-    conservation = abs(fld.integral() + fld.tail_mass - fld.n_count)
-    lines.append(InequalityCheck("rho_mass_conservation", conservation,
-                                 1e-8, 0.0))
-    return lines
-
-
-def _bessel_series_fsum(nu: float, x: float) -> float:
-    terms = []
-    t = (x / 2.0) ** nu / math.gamma(1.0 + nu)
-    for k in range(60):
-        terms.append(t)
-        t *= -(x / 2.0) ** 2 / ((k + 1.0) * (k + 1.0 + nu))
-    return math.fsum(terms)
-
-
-def cmd_check(cfg: RunConfig) -> int:
-    lines = _self_checks(cfg)
+def cmd_check(args) -> int:
+    if not args.lens_tol > 0:
+        raise UsageError("lens-tol: must be positive")
+    lines = self_checks(args.delta, args.margin, args.lens_tol,
+                        args.debug_max_series_terms)
     failures = 0
     for line in lines:
         status = "PASS" if line.passed else "FAIL"
@@ -535,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the output column documentation and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p):
+    def add_common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("--kernel", help="sine, paley-wiener or ginibre")
         p.add_argument("--dim", type=int, default=1,
                        help="dimension for paley-wiener")
@@ -548,24 +435,29 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed window grid nodes per axis")
         p.add_argument("--nodes-per-unit", type=float, default=40.0,
                        help="window grid resolution per unit length")
-        p.add_argument("--margin", type=float, default=None,
-                       help="evaluation margin (default: 4 correlation lengths)")
-        p.add_argument("--eval-spacing", type=float, default=None)
-        p.add_argument("--delta", type=float, default=0.25)
-        p.add_argument("--node-cap", type=int, default=4096)
+        p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", type=Path, default=None)
+        return p
 
-    p_spec = sub.add_parser("spectrogram", help="dilation convergence study")
-    add_common(p_spec)
+    p_spec = add_common(sub.add_parser("spectrogram",
+                                       help="dilation convergence study"),
+                        cmd_spectrogram)
+    p_spec.add_argument("--margin", type=float, default=None,
+                        help="evaluation margin (default: 4 correlation lengths)")
+    p_spec.add_argument("--eval-spacing", type=float, default=None,
+                        help="evaluation grid spacing (default: the window "
+                             "grid's)")
 
-    p_var = sub.add_parser("variance", help="hyperuniformity curve and fit")
-    add_common(p_var)
+    p_var = add_common(sub.add_parser("variance",
+                                      help="hyperuniformity curve and fit"),
+                       cmd_variance)
     p_var.add_argument("--spectral", choices=("auto", "on", "off"),
                        default="auto",
                        help="also compute the discretized-spectrum variance")
 
     p_check = sub.add_parser("check", help="self-check suite")
+    p_check.set_defaults(run=cmd_check)
     p_check.add_argument("--delta", type=float, default=0.25)
     p_check.add_argument("--margin", type=float, default=None)
     p_check.add_argument("--lens-tol", type=float, default=1e-9)
@@ -573,34 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fault injection: hard-truncate the lens series")
 
     p_lens = sub.add_parser("lens", help="lens volume, both routes")
+    p_lens.set_defaults(run=cmd_lens)
     p_lens.add_argument("--dim", type=int, required=True)
     p_lens.add_argument("--r", type=float, required=True)
     p_lens.add_argument("--R", type=float, required=True)
     p_lens.add_argument("--tol", type=float, default=1e-9)
     return parser
-
-
-def config_from_args(args) -> RunConfig:
-    command = args.command
-    if command == "lens":
-        if not args.tol > 0:
-            raise UsageError("tol: must be positive")
-        return RunConfig(command="lens", lens_dim=args.dim, lens_r=args.r,
-                         lens_R=args.R, lens_tol=args.tol)
-    if command == "check":
-        if not args.lens_tol > 0:
-            raise UsageError("lens-tol: must be positive")
-        return RunConfig(command="check", delta=args.delta, margin=args.margin,
-                         lens_tol=args.lens_tol,
-                         debug_max_series_terms=args.debug_max_series_terms)
-    scales = parse_scale_list(args.R) if args.R else ()
-    return RunConfig(command=command, kernel_name=args.kernel, dim=args.dim,
-                     cdim=args.cdim, region_spec=args.region, scales=scales,
-                     n_per_axis=args.n, nodes_per_unit=args.nodes_per_unit,
-                     margin=args.margin, eval_spacing=args.eval_spacing,
-                     delta=args.delta, node_cap=args.node_cap,
-                     spectral_mode=getattr(args, "spectral", "auto"),
-                     fmt=args.format, out=args.out)
 
 
 def main(argv=None) -> int:
@@ -613,16 +483,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        cfg = config_from_args(args)
-        if cfg.command == "spectrogram":
-            return cmd_spectrogram(cfg)
-        if cfg.command == "variance":
-            return cmd_variance(cfg)
-        if cfg.command == "check":
-            return cmd_check(cfg)
-        if cfg.command == "lens":
-            return cmd_lens(cfg)
-        raise UsageError(f"unknown command {cfg.command}")
+        return args.run(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

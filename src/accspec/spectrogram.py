@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import (QuadratureGrid, ResourceLimitError, SpectralData,
-                         assemble_operator, build_grid, max_n_per_axis,
-                         spectral_decompose)
+from .discretize import (DEFAULT_NODE_CAP, QuadratureGrid, ResourceLimitError,
+                         SpectralData, assemble_operator, build_grid,
+                         max_n_per_axis, spectral_decompose)
 from .geometry import Box, Region
 from .kernels import Kernel
 
@@ -266,12 +266,15 @@ def inner_product_direct(kernel: Kernel, lambda_grid: QuadratureGrid,
 class DefectField:
     """G(x) = K(x,x) 1_Lambda(x) - int_Lambda |K(x,y)|^2 dy on the eval grid.
 
+    ``window_integral`` is int_Lambda |K(x,y)|^2 dy at each node, the
+    direct side of the dual inner-product identity.
     ``quad_error_estimate`` is the mass of evaluation cells straddling
     the window boundary times the diagonal: |G| jumps there, so each
     straddling cell may misattribute up to its whole weight.
     """
 
     values: np.ndarray
+    window_integral: np.ndarray
     l1_on_window: float
     l1_tail_bound: float
     inside: np.ndarray
@@ -301,8 +304,9 @@ def defect_g(kernel: Kernel, lambda_grid: QuadratureGrid,
     straddle = eval_grid.base_region.boundary_distance(eval_grid.nodes) < half_diag
     quad_est = kernel.diagonal_value * float(
         np.sum(eval_grid.weights[straddle]))
-    return DefectField(values=g, l1_on_window=l1, l1_tail_bound=tail,
-                       inside=inside, quad_error_estimate=quad_est)
+    return DefectField(values=g, window_integral=ipd, l1_on_window=l1,
+                       l1_tail_bound=tail, inside=inside,
+                       quad_error_estimate=quad_est)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +398,7 @@ class ResolutionPolicy:
     nodes_per_unit: float = 40.0
     margin: float | None = None
     eval_spacing: float | None = None
-    node_cap: int = 4096
-    eval_node_cap: int = DEFAULT_EVAL_NODE_CAP
+    node_cap: int = DEFAULT_NODE_CAP
 
 
 @dataclass(frozen=True)
@@ -436,8 +439,7 @@ def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float,
     spectral = spectral_decompose(operator)
     eval_grid = build_eval_grid(kernel, region, margin=policy.margin,
                                 spacing=policy.eval_spacing,
-                                reference_grid=grid,
-                                node_cap=policy.eval_node_cap)
+                                reference_grid=grid)
     fld = accumulated_spectrogram(kernel, spectral, eval_grid)
     target = kernel.diagonal_value * eval_grid.inside_base()
     err_raw = float(np.sum(np.abs(fld.rho - target) * eval_grid.weights))

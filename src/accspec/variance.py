@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import (DegenerateGridError, ResourceLimitError, SpectralData,
-                         assemble_operator, build_grid, max_n_per_axis,
-                         spectral_decompose)
+from .discretize import (DEFAULT_NODE_CAP, SpectralData, assemble_operator,
+                         build_grid, max_n_per_axis, spectral_decompose)
 from .geometry import (Ball, DisjointBallUnion, Region,
                        _ball_volume_unchecked, lens_volume_exact_many,
                        unit_ball_volume, unit_sphere_area)
@@ -139,16 +138,17 @@ class CurvePoint:
 
 def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
                           include_spectral: bool = False,
-                          node_cap: int = 4096,
+                          node_cap: int = DEFAULT_NODE_CAP,
                           nodes_per_unit: float | None = None,
                           n_per_axis: int | None = None):
     """(scale, E, var, var/E) along dilations of a ball or ball union.
 
     The radial route covers balls (and bounds unions from above); the
-    spectral route is added on request for scales whose grids fit the
-    node cap (``nodes_per_unit`` and ``n_per_axis`` both None fills the
-    cap). Returns the list of points; the ratio column is the
-    hyperuniformity diagnostic and should decay along the ladder.
+    spectral route is added on request at every scale (``nodes_per_unit``
+    and ``n_per_axis`` both None fills the node cap); a grid beyond the
+    cap raises ResourceLimitError instead of leaving an entry empty.
+    Returns the list of points; the ratio column is the hyperuniformity
+    diagnostic and should decay along the ladder.
     """
     scales = [float(s) for s in scales]
     points = []
@@ -163,20 +163,17 @@ def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
             var_rad = None
         var_spec = None
         if include_spectral:
-            try:
-                bbox = dilated.bounding_box()
-                side = float((bbox.upper - bbox.lower).max())
-                if n_per_axis is not None:
-                    n_axis = n_per_axis
-                elif nodes_per_unit is None:
-                    n_axis = max_n_per_axis(dilated, node_cap)
-                else:
-                    n_axis = max(2, int(math.ceil(nodes_per_unit * side)))
-                grid = build_grid(dilated, n_axis, node_cap=node_cap)
-                var_spec = variance_spectral(
-                    spectral_decompose(assemble_operator(kernel, grid)))
-            except (ResourceLimitError, DegenerateGridError):
-                var_spec = None
+            bbox = dilated.bounding_box()
+            side = float((bbox.upper - bbox.lower).max())
+            if n_per_axis is not None:
+                n_axis = n_per_axis
+            elif nodes_per_unit is None:
+                n_axis = max_n_per_axis(dilated, node_cap)
+            else:
+                n_axis = max(2, int(math.ceil(nodes_per_unit * side)))
+            grid = build_grid(dilated, n_axis, node_cap=node_cap)
+            var_spec = variance_spectral(
+                spectral_decompose(assemble_operator(kernel, grid)))
         best = var_rad if var_rad is not None else var_spec
         if best is None:
             raise ValueError(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from accspec import cli
+from accspec import checks, cli
 from accspec.cli import (SUMMARY_COLUMNS, UsageError, main, parse_region,
                          parse_scale_list)
 from accspec.discretize import ResourceLimitError
@@ -246,6 +246,30 @@ def test_check_subcommand_passes():
     assert main(["check"]) == 0
 
 
+CHECK_NAMES = (
+    "lens_series_vs_exact_d1", "lens_series_vs_exact_d2",
+    "lens_series_vs_exact_d3",
+    "bessel_vs_series_nu0.5", "bessel_vs_series_nu1.0",
+    "bessel_vs_series_nu1.5",
+    "asymptotic_constant_identity_d1", "asymptotic_constant_identity_d2",
+    "asymptotic_constant_identity_d3",
+    "radial_normalization_ginibre_d2", "radial_normalization_sine_d1",
+    "radial_normalization_paley-wiener_d2",
+    "psi_approximation_delta0.25_Cdelta4", "delta_count_delta0.25_Cdelta4",
+    "defect_l1_delta0.25_Cdelta4", "variance_vs_mean_delta0.25_Cdelta4",
+    "inner_product_identity_max_rel", "rho_mass_conservation",
+)
+
+
+def test_check_line_names_pinned(capsys):
+    assert main(["check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"all {len(CHECK_NAMES)} checks passed"
+    printed = [line.split()[1] for line in lines[:-1]]
+    assert printed == list(CHECK_NAMES)
+    assert [c.name for c in checks.self_checks()] == printed
+
+
 def test_check_subcommand_fault_injection(capsys):
     assert main(["check", "--debug-max-series-terms", "2"]) == 1
     out = capsys.readouterr().out
@@ -274,3 +298,35 @@ def test_union_region_variance_columns(tmp_path):
     row = json.loads(out.read_text())["summary"][0]
     # subadditive upper bound dominates the discretized union's variance
     assert row["var_spectral"] <= row["var_radial"] + 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["variance", "--kernel", "sine", "--R", "1,2", "--margin", "-3"],
+    ["variance", "--kernel", "sine", "--R", "1,2", "--delta", "7"],
+    ["variance", "--kernel", "sine", "--R", "1,2", "--eval-spacing", "-1"],
+    ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+     "--R", "2", "--delta", "0.3"],
+])
+def test_unread_options_are_usage_errors(argv, capsys):
+    # options the subcommand would ignore are not accepted at all
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_spectral_on_beyond_node_cap_is_numerical_failure(capsys):
+    argv = ["variance", "--kernel", "sine", "--R", "1,100", "--spectral", "on",
+            "--node-cap", "100"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: grid has 8000 nodes, cap is 100\n"
+    assert captured.out == ""
+
+
+def test_spectral_auto_column_is_all_or_nothing(tmp_path):
+    # R=1.27 needs 102 nodes: within 5% of the cap, but beyond it
+    out = tmp_path / "v.csv"
+    assert main(["variance", "--kernel", "sine", "--R", "1,1.27",
+                 "--node-cap", "100", "--out", str(out)]) == 0
+    assert [row["var_spectral"] for row in _read_summary(out)] == ["", ""]

@@ -105,6 +105,8 @@ def test_inner_product_identity(sine_run):
     rel = np.abs(ips - ipd) / ipd
     assert rel.max() < 0.02
     assert dropped < 1e-10
+    # the defect field keeps the same window integral, bit for bit
+    np.testing.assert_array_equal(sine_run.defect.window_integral, ipd)
 
 
 def test_inner_product_scalar_index(sine_run):
