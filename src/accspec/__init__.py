@@ -9,7 +9,7 @@ from .geometry import (Ball, Box, DisjointBallUnion, LensSpec, Region,
 from .kernels import (GinibreKernel, Kernel, PaleyWienerKernel, bessel_j,
                       radial_normalization_check, sine_kernel)
 from .discretize import (QuadratureGrid, SpectralData, assemble_operator,
-                         build_grid, spectral_decompose)
+                         build_grid, spectral_decompose, window_grid)
 from .spectrogram import (EvalGrid, ResolutionPolicy, SpectrogramField,
                           accumulated_spectrogram, build_eval_grid, c_delta,
                           compute_psi, count_n, count_n_delta, defect_g,
@@ -29,7 +29,7 @@ __all__ = [
     "GinibreKernel", "Kernel", "PaleyWienerKernel", "bessel_j",
     "radial_normalization_check", "sine_kernel",
     "QuadratureGrid", "SpectralData", "assemble_operator", "build_grid",
-    "spectral_decompose",
+    "spectral_decompose", "window_grid",
     "EvalGrid", "ResolutionPolicy", "SpectrogramField",
     "accumulated_spectrogram", "build_eval_grid", "c_delta", "compute_psi",
     "count_n", "count_n_delta", "defect_g", "dilation_snapshot",

@@ -16,7 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .discretize import assemble_operator, build_grid, spectral_decompose
+from .discretize import (DEFAULT_NODE_CAP, assemble_operator,
+                         spectral_decompose, window_grid)
 from .geometry import Box, LensSpec, lens_volume_exact, lens_volume_series
 from .kernels import (GinibreKernel, PaleyWienerKernel, bessel_j,
                       radial_normalization_check, sine_kernel)
@@ -79,7 +80,7 @@ def self_checks(delta: float = 0.25, margin: float | None = None,
     # inequality suite and identities on the reference configuration
     kernel = sine_kernel()
     region = Box(np.array([-5.0]), np.array([5.0]))
-    grid = build_grid(region, 400)
+    grid, _ = window_grid(region, DEFAULT_NODE_CAP, n_per_axis=400)
     spectral = spectral_decompose(assemble_operator(kernel, grid))
     eval_grid = build_eval_grid(kernel, region, margin=margin,
                                 reference_grid=grid)

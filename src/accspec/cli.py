@@ -37,12 +37,12 @@ import numpy as np
 
 from . import __version__
 from .checks import self_checks
-from .discretize import (DEFAULT_NODE_CAP, DegenerateGridError,
-                         ResourceLimitError, SpectralSolverError, build_grid)
+from .discretize import (DEFAULT_NODE_CAP, ResourceLimitError,
+                         SpectralSolverError)
 from .geometry import (Ball, Box, DisjointBallUnion, LensSpec, Region,
                        SeriesDivergenceError, lens_volume_exact,
                        lens_volume_series)
-from .kernels import GinibreKernel, Kernel, PaleyWienerKernel, sine_kernel
+from .kernels import GinibreKernel, PaleyWienerKernel, sine_kernel
 from .spectrogram import (RankDeficiencyError, ResolutionPolicy,
                           dilation_snapshot)
 from .variance import FitRangeError, fit_asymptotics, hyperuniformity_curve
@@ -315,13 +315,9 @@ def cmd_spectrogram(args) -> int:
 
 def cmd_variance(args) -> int:
     kernel, region, scales = kernel_region_scales(args, region_required=False)
-    include_spectral, curve_npu = _spectral_policy(args, kernel, region,
-                                                   scales)
-    points = hyperuniformity_curve(kernel, region, scales,
-                                   include_spectral=include_spectral,
-                                   node_cap=args.node_cap,
-                                   nodes_per_unit=curve_npu,
-                                   n_per_axis=args.n)
+    points = hyperuniformity_curve(
+        kernel, region, scales, spectral=args.spectral, node_cap=args.node_cap,
+        nodes_per_unit=args.nodes_per_unit, n_per_axis=args.n)
     summary = [(p.scale, None, None, p.e_count, p.var_spectral, p.var_radial,
                 p.ratio, None, None, None) for p in points]
 
@@ -340,42 +336,6 @@ def cmd_variance(args) -> int:
 
     write_tables(args, summary, fit=fit)
     return 0
-
-
-def _spectral_policy(args, kernel: Kernel, region: Region,
-                     scales) -> tuple[bool, float | None]:
-    """Whether the spectral variance column is computed, and at which
-    per-unit resolution (None = fill the node cap per scale).
-
-    ``auto`` computes the column at every scale or at none. Where the
-    grid size is fixed (one dimension, or ``--n``) the column is
-    feasible as long as every scale's grid fits the cap; in higher
-    dimensions the cap is filled, feasible as long as the resulting
-    spacing still resolves the kernel's correlation structure at every
-    scale.
-    """
-    d = kernel.ambient_dim
-    npu = args.nodes_per_unit if d == 1 else None
-    if args.spectral != "auto":
-        return args.spectral == "on", npu
-    for scale in scales:
-        dilated = region.dilate(scale)
-        bbox = dilated.bounding_box()
-        side = float((bbox.upper - bbox.lower).max())
-        n_axis = args.n
-        if n_axis is None and d == 1:
-            n_axis = max(2, int(math.ceil(args.nodes_per_unit * side)))
-        if n_axis is not None:
-            try:
-                build_grid(dilated, n_axis, node_cap=args.node_cap)
-            except (ResourceLimitError, DegenerateGridError):
-                return False, npu
-        if d > 1:
-            fill = dilated.volume() / bbox.volume()
-            n_axis = int((args.node_cap / fill) ** (1.0 / d))
-            if side / n_axis > kernel.correlation_length() / 4.0:
-                return False, npu
-    return True, npu
 
 
 def cmd_lens(args) -> int:
@@ -433,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--R", help="dilation scales: a,b,c or lo:hi:logN")
         p.add_argument("--n", type=int, default=None,
                        help="fixed window grid nodes per axis")
-        p.add_argument("--nodes-per-unit", type=float, default=40.0,
-                       help="window grid resolution per unit length")
         p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", type=Path, default=None)
@@ -443,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = add_common(sub.add_parser("spectrogram",
                                        help="dilation convergence study"),
                         cmd_spectrogram)
+    p_spec.add_argument("--nodes-per-unit", type=float, default=40.0,
+                        help="window grid resolution per unit length")
     p_spec.add_argument("--margin", type=float, default=None,
                         help="evaluation margin (default: 4 correlation lengths)")
     p_spec.add_argument("--eval-spacing", type=float, default=None,
@@ -454,7 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
                        cmd_variance)
     p_var.add_argument("--spectral", choices=("auto", "on", "off"),
                        default="auto",
-                       help="also compute the discretized-spectrum variance")
+                       help="also compute the discretized-spectrum "
+                            "variance (auto: at every scale or at none)")
+    p_var.add_argument("--nodes-per-unit", type=float, default=None,
+                       help="window grid resolution per unit length (default: "
+                            "40 in 1-D, else the finest within --node-cap)")
 
     p_check = sub.add_parser("check", help="self-check suite")
     p_check.set_defaults(run=cmd_check)

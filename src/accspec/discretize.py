@@ -125,6 +125,28 @@ def max_n_per_axis(region: Region, node_cap: int = DEFAULT_NODE_CAP) -> int:
     return 2
 
 
+def window_grid(region: Region, node_cap: int,
+                nodes_per_unit: float | None = None,
+                n_per_axis: int | None = None) -> tuple[QuadratureGrid, int]:
+    """The window grid and its nodes per axis: ``n_per_axis`` if given,
+    else ceil(nodes_per_unit * longest bounding-box side) (at least 2),
+    else the finest grid within the node cap. A requested grid beyond
+    the cap raises ResourceLimitError."""
+    if not node_cap >= 1:
+        raise ValueError(f"node cap must be at least 1, got {node_cap}")
+    if nodes_per_unit is not None and not 0 < nodes_per_unit < math.inf:
+        raise ValueError(
+            f"nodes per unit must be positive and finite, got {nodes_per_unit:g}")
+    if n_per_axis is None:
+        if nodes_per_unit is None:
+            n_per_axis = max_n_per_axis(region, node_cap)
+        else:
+            bbox = region.bounding_box()
+            side = float((bbox.upper - bbox.lower).max())
+            n_per_axis = max(2, math.ceil(nodes_per_unit * side))
+    return build_grid(region, n_per_axis, node_cap=node_cap), n_per_axis
+
+
 @dataclass(eq=False)
 class OperatorMatrix:
     """Symmetrized Nystrom matrix of the kernel restricted to the grid."""
@@ -228,8 +250,7 @@ def _pivoted_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
     return rows[:k], float(diag.sum())
 
 
-def spectral_decompose(operator: OperatorMatrix,
-                       residual_sample: int = 16) -> SpectralData:
+def spectral_decompose(operator: OperatorMatrix) -> SpectralData:
     """Low-rank eigendecomposition with a sampled residual check.
 
     The restriction of a projection kernel has a plunge spectrum: only
@@ -239,8 +260,8 @@ def spectral_decompose(operator: OperatorMatrix,
     residual trace is carried in ``residual_trace``. The QR of the n x k
     factor, L = Q R, turns A ~= Q (R R^*) Q^* into a k x k Hermitian
     eigenproblem, whose eigenvectors mapped through Q are the returned
-    vectors. The cost is O(n k^2) instead of O(n^3). Up to
-    ``residual_sample`` eigenpairs, spread over the k, are checked
+    vectors. The cost is O(n k^2) instead of O(n^3). Up to 16
+    eigenpairs, spread over the k, are checked
     against the full matrix: |A v - mu v| must stay within 1e-9 of the
     largest |eigenvalue|, else SpectralSolverError.
     """
@@ -262,9 +283,9 @@ def spectral_decompose(operator: OperatorMatrix,
     vecs = q @ small_vecs[:, order]
     vals = np.concatenate([vals[order], np.zeros(n - k)])
     norm = max(abs(vals[0]), abs(vals[-1]), 1e-300)
-    if residual_sample > 0 and k > 0:
+    if k > 0:
         idx = np.unique(np.linspace(0, k - 1,
-                                    min(residual_sample, k)).astype(int))
+                                    min(16, k)).astype(int))
         resid = np.abs(a @ vecs[:, idx] - vecs[:, idx] * vals[idx][None, :]).max()
         if not resid <= 1e-9 * norm:  # a NaN residual fails as well
             raise SpectralSolverError(

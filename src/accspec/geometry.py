@@ -293,7 +293,7 @@ def _cap_theta_lower(r, R):
     return np.arcsin(q)
 
 
-def lens_volume_exact(spec: LensSpec, tol: float = 1e-13) -> float:
+def lens_volume_exact(spec: LensSpec) -> float:
     """Lens volume by quadrature of the spherical-cap integral.
 
     Independent of the series route: the overlap of the two balls is
@@ -307,7 +307,7 @@ def lens_volume_exact(spec: LensSpec, tol: float = 1e-13) -> float:
         return cd * R ** d
     theta0 = float(_cap_theta_lower(r, R))
     cap, _ = integrate_adaptive(lambda t: np.cos(t) ** d, theta0, 0.5 * math.pi,
-                                tol=tol)
+                                tol=1e-13)
     overlap = 2.0 * _ball_volume_unchecked(d - 1) * R ** d * cap
     return max(cd * R ** d - overlap, 0.0)
 

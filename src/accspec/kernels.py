@@ -142,9 +142,6 @@ class Kernel:
             )
         return self.eval_matrix(x, y)[0, 0]
 
-    def diagonal(self, x=None) -> float:
-        return self.diagonal_value
-
     def correlation_length(self) -> float:
         """Smallest r with envelope(phi)(r) below 1e-4 phi(0), capped."""
         raise NotImplementedError

@@ -21,14 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import (DEFAULT_NODE_CAP, QuadratureGrid, ResourceLimitError,
-                         SpectralData, assemble_operator, build_grid,
-                         max_n_per_axis, spectral_decompose)
+# bench/test_bench.py checks that its tracer rebinds build_grid here
+from .discretize import (DEFAULT_NODE_CAP, QuadratureGrid,  # noqa: F401
+                         ResourceLimitError, SpectralData, assemble_operator,
+                         build_grid, spectral_decompose, window_grid)
 from .geometry import Box, Region
 from .kernels import Kernel
 
-DEFAULT_MU_FLOOR = 1e-12
-DEFAULT_EVAL_NODE_CAP = 400_000
+MU_FLOOR = 1e-12
+EVAL_NODE_CAP = 400_000
 _CHUNK = 4096
 _COUNT_TIE_TOL = 1e-9
 
@@ -90,30 +91,33 @@ class EvalGrid:
 def build_eval_grid(kernel: Kernel, region: Region,
                     margin: float | None = None,
                     spacing: float | None = None,
-                    reference_grid: QuadratureGrid | None = None,
-                    node_cap: int = DEFAULT_EVAL_NODE_CAP) -> EvalGrid:
+                    reference_grid: QuadratureGrid | None = None) -> EvalGrid:
     """Uniform grid on the bounding box of ``region`` inflated by ``margin``.
 
     The default margin is four correlation lengths of the kernel; the
-    default spacing matches ``reference_grid`` when given.
+    default spacing matches ``reference_grid`` when given. A grid above
+    ``EVAL_NODE_CAP`` nodes raises ResourceLimitError.
     """
     if margin is None:
         margin = 4.0 * kernel.correlation_length()
-    if margin <= 0:
+    if not 0 < margin < math.inf:
         raise ValueError("evaluation margin must be positive")
     if spacing is None:
         if reference_grid is not None:
             spacing = float(reference_grid.spacing.min())
         else:
             spacing = kernel.correlation_length() / 8.0
+    if not 0 < spacing < math.inf:
+        raise ValueError(
+            f"evaluation spacing must be positive and finite, got {spacing:g}")
     bbox = region.bounding_box()
     lo = bbox.lower - margin
     hi = bbox.upper + margin
     ns = [max(2, int(np.ceil((hi[k] - lo[k]) / spacing))) for k in range(bbox.dim)]
-    if int(np.prod(ns, dtype=np.int64)) > node_cap:
-        raise ValueError(
+    if int(np.prod(ns, dtype=np.int64)) > EVAL_NODE_CAP:
+        raise ResourceLimitError(
             f"evaluation grid would need {int(np.prod(ns, dtype=np.int64))} nodes, "
-            f"cap is {node_cap}"
+            f"cap is {EVAL_NODE_CAP}"
         )
     axes = [lo[k] + (hi[k] - lo[k]) / ns[k] * (np.arange(ns[k]) + 0.5)
             for k in range(bbox.dim)]
@@ -158,16 +162,15 @@ class PsiSet:
 
 
 def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
-                j_max: int | None = None,
-                mu_floor: float = DEFAULT_MU_FLOOR) -> PsiSet:
+                j_max: int | None = None) -> PsiSet:
     """Quadrature images of the leading eigenfunctions, unit-normalized on E."""
     mu = spectral.eigenvalues_clamped
-    n_above = int(np.sum(mu > mu_floor))
+    n_above = int(np.sum(mu > MU_FLOOR))
     if j_max is None:
         j_max = n_above
     if j_max > n_above:
         raise RankDeficiencyError(
-            f"mode j={n_above + 1} has eigenvalue <= mu_floor ({mu_floor:g}); "
+            f"mode j={n_above + 1} has eigenvalue <= mu_floor ({MU_FLOOR:g}); "
             f"cannot supply {j_max} modes"
         )
     if j_max < 1:
@@ -209,7 +212,6 @@ class SpectrogramField:
 
 def accumulated_spectrogram(kernel: Kernel, spectral: SpectralData,
                             eval_grid: EvalGrid,
-                            mu_floor: float = DEFAULT_MU_FLOOR,
                             psi: PsiSet | None = None) -> SpectrogramField:
     """Sum of |Psi_j|^2 over the first N modes, N = upper integer trace.
 
@@ -219,8 +221,7 @@ def accumulated_spectrogram(kernel: Kernel, spectral: SpectralData,
     """
     n_count = count_n(spectral.trace)
     if psi is None:
-        psi = compute_psi(kernel, spectral, eval_grid, j_max=n_count,
-                          mu_floor=mu_floor)
+        psi = compute_psi(kernel, spectral, eval_grid, j_max=n_count)
     elif psi.n_modes < n_count:
         raise RankDeficiencyError(
             f"psi set holds {psi.n_modes} modes but N = {n_count}"
@@ -420,21 +421,19 @@ def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float,
     """One rung of the dilation ladder: discretize, decompose, compare.
 
     Returns (ConvergenceRow, SpectrogramField). ``n_per_axis`` overrides
-    the policy's per-unit scaling with a fixed grid resolution.
+    the policy's per-unit scaling with a fixed grid resolution, which
+    raises ResourceLimitError beyond the node cap instead of saturating.
     """
     region = base_region.dilate(float(scale))
-    bbox = region.bounding_box()
-    side = float((bbox.upper - bbox.lower).max())
-    if n_per_axis is None:
-        n_target = max(2, int(np.ceil(policy.nodes_per_unit * side)))
-    else:
-        n_target = n_per_axis
     try:
-        grid = build_grid(region, n_target, node_cap=policy.node_cap)
-        n_axis, saturated = n_target, False
+        grid, n_axis = window_grid(region, policy.node_cap,
+                                   policy.nodes_per_unit, n_per_axis)
+        saturated = False
     except ResourceLimitError:
-        n_axis, saturated = max_n_per_axis(region, policy.node_cap), True
-        grid = build_grid(region, n_axis, node_cap=policy.node_cap)
+        if n_per_axis is not None:
+            raise
+        grid, n_axis = window_grid(region, policy.node_cap)
+        saturated = True
     operator = assemble_operator(kernel, grid)
     spectral = spectral_decompose(operator)
     eval_grid = build_eval_grid(kernel, region, margin=policy.margin,

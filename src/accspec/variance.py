@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import (DEFAULT_NODE_CAP, SpectralData, assemble_operator,
-                         build_grid, max_n_per_axis, spectral_decompose)
+from .discretize import (DEFAULT_NODE_CAP, DegenerateGridError,
+                         ResourceLimitError, SpectralData, assemble_operator,
+                         spectral_decompose, window_grid)
 from .geometry import (Ball, DisjointBallUnion, Region,
                        _ball_volume_unchecked, lens_volume_exact_many,
                        unit_ball_volume, unit_sphere_area)
@@ -137,49 +138,61 @@ class CurvePoint:
 
 
 def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
-                          include_spectral: bool = False,
+                          spectral: str = "off",
                           node_cap: int = DEFAULT_NODE_CAP,
                           nodes_per_unit: float | None = None,
                           n_per_axis: int | None = None):
     """(scale, E, var, var/E) along dilations of a ball or ball union.
 
-    The radial route covers balls (and bounds unions from above); the
-    spectral route is added on request at every scale (``nodes_per_unit``
-    and ``n_per_axis`` both None fills the node cap); a grid beyond the
-    cap raises ResourceLimitError instead of leaving an entry empty.
-    Returns the list of points; the ratio column is the hyperuniformity
-    diagnostic and should decay along the ladder.
+    The radial route covers balls (and bounds unions from above). The
+    spectral column (``spectral`` "off", "on" or "auto") uses the grids
+    of ``discretize.window_grid``; ``nodes_per_unit`` None means 40 in
+    one dimension and filling the node cap above. "on" fills it at every
+    scale, a grid beyond the cap raising ResourceLimitError; "auto"
+    fills it at every scale if every grid fits the cap with spacing at
+    most a quarter correlation length, else at none. The ratio column
+    is the hyperuniformity diagnostic and should decay along the ladder.
     """
+    if spectral not in ("off", "on", "auto"):
+        raise ValueError(f"spectral must be off, on or auto, got {spectral!r}")
     scales = [float(s) for s in scales]
+    windows = [region.dilate(s) for s in scales]
+    if nodes_per_unit is None and kernel.ambient_dim == 1:
+        nodes_per_unit = 40.0
+    grids, dropped = [None] * len(windows), "the spectral route is off"
+    if spectral != "off":
+        limit = kernel.correlation_length() / 4.0
+        try:
+            built = [window_grid(w, node_cap, nodes_per_unit, n_per_axis)[0]
+                     for w in windows]
+        except (ResourceLimitError, DegenerateGridError) as exc:
+            if spectral == "on":
+                raise
+            dropped = f"auto dropped the spectral route: {exc}"
+        else:
+            coarse = max((float(g.spacing.max()) for g in built), default=0.0)
+            if spectral == "on" or coarse <= limit:
+                grids, dropped = built, None
+            else:
+                dropped = (f"auto dropped the spectral route: grid spacing "
+                           f"{coarse:.3g} exceeds a quarter correlation "
+                           f"length, {limit:.3g}")
+    if dropped and not isinstance(region, (Ball, DisjointBallUnion)):
+        raise ValueError(f"no variance route: the window is not a ball or a "
+                         f"ball union, so it has no radial route, and "
+                         f"{dropped}")
     points = []
-    for scale in scales:
-        dilated = region.dilate(scale)
-        e_count = expected_count(kernel, dilated)
+    for scale, window, grid in zip(scales, windows, grids):
+        e_count = expected_count(kernel, window)
         if isinstance(region, Ball):
             var_rad = variance_radial(kernel, scale * region.radius).value
         elif isinstance(region, DisjointBallUnion):
             var_rad = variance_subadditive_upper(kernel, region, scale)
         else:
             var_rad = None
-        var_spec = None
-        if include_spectral:
-            bbox = dilated.bounding_box()
-            side = float((bbox.upper - bbox.lower).max())
-            if n_per_axis is not None:
-                n_axis = n_per_axis
-            elif nodes_per_unit is None:
-                n_axis = max_n_per_axis(dilated, node_cap)
-            else:
-                n_axis = max(2, int(math.ceil(nodes_per_unit * side)))
-            grid = build_grid(dilated, n_axis, node_cap=node_cap)
-            var_spec = variance_spectral(
-                spectral_decompose(assemble_operator(kernel, grid)))
+        var_spec = None if grid is None else variance_spectral(
+            spectral_decompose(assemble_operator(kernel, grid)))
         best = var_rad if var_rad is not None else var_spec
-        if best is None:
-            raise ValueError(
-                "no variance route available: non-ball region beyond the "
-                "spectral node cap"
-            )
         points.append(CurvePoint(scale=scale, e_count=e_count,
                                  var_spectral=var_spec, var_radial=var_rad,
                                  ratio=best / e_count))

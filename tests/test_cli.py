@@ -330,3 +330,91 @@ def test_spectral_auto_column_is_all_or_nothing(tmp_path):
     assert main(["variance", "--kernel", "sine", "--R", "1,1.27",
                  "--node-cap", "100", "--out", str(out)]) == 0
     assert [row["var_spectral"] for row in _read_summary(out)] == ["", ""]
+
+
+@pytest.mark.parametrize("argv", [
+    ["variance", "--kernel", "ginibre", "--R", "1,2", "--n", "3"],
+    ["variance", "--kernel", "sine", "--R", "50,100", "--n", "10"],
+])
+def test_spectral_auto_judges_the_grids_it_builds(argv, tmp_path):
+    # the grids fit the cap but are coarser than a quarter correlation
+    # length, so the column stays empty instead of reading 0
+    out = tmp_path / "v.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert [row["var_spectral"] for row in _read_summary(out)] == ["", ""]
+
+
+def test_variance_nodes_per_unit_is_read_in_two_dimensions(tmp_path):
+    base = ["variance", "--kernel", "ginibre", "--R", "1", "--spectral", "on"]
+    runs = {}
+    for name, extra in (("default", []), ("npu", ["--nodes-per-unit", "10"]),
+                        ("n20", ["--n", "20"])):
+        out = tmp_path / f"{name}.csv"
+        assert main(base + extra + ["--out", str(out)]) == 0
+        runs[name] = out.read_bytes()
+    # 10 per unit on the side-2 bounding box is 20 nodes per axis
+    assert runs["npu"] == runs["n20"]
+    assert runs["npu"] != runs["default"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["variance", "--kernel", "ginibre", "--R", "1", "--node-cap", "0"],
+    ["variance", "--kernel", "ginibre", "--R", "1", "--node-cap", "-5"],
+    ["variance", "--kernel", "ginibre", "--R", "1", "--nodes-per-unit", "0"],
+    ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+     "--R", "2", "--nodes-per-unit", "-3"],
+    ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+     "--R", "2", "--node-cap", "0"],
+    ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+     "--R", "2", "--eval-spacing", "0"],
+    ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+     "--R", "2", "--eval-spacing", "-1"],
+])
+def test_nonpositive_resolution_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "must be" in lines[0]
+
+
+def test_no_variance_route_with_spectral_off(capsys):
+    argv = ["variance", "--kernel", "ginibre", "--region", "box:0,0:1,1",
+            "--R", "1", "--spectral", "off"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no variance route: ")
+    assert "no radial route" in err and "spectral route is off" in err
+    assert "cap" not in err
+
+
+@pytest.mark.parametrize("extra, reason", [
+    (["--R", "10", "--n", "3"], "quarter correlation length"),
+    (["--R", "1", "--node-cap", "1"], "cap is 1"),
+])
+def test_no_variance_route_when_auto_drops_the_column(extra, reason, capsys):
+    argv = ["variance", "--kernel", "ginibre", "--region", "box:0,0:1,1",
+            *extra]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no variance route: ")
+    assert "no radial route" in captured.err and reason in captured.err
+
+
+def test_spectrogram_explicit_n_beyond_node_cap_is_numerical_failure(capsys):
+    argv = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+            "--R", "2", "--n", "400", "--node-cap", "50"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: grid has 400 nodes, cap is 50\n"
+    assert captured.out == ""
+
+
+def test_eval_grid_beyond_cap_is_numerical_failure(capsys):
+    argv = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+            "--R", "2", "--eval-spacing", "1e-4"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: evaluation grid would need 1640000 nodes, cap is 400000\n")

@@ -159,7 +159,7 @@ def test_hyperuniformity_curve_sine():
 
 def test_hyperuniformity_curve_spectral_column():
     points = hyperuniformity_curve(GinibreKernel(1), Ball(np.zeros(2), 1.0),
-                                   [1.0], include_spectral=True,
+                                   [1.0], spectral="on",
                                    n_per_axis=50)
     p = points[0]
     assert p.var_spectral is not None
