@@ -40,7 +40,7 @@ def self_checks(delta: float = 0.25, margin: float | None = None,
     """
     lines = []
 
-    # lens: series agrees with the cap-integral route on a 50-point grid
+    # lens: series agrees with the closed-form cap route on a 50-point grid
     for d in (1, 2, 3):
         worst = 0.0
         for r in np.linspace(0.0, 2.0, 50):

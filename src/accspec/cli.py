@@ -16,6 +16,8 @@ Exit codes: 0 success, 1 check failure, 2 usage/configuration error,
 3 numerical failure (a series that misses its tolerance within the term
 cap, a resource limit, an eigensolve that fails its residual check, or
 a spectrum with fewer modes above the floor than the mode count needs).
+A reader that closes stdout early (``accspec --schema | head -1``) ends
+the run quietly with exit 0: the rest of the output is discarded.
 Identical configurations produce byte-identical output apart from the
 version header line. ``ACC_SPECGRAM_THREADS`` caps how many dilation
 scales run concurrently (0 or unset: automatic).
@@ -437,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _dispatch(parser: argparse.ArgumentParser, argv) -> int:
     args = parser.parse_args(argv)
     if args.schema:
         print(SCHEMA_TEXT)
@@ -455,6 +456,21 @@ def main(argv=None) -> int:
             RankDeficiencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    try:
+        try:
+            return _dispatch(build_parser(), argv)
+        finally:
+            sys.stdout.flush()  # a closed stdout surfaces here, not at exit
+    except BrokenPipeError:
+        # the reader went away: send the unflushed rest to devnull so the
+        # interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Euclidean ball/box geometry and ball-intersection ("lens") volumes.
 
 The lens volume Leb(B(0,R)^c n B(x,R)) is computed by two independent
-routes: a Pochhammer power series in ||x||/(2R), and a spherical-cap
-integral evaluated by Gauss-Legendre quadrature after the substitution
-s = R sin(theta), which makes the integrand entire. The two routes
-cross-validate each other.
+routes: a Pochhammer power series in q = ||x||/(2R), and the
+spherical-cap integral int_{theta0}^{pi/2} cos(theta)^d d(theta),
+sin(theta0) = q, in closed form by the Wallis reduction. The closed
+form shares no expansion, truncation or term count with the series, so
+the two routes cross-validate each other.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .quadrature import integrate_adaptive
 
 SERIES_TERM_CAP = 10 ** 6
 _SERIES_BLOCK = 2048
@@ -288,38 +287,33 @@ def lens_volume_series(spec: LensSpec, tol: float = 1e-9,
     )
 
 
-def _cap_theta_lower(r, R):
-    q = np.clip(np.asarray(r, dtype=float) / (2.0 * R), 0.0, 1.0)
-    return np.arcsin(q)
+def _cap_integral(d: int, q: np.ndarray) -> np.ndarray:
+    """J_d = int_{theta0}^{pi/2} cos(theta)^d d(theta) with sin(theta0) = q.
+
+    Wallis reduction J_k = -c^(k-1) q / k + (k-1)/k J_(k-2) from
+    J_0 = arccos q and J_1 = 1 - q, with c = cos(theta0).
+    """
+    c = np.sqrt((1.0 - q) * (1.0 + q))  # 1 - q*q cancels near tangency
+    cap = 1.0 - q if d % 2 else np.arccos(q)
+    for k in range(2 + d % 2, d + 1, 2):
+        cap = (k - 1) / k * cap - c ** (k - 1) * q / k
+    return cap
 
 
 def lens_volume_exact(spec: LensSpec) -> float:
-    """Lens volume by quadrature of the spherical-cap integral.
+    """Lens volume from the closed-form spherical-cap integral.
 
     Independent of the series route: the overlap of the two balls is
-    twice the cap of height r/2, and with s = R sin(theta) the cap
-    integral becomes int cos(theta)^d d(theta), which adaptive
-    Gauss-Legendre resolves to machine precision.
+    twice the cap of height R - r/2, and with s = R sin(theta) the cap
+    volume is c_{d-1} R^d J_d, where J_d = int cos(theta)^d d(theta) over
+    [theta0, pi/2] is elementary (the Wallis reduction), so no term count
+    or tolerance enters.
     """
-    d, r, R = spec.dim, spec.r, spec.R
-    cd = unit_ball_volume(d)
-    if r >= 2.0 * R:
-        return cd * R ** d
-    theta0 = float(_cap_theta_lower(r, R))
-    cap, _ = integrate_adaptive(lambda t: np.cos(t) ** d, theta0, 0.5 * math.pi,
-                                tol=1e-13)
-    overlap = 2.0 * _ball_volume_unchecked(d - 1) * R ** d * cap
-    return max(cd * R ** d - overlap, 0.0)
+    return float(lens_volume_exact_many(spec.dim, np.array([spec.r]), spec.R)[0])
 
 
 def lens_volume_exact_many(d: int, r: np.ndarray, R: float) -> np.ndarray:
-    """Vectorized cap-integral lens volume over an array of offsets."""
-    r = np.asarray(r, dtype=float)
-    theta0 = _cap_theta_lower(r, R)
-    base_x, base_w = np.polynomial.legendre.leggauss(64)
-    half = 0.5 * (0.5 * math.pi - theta0)
-    theta = (theta0 + half)[:, None] + half[:, None] * base_x[None, :]
-    cap = np.sum(half[:, None] * base_w[None, :] * np.cos(theta) ** d, axis=1)
-    cd = unit_ball_volume(d)
-    vol = cd * R ** d - 2.0 * _ball_volume_unchecked(d - 1) * R ** d * cap
-    return np.where(r >= 2.0 * R, cd * R ** d, np.maximum(vol, 0.0))
+    """Closed-form lens volume over an array of offsets."""
+    q = np.clip(np.asarray(r, dtype=float) / (2.0 * R), 0.0, 1.0)
+    overlap = 2.0 * _ball_volume_unchecked(d - 1) * R ** d * _cap_integral(d, q)
+    return np.maximum(unit_ball_volume(d) * R ** d - overlap, 0.0)

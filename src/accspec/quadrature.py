@@ -1,7 +1,7 @@
 """Panel-based Gauss-Legendre quadrature helpers.
 
 Everything here is deterministic: node layouts depend only on the panel
-edges, and all reductions are fixed-order numpy sums.
+edges.
 """
 
 from __future__ import annotations
@@ -62,43 +62,3 @@ def geometric_edges(a: float, b: float, first_width: float,
         width *= growth
     edges.append(b)
     return np.asarray(edges)
-
-
-def integrate_panels(f, edges: np.ndarray,
-                     n_nodes: int = DEFAULT_NODES_PER_PANEL) -> float:
-    """Integrate a vectorized callable over the given panel edges."""
-    nodes, weights = panel_nodes(edges, n_nodes)
-    return float(np.sum(weights * f(nodes)))
-
-
-def integrate_adaptive(f, a: float, b: float, tol: float,
-                       n_nodes: int = DEFAULT_NODES_PER_PANEL,
-                       max_depth: int = 30) -> tuple[float, float]:
-    """Adaptive panel-bisection Gauss-Legendre integration.
-
-    Accepts a panel when the bisected estimate changes by less than the
-    panel's share of ``tol``. Returns (value, error_estimate).
-    """
-    if b <= a:
-        return 0.0, 0.0
-
-    def panel_value(lo, hi):
-        return integrate_panels(f, np.array([lo, hi]), n_nodes)
-
-    total = 0.0
-    err = 0.0
-    stack = [(a, b, panel_value(a, b), 0)]
-    while stack:
-        lo, hi, coarse, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = panel_value(lo, mid)
-        right = panel_value(mid, hi)
-        fine = left + right
-        disc = abs(fine - coarse)
-        if disc <= tol * (hi - lo) / (b - a) or depth >= max_depth:
-            total += fine
-            err += disc
-        else:
-            stack.append((lo, mid, left, depth + 1))
-            stack.append((mid, hi, right, depth + 1))
-    return total, err

@@ -48,8 +48,8 @@ def variance_spectral(spectral: SpectralData) -> float:
     return float(np.sum(mu * (1.0 - mu)))
 
 
-# panels per quadrature pass: keeps the lens volume's (nodes x 64 cap
-# nodes) temporaries the same size at every radius
+# panels per quadrature pass: keeps the per-node temporaries (nodes,
+# weights, profile, overlap) the same size at every radius
 _PANEL_CHUNK = 64
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -147,6 +150,29 @@ def test_schema_flag(capsys):
     assert main(["--schema"]) == 0
     out = capsys.readouterr().out
     assert ",".join(SUMMARY_COLUMNS) in out
+
+
+@pytest.mark.parametrize("argv", [["--schema"],
+                                  ["lens", "--dim", "2", "--r", "1", "--R", "1"],
+                                  ["check"], ["--help"]])
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_quietly(argv, unbuffered):
+    # the reader is gone before the first write, as with `| head -1`
+    # after head has exited; unbuffered or not, no traceback and exit 0
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "accspec.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 def _read_summary(path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -212,6 +213,33 @@ def test_lens_exact_vectorized_matches_scalar():
     for r, v in zip(rs, many):
         assert v == approx(lens_volume_exact(LensSpec(2, float(r), 1.0)),
                            abs=1e-12)
+
+
+def _lens_mpmath(d, r, R):
+    # c_d R^d minus twice the cap c_{d-1} R^d int_{asin q}^{pi/2} cos^d,
+    # by 40-digit quadrature; r and R are taken exactly as given
+    with mp.workdps(40):
+        q = mp.mpf(r) / (2 * mp.mpf(R))
+        cap = mp.quad(lambda t: mp.cos(t) ** d, [mp.asin(q), mp.pi / 2])
+
+        def ball(k):
+            return mp.pi ** (mp.mpf(k) / 2) / mp.gamma(mp.mpf(k) / 2 + 1)
+
+        return (ball(d) - 2 * ball(d - 1) * cap) * mp.mpf(R) ** d
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("R", [1.0, 7.3, 1000.0])
+def test_lens_exact_accurate_near_tangency(d, R):
+    qs = [0.0, 0.3, 0.9, 1 - 1e-6, 1 - 1e-8, 1 - 1e-10, 1.0]
+    rs = np.array([2.0 * R * q for q in qs])
+    many = lens_volume_exact_many(d, rs, R)
+    scale = unit_ball_volume(d) * R ** d
+    for r, v in zip(rs, many):
+        exact = _lens_mpmath(d, float(r), R)
+        assert abs(v - exact) <= 2e-15 * scale, (r, v)
+        scalar = lens_volume_exact(LensSpec(d, float(r), R))
+        assert abs(scalar - exact) <= 2e-15 * scale, (r, scalar)
 
 
 def test_lens_spec_validation():
