@@ -14,8 +14,9 @@ Subcommands:
 The module only parses arguments, calls the library and prints.
 Exit codes: 0 success, 1 check failure, 2 usage/configuration error,
 3 numerical failure (a series that misses its tolerance within the term
-cap, a resource limit, an eigensolve that fails its residual check, or
-a spectrum with fewer modes above the floor than the mode count needs).
+cap, a resource limit, a float overflow, an eigensolve that fails its
+residual check, or a spectrum with fewer modes above the floor than the
+mode count needs).
 A reader that closes stdout early (``accspec --schema | head -1``) ends
 the run quietly with exit 0: the rest of the output is discarded.
 Identical configurations produce byte-identical output apart from the
@@ -455,6 +456,9 @@ def _dispatch(parser: argparse.ArgumentParser, argv) -> int:
     except (SeriesDivergenceError, ResourceLimitError, SpectralSolverError,
             RankDeficiencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:  # e.g. a unit-ball volume past d = 340
+        print(f"error: float overflow: {exc.args[-1]}", file=sys.stderr)
         return 3
 
 

@@ -8,13 +8,16 @@ to the region then becomes the Hermitian matrix
 
 whose eigenvalues approximate the continuum restriction's spectrum in
 [0, 1] and whose scaled eigenvectors give eigenfunction values at the
-nodes. For a projection kernel that spectrum plunges: only about
-tr A + O(log) eigenvalues are not negligible. ``spectral_decompose``
-therefore factors A by greedy diagonal-pivoted Cholesky, stopping once
-the residual diagonal holds at most 1e-14 of the trace, and diagonalizes
-the factor through its QR and a small Hermitian eigenproblem. The
-residual trace is kept, so the trace identity stays exact. Everything is
-deterministic; no randomness enters anywhere.
+nodes. A is never formed: its diagonal is K(x, x) w_i in closed form and
+its columns are evaluated on demand. For a projection kernel the
+spectrum plunges: only about tr A + O(log) eigenvalues are not
+negligible. ``spectral_decompose`` therefore factors A by greedy
+diagonal-pivoted Cholesky, which reads the diagonal and one column per
+pivot, stopping once the residual diagonal holds at most 1e-14 of the
+trace, and diagonalizes the factor through its QR and a small Hermitian
+eigenproblem. The residual trace is kept, so the trace identity stays
+exact. The eigenpairs are checked on a few evenly spaced rows of A.
+Everything is deterministic; no randomness enters anywhere.
 """
 
 from __future__ import annotations
@@ -29,16 +32,15 @@ from .kernels import Kernel
 
 DEFAULT_NODE_CAP = 4096
 _CANDIDATE_CELL_CAP = 4_000_000
-# largest operator block assemble_operator allocates, counted in complex
-# entries; the default node cap needs 268 MB
-_OPERATOR_BYTE_BUDGET = 2 ** 30
+# largest row buffer the pivoted Cholesky factor may grow to
+_FACTOR_BYTE_BUDGET = 2 ** 30
 # the pivoted Cholesky stops once the residual diagonal sums to at most
 # this share of the trace
 _RESIDUAL_TRACE_TOL = 1e-14
 
 
 class ResourceLimitError(RuntimeError):
-    """A grid or matrix would exceed the configured size cap."""
+    """A grid or factor would exceed the configured size cap."""
 
 
 class SpectralSolverError(RuntimeError):
@@ -149,43 +151,33 @@ def window_grid(region: Region, node_cap: int,
 
 @dataclass(eq=False)
 class OperatorMatrix:
-    """Symmetrized Nystrom matrix of the kernel restricted to the grid."""
+    """Nystrom matrix sqrt(w_i) K(x_i, x_j) sqrt(w_j), never formed: the
+    diagonal is K(x, x) w_i in closed form, columns are evaluated on demand."""
 
-    matrix: np.ndarray
+    kernel: Kernel
     grid: QuadratureGrid
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    def diagonal(self) -> np.ndarray:
+        return self.kernel.diagonal_value * self.grid.weights
 
     @property
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
+        return float(self.diagonal().sum())
+
+    def columns(self, idx) -> np.ndarray:
+        """Columns ``idx`` of A, an n x len(idx) block."""
+        nodes, sw = self.grid.nodes, np.sqrt(self.grid.weights)
+        return (sw[:, None] * self.kernel.eval_matrix(nodes, nodes[idx])
+                * sw[None, idx])
 
 
 def assemble_operator(kernel: Kernel, grid: QuadratureGrid) -> OperatorMatrix:
-    """Dense n x n Nystrom matrix; refuses blocks above the byte budget.
-
-    The budget is counted in complex entries, the widest a kernel
-    returns, before any kernel evaluation, so an oversized ``node_cap``
-    fails as a resource limit instead of exhausting memory.
-    """
+    """The kernel restricted to the grid; evaluates no kernel entry."""
     if kernel.ambient_dim != grid.dim:
         raise ValueError(
             f"kernel acts on R^{kernel.ambient_dim} but grid lives in R^{grid.dim}"
         )
-    n = grid.n_nodes
-    block_bytes = n * n * np.dtype(complex).itemsize
-    if block_bytes > _OPERATOR_BYTE_BUDGET:
-        raise ResourceLimitError(
-            f"a {n} x {n} operator needs {block_bytes / 2 ** 30:.2f} GiB, "
-            f"budget is {_OPERATOR_BYTE_BUDGET / 2 ** 30:.2f} GiB"
-        )
-    sw = np.sqrt(grid.weights)
-    a = kernel.eval_matrix(grid.nodes, grid.nodes)
-    a = a * sw[:, None] * sw[None, :]
-    a = 0.5 * (a + a.conj().T)
-    return OperatorMatrix(matrix=a, grid=grid)
+    return OperatorMatrix(kernel=kernel, grid=grid)
 
 
 @dataclass(eq=False)
@@ -221,29 +213,39 @@ class SpectralData:
         return int(np.sum(self.eigenvalues_clamped > threshold))
 
 
-def _pivoted_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Greedy diagonal-pivoted Cholesky of a Hermitian PSD matrix.
+def _pivoted_cholesky(operator: OperatorMatrix) -> tuple[np.ndarray, float]:
+    """Greedy diagonal-pivoted Cholesky of the operator, column by column.
 
-    Returns (F, residual_trace) with a ~= F.T @ F.conj(): row j of F is
-    column j of the factor L in a ~= L L^*. Each step pivots on the
-    largest residual diagonal entry (the first on ties) and takes the
-    pivot column of the Schur complement, O(n k) work. It stops once
-    the residual diagonal sums to at most ``_RESIDUAL_TRACE_TOL`` times
-    the trace; the residual is PSD, so that sum also bounds its norm.
+    Returns (F, residual_trace) with A ~= F.T @ F.conj(): row j of F is
+    column j of the factor L in A ~= L L^*. Each step pivots on the
+    largest residual diagonal entry (the first on ties), evaluates that
+    column of A and takes the Schur complement's, O(n k) work. It stops
+    once the residual diagonal sums to at most ``_RESIDUAL_TRACE_TOL``
+    times the trace; the residual is PSD, so that sum also bounds its
+    norm. A row buffer beyond ``_FACTOR_BYTE_BUDGET`` raises
+    ResourceLimitError before it is allocated.
     """
-    n = a.shape[0]
-    diag = np.real(np.diagonal(a)).copy()
+    n = operator.grid.n_nodes
+    diag = operator.diagonal()
     stop = _RESIDUAL_TRACE_TOL * float(diag.sum())
-    rows = np.empty((min(n, 64), n), dtype=a.dtype)
+    rows = np.empty((0, n))
     k = 0
     while k < n and float(diag.sum()) > stop:
-        if k == rows.shape[0]:
-            rows = np.concatenate([rows, np.empty_like(rows[:n - k])])
         p = int(np.argmax(diag))
-        # column p of the Schur complement; a is Hermitian, so column p
-        # is the conjugate of the contiguous row p
-        col = a[p].conj() - rows[:k].T @ rows[:k, p].conj()
+        col = operator.columns([p])[:, 0] - rows[:k].T @ rows[:k, p].conj()
         col /= math.sqrt(diag[p])
+        if k == rows.shape[0]:
+            capacity = min(n, max(64, 2 * k))
+            need = capacity * n * col.itemsize
+            if need > _FACTOR_BYTE_BUDGET:
+                raise ResourceLimitError(
+                    f"rank {k} of {n} nodes: a {capacity}-row factor needs "
+                    f"{need / 2 ** 30:.2f} GiB, budget is "
+                    f"{_FACTOR_BYTE_BUDGET / 2 ** 30:.2f} GiB"
+                )
+            grown = np.empty((capacity, n), dtype=col.dtype)
+            grown[:k] = rows
+            rows = grown
         rows[k] = col
         diag -= col.real ** 2 + col.imag ** 2
         k += 1
@@ -253,24 +255,21 @@ def _pivoted_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
 def spectral_decompose(operator: OperatorMatrix) -> SpectralData:
     """Low-rank eigendecomposition with a sampled residual check.
 
-    The restriction of a projection kernel has a plunge spectrum: only
-    about trace + O(log) eigenvalues are not negligible. Greedy pivoted
-    Cholesky factors the operator as A ~= L L^* with k columns, stopping
-    once the residual diagonal holds at most 1e-14 of the trace; that
-    residual trace is carried in ``residual_trace``. The QR of the n x k
-    factor, L = Q R, turns A ~= Q (R R^*) Q^* into a k x k Hermitian
-    eigenproblem, whose eigenvectors mapped through Q are the returned
-    vectors. The cost is O(n k^2) instead of O(n^3). Up to 16
-    eigenpairs, spread over the k, are checked
-    against the full matrix: |A v - mu v| must stay within 1e-9 of the
-    largest |eigenvalue|, else SpectralSolverError.
+    ``_pivoted_cholesky`` gives A ~= L L^* with k columns from n k kernel
+    entries in O(n k) memory, and the trace it leaves out. The QR L = Q R
+    turns A ~= Q (R R^*) Q^* into a k x k Hermitian eigenproblem, whose
+    eigenvectors mapped through Q are the returned vectors: O(n k^2)
+    work. Every eigenpair is checked on up to 16 evenly spaced rows of
+    A, 16 n more kernel entries: |(A v)_i - mu v_i| must stay within
+    1e-9 of the largest |eigenvalue|, else SpectralSolverError. The rows
+    are not the pivots: L L^* reproduces A's pivot rows exactly, so a
+    residual there would not see the truncation.
     """
-    a = operator.matrix
-    n = a.shape[0]
-    factor, residual_trace = _pivoted_cholesky(a)
+    n = operator.grid.n_nodes
+    factor, residual_trace = _pivoted_cholesky(operator)
     k = factor.shape[0]
     q, r = np.linalg.qr(factor.T)
-    # near full rank the factor is as large as the operator
+    # near full rank the factor is as large as a dense operator
     del factor
     try:
         vals, small_vecs = np.linalg.eigh(r @ r.conj().T)
@@ -284,9 +283,9 @@ def spectral_decompose(operator: OperatorMatrix) -> SpectralData:
     vals = np.concatenate([vals[order], np.zeros(n - k)])
     norm = max(abs(vals[0]), abs(vals[-1]), 1e-300)
     if k > 0:
-        idx = np.unique(np.linspace(0, k - 1,
-                                    min(16, k)).astype(int))
-        resid = np.abs(a @ vecs[:, idx] - vecs[:, idx] * vals[idx][None, :]).max()
+        rows = np.unique(np.linspace(0, n - 1, min(16, n)).astype(int))
+        a_rows = operator.columns(rows).conj().T
+        resid = np.abs(a_rows @ vecs - vecs[rows] * vals[None, :k]).max()
         if not resid <= 1e-9 * norm:  # a NaN residual fails as well
             raise SpectralSolverError(
                 f"eigenpair residual {resid:.3e} exceeds 1e-9 * {norm:.3e}"

@@ -208,8 +208,8 @@ Region = Ball | Box | DisjointBallUnion
 
 
 def _check_dilation(scale: float) -> None:
-    if not scale > 0:
-        raise ValueError(f"dilation factor must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"dilation factor must be positive and finite, got {scale}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +227,10 @@ class LensSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.dim}")
-        if self.r < 0:
-            raise ValueError("center offset r must be nonnegative")
-        if not self.R > 0:
-            raise ValueError("radius R must be positive")
+        if not 0 <= self.r < math.inf:
+            raise ValueError("center offset r must be nonnegative and finite")
+        if not 0 < self.R < math.inf:
+            raise ValueError("radius R must be positive and finite")
 
 
 def lens_volume_series(spec: LensSpec, tol: float = 1e-9,

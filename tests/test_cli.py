@@ -108,6 +108,25 @@ def test_series_divergence_is_numerical_failure(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["lens", "--dim", "400", "--r", "1", "--R", "1"], 3),
+    (["lens", "--dim", "2", "--r", "1", "--R", "1e200"], 3),
+    (["variance", "--kernel", "ginibre", "--R", "1e200"], 3),
+    (["lens", "--dim", "2", "--r", "nan", "--R", "1"], 2),
+    (["variance", "--kernel", "sine", "--R", "1,inf"], 2),
+], ids=["ball-volume-overflow", "radius-power-overflow",
+        "window-volume-overflow", "nan-offset", "infinite-scale"])
+def test_overflow_and_nonfinite_inputs_end_in_one_error_line(argv, code):
+    # a subprocess, so that warnings reach stderr as a user would see them
+    proc = subprocess.run([sys.executable, "-m", "accspec.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
 def test_resource_limit_is_numerical_failure(capsys, monkeypatch):
     def over_cap(*args, **kwargs):
         raise ResourceLimitError("grid has 5000 nodes, cap is 4096")
@@ -368,6 +387,17 @@ def test_spectral_auto_judges_the_grids_it_builds(argv, tmp_path):
     out = tmp_path / "v.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert [row["var_spectral"] for row in _read_summary(out)] == ["", ""]
+
+
+def test_spectral_auto_keeps_the_column_at_a_large_node_cap(tmp_path):
+    # 19861 nodes: a dense operator would need 5.9 GiB, the low-rank
+    # factor needs a few MB, so the run fills both variance columns
+    out = tmp_path / "v.csv"
+    assert main(["variance", "--kernel", "ginibre", "--R", "1",
+                 "--node-cap", "20000", "--out", str(out)]) == 0
+    row, = _read_summary(out)
+    assert float(row["var_spectral"]) == approx(float(row["var_radial"]),
+                                                rel=0.02)
 
 
 def test_variance_nodes_per_unit_is_read_in_two_dimensions(tmp_path):

@@ -1,16 +1,24 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from pytest import approx
 
 from accspec import discretize
-from accspec.discretize import (DegenerateGridError, OperatorMatrix,
-                                QuadratureGrid, ResourceLimitError,
+from accspec.discretize import (DegenerateGridError, QuadratureGrid,
+                                ResourceLimitError, SpectralSolverError,
                                 assemble_operator, build_grid, max_n_per_axis,
                                 spectral_decompose, window_grid)
 from accspec.geometry import Ball, Box, DisjointBallUnion
 from accspec.kernels import GinibreKernel, PaleyWienerKernel, sine_kernel
+from accspec.spectrogram import count_n_delta
+from helpers import ginibre_ball_spectrum
+
+
+def _dense(op):
+    """The whole operator as an array, every column at once: a test oracle."""
+    return op.columns(np.arange(op.grid.n_nodes))
 
 
 def test_interval_midpoint_rule():
@@ -85,8 +93,8 @@ def test_grid_determinism():
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.weights, b.weights)
     k = GinibreKernel(1)
-    assert np.array_equal(assemble_operator(k, a).matrix,
-                          assemble_operator(k, b).matrix)
+    assert np.array_equal(_dense(assemble_operator(k, a)),
+                          _dense(assemble_operator(k, b)))
 
 
 def test_single_node_sine_operator():
@@ -94,14 +102,17 @@ def test_single_node_sine_operator():
                           nodes=np.array([[0.3]]), weights=np.array([0.7]),
                           spacing=np.array([1.0]))
     op = assemble_operator(sine_kernel(), grid)
-    assert op.matrix == approx(np.array([[0.7 / math.pi]]))
+    assert _dense(op) == approx(np.array([[0.7 / math.pi]]))
+    assert op.diagonal() == approx([0.7 / math.pi])
 
 
 def test_ginibre_operator_diagonal_is_weights():
     grid = build_grid(Ball(np.zeros(2), 1.0), 8)
     op = assemble_operator(GinibreKernel(1), grid)
-    assert np.real(np.diag(op.matrix)) == approx(grid.weights, rel=1e-14)
-    assert np.abs(op.matrix - op.matrix.conj().T).max() < 1e-15
+    a = _dense(op)
+    assert op.diagonal() == approx(grid.weights, rel=1e-14)
+    assert np.real(np.diag(a)) == approx(grid.weights, rel=1e-14)
+    assert np.abs(a - a.conj().T).max() < 1e-15
 
 
 def test_sine_trace_on_symmetric_interval():
@@ -111,18 +122,52 @@ def test_sine_trace_on_symmetric_interval():
     assert op.trace == approx(2.0, abs=1e-12)
 
 
-def test_operator_byte_budget_checked_before_evaluation(monkeypatch):
-    class NeverEvaluated:
-        ambient_dim = 1
+class _CountingKernel:
+    """Wraps a kernel and counts the entries its eval_matrix returns."""
 
-        def eval_matrix(self, xs, ys):
-            raise AssertionError("kernel evaluated past the byte budget")
+    def __init__(self, kernel):
+        self.kernel, self.entries = kernel, 0
+        self.ambient_dim = kernel.ambient_dim
+        self.diagonal_value = kernel.diagonal_value
 
-    grid = build_grid(Box(np.array([0.0]), np.array([1.0])), 64)
-    # 64 x 64 complex entries need 65536 bytes
-    monkeypatch.setattr(discretize, "_OPERATOR_BYTE_BUDGET", 65535)
-    with pytest.raises(ResourceLimitError, match="64 x 64 operator"):
-        assemble_operator(NeverEvaluated(), grid)
+    def eval_matrix(self, xs, ys):
+        block = self.kernel.eval_matrix(xs, ys)
+        self.entries += block.size
+        return block
+
+
+@pytest.mark.parametrize("kernel, region, n_per_axis", [
+    (sine_kernel(), Box(np.array([-40.0]), np.array([40.0])), 3200),
+    (GinibreKernel(1), Ball(np.zeros(2), 2.0), 72),
+], ids=["sine-n3200", "ginibre-disk-72"])
+def test_operator_reads_only_pivot_and_check_columns(kernel, region,
+                                                     n_per_axis):
+    counting = _CountingKernel(kernel)
+    grid = build_grid(region, n_per_axis)
+    op = assemble_operator(counting, grid)
+    assert counting.entries == 0
+    sd = spectral_decompose(op)
+    k, n = sd.vectors.shape[1], grid.n_nodes
+    assert 0 < k < n // 10
+    assert counting.entries <= (k + 16) * n
+
+
+def test_factor_byte_budget_checked_before_allocation(monkeypatch):
+    # PW d=2 on a disk of radius 5 has rank above 64, so the factor's row
+    # buffer must grow from 64 rows to 128; only the 64 rows fit the budget
+    grid = build_grid(Ball(np.zeros(2), 5.0), 40)
+    n = grid.n_nodes
+    op = assemble_operator(PaleyWienerKernel(2), grid)
+    monkeypatch.setattr(discretize, "_FACTOR_BYTE_BUDGET", 64 * n * 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError,
+                           match=f"rank 64 of {n} nodes: a 128-row factor"):
+            spectral_decompose(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 64 * n * 8 <= peak < 128 * n * 8
 
 
 def test_dimension_mismatch_rejected():
@@ -131,13 +176,27 @@ def test_dimension_mismatch_rejected():
         assemble_operator(GinibreKernel(1), grid)
 
 
+class _MatrixKernel:
+    """Kernel whose entries come from a matrix with a constant diagonal;
+    node i sits at x = i."""
+
+    ambient_dim = 1
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.diagonal_value = float(self.matrix[0, 0])
+
+    def eval_matrix(self, xs, ys):
+        return self.matrix[np.ix_(xs[:, 0].astype(int), ys[:, 0].astype(int))]
+
+
 def _toy_operator(matrix):
+    # unit weights, so the operator is the matrix itself
     n = matrix.shape[0]
-    grid = QuadratureGrid(region=Box(np.zeros(1), np.ones(1)),
-                          nodes=np.linspace(0, 1, n)[:, None],
-                          weights=np.full(n, 1.0 / n),
-                          spacing=np.array([1.0 / n]))
-    return OperatorMatrix(matrix=np.asarray(matrix, dtype=float), grid=grid)
+    grid = QuadratureGrid(region=Box(np.zeros(1), np.array([float(n)])),
+                          nodes=np.arange(n, dtype=float)[:, None],
+                          weights=np.ones(n), spacing=np.ones(1))
+    return assemble_operator(_MatrixKernel(matrix), grid)
 
 
 def test_zero_matrix_spectrum():
@@ -178,7 +237,7 @@ def test_eigenvector_orthonormality(sine_run):
 
 
 def test_eigenpair_residual(sine_run):
-    a = sine_run.operator.matrix
+    a = _dense(sine_run.operator)
     v = sine_run.spectral.vectors
     mu = sine_run.spectral.eigenvalues
     resid = np.abs(a @ v - v * mu[None, :v.shape[1]]).max()
@@ -201,15 +260,46 @@ def _region_operator(kernel, region, n_per_axis):
 def test_low_rank_solver_matches_dense_oracle(make_operator):
     op = make_operator()
     sd = spectral_decompose(op)
-    dense = np.linalg.eigh(op.matrix)[0][::-1]
+    a = _dense(op)
+    dense = np.linalg.eigh(a)[0][::-1]
     assert np.abs(sd.eigenvalues - dense).max() <= 1e-11
     assert sd.count_above(1e-12) == int(np.sum(np.clip(dense, 0, 1) > 1e-12))
     v = sd.vectors
     mu = sd.eigenvalues[:v.shape[1]]
     norm = max(abs(dense[0]), abs(dense[-1]), 1e-300)
-    resid = np.abs(op.matrix @ v - v * mu[None, :]).max(initial=0.0)
+    resid = np.abs(a @ v - v * mu[None, :]).max(initial=0.0)
     assert resid <= 1e-9 * norm
     assert sd.trace == approx(op.trace, abs=1e-10)
+
+
+def test_perturbed_eigenvector_fails_residual_check(sine_run, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def perturbed_eigh(a, *args, **kwargs):
+        vals, vecs = eigh(a, *args, **kwargs)
+        vecs = vecs.copy()
+        vecs[:, -1] += 1e-6  # the top eigenvector picks up every mode
+        return vals, vecs
+
+    monkeypatch.setattr(discretize.np.linalg, "eigh", perturbed_eigh)
+    with pytest.raises(SpectralSolverError, match="eigenpair residual"):
+        spectral_decompose(sine_run.operator)
+
+
+@pytest.mark.parametrize("radius, n_per_axis", [(1.0, 64), (2.0, 72)])
+def test_ginibre_disk_spectrum_matches_exact(radius, n_per_axis):
+    # on a disk the eigenvalues are P(j + 1, pi R^2); the gap is the
+    # midpoint grid's cell-clipping bias, not the solver's
+    grid = build_grid(Ball(np.zeros(2), radius), n_per_axis)
+    sd = spectral_decompose(assemble_operator(GinibreKernel(1), grid))
+    exact = np.zeros(grid.n_nodes)
+    mu = [mu for mu, _, _ in ginibre_ball_spectrum(1, radius)]
+    exact[:len(mu)] = mu
+    assert np.abs(sd.eigenvalues - exact).max() <= 1e-2
+    for delta in (0.1, 0.25, 0.5):
+        # the nearest exact eigenvalue is at least 0.011 from 1 - delta
+        assert np.abs(exact - (1.0 - delta)).min() >= 0.011
+        assert count_n_delta(sd, delta) == int(np.sum(exact > 1.0 - delta))
 
 
 @pytest.mark.parametrize("n", [100, 200, 400])

@@ -14,7 +14,7 @@ from accspec.variance import (FitRangeError, asymptotic_constant,
                               ratios_decreasing, variance_radial,
                               variance_report, variance_spectral,
                               variance_subadditive_upper)
-from helpers import synthetic_spectral
+from helpers import ginibre_ball_variance, synthetic_spectral
 
 
 def test_expected_counts():
@@ -77,30 +77,10 @@ def test_variance_radial_no_warning_at_large_radius(d):
     assert not rv.accuracy_warning, rv
 
 
-def _poisson_term(j, x):
-    return math.exp(j * math.log(x) - x - math.lgamma(j + 1))
-
-
-def _ginibre_ball_variance(m, radius):
-    # the ginibre kernel restricted to the ball of radius R in C^m has
-    # eigenvalues mu_k = P(k + m, pi R^2) with multiplicity C(k+m-1, m-1)
-    # (Daubechies 1988; Abreu, Groechenig, Romero 2016 for m = 1); mu is
-    # the Poisson tail sum and 1 - mu the head sum, both in log space
-    x = math.pi * radius ** 2
-    top = int(x) + 200
-    terms = []
-    for k in range(top):
-        a = k + m
-        mu = math.fsum(_poisson_term(j, x) for j in range(a, a + top))
-        rest = math.fsum(_poisson_term(j, x) for j in range(a))
-        terms.append(math.comb(k + m - 1, m - 1) * mu * rest)
-    return math.fsum(terms)
-
-
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("radius", [1.0, 2.0, 3.0])
 def test_variance_radial_ginibre_exact_spectrum(m, radius):
-    exact = _ginibre_ball_variance(m, radius)
+    exact = ginibre_ball_variance(m, radius)
     rv = variance_radial(GinibreKernel(m), radius)
     assert abs(rv.value - exact) <= 1e-12 * exact, (rv, exact)
     assert abs(rv.value - exact) <= rv.error_estimate, (rv, exact)
