@@ -19,7 +19,7 @@ from .spectrogram import (EvalGrid, ResolutionPolicy, SpectrogramField,
 from .variance import (AsymptoticFit, asymptotic_constant,
                        asymptotic_constant_geometric, expected_count,
                        fit_asymptotics, hyperuniformity_curve,
-                       variance_radial, variance_report, variance_spectral,
+                       variance_radial, variance_spectral,
                        variance_subadditive_upper)
 
 __all__ = [
@@ -37,6 +37,6 @@ __all__ = [
     "l1_convergence_study",
     "AsymptoticFit", "asymptotic_constant", "asymptotic_constant_geometric",
     "expected_count", "fit_asymptotics", "hyperuniformity_curve",
-    "variance_radial", "variance_report", "variance_spectral",
+    "variance_radial", "variance_spectral",
     "variance_subadditive_upper",
 ]

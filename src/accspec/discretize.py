@@ -1,8 +1,12 @@
-"""Midpoint grids and the low-rank spectrum of the restricted operator.
+"""Product Gauss window rules and the low-rank spectrum of the restricted
+operator.
 
-A region is discretized by the midpoint rule on its bounding box, keeping
-the cells whose midpoints lie inside. The restriction of a kernel operator
-to the region then becomes the Hermitian matrix
+A region is discretized by Gauss-Legendre per axis on a box, Gauss-
+Legendre in the radius times a spherical rule on a ball, and its balls'
+rules on a disjoint union; for analytic kernels the Nystrom spectrum then
+converges exponentially (Bornemann, Math. Comp. 79, 2010). The
+restriction of a kernel operator to the region becomes the Hermitian
+matrix
 
     A[i, j] = sqrt(w_i) K(x_i, x_j) sqrt(w_j),
 
@@ -24,14 +28,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .geometry import Region
+from .geometry import Box, DisjointBallUnion, Region, unit_ball_volume
 from .kernels import Kernel
+from .quadrature import ResourceLimitError, panel_nodes
 
 DEFAULT_NODE_CAP = 4096
-_CANDIDATE_CELL_CAP = 4_000_000
+# nodes per Gauss-Legendre panel: numpy's leggauss is an O(m^3) eigensolve
+_PANEL_ORDER = 16
 # largest row buffer the pivoted Cholesky factor may grow to
 _FACTOR_BYTE_BUDGET = 2 ** 30
 # the pivoted Cholesky stops once the residual diagonal sums to at most
@@ -39,24 +46,17 @@ _FACTOR_BYTE_BUDGET = 2 ** 30
 _RESIDUAL_TRACE_TOL = 1e-14
 
 
-class ResourceLimitError(RuntimeError):
-    """A grid or factor would exceed the configured size cap."""
-
-
 class SpectralSolverError(RuntimeError):
     """The eigensolver failed or its eigenpairs missed the residual check."""
-
-
-class DegenerateGridError(ValueError):
-    """No cell midpoint fell inside the region at this resolution."""
 
 
 @dataclass(eq=False)
 class QuadratureGrid:
     """Nodes and positive weights discretizing a region.
 
-    ``volume_defect`` records |sum(w) - volume|; it is zero for boxes
-    and tracks the cell-clipping error for curved regions.
+    ``spacing`` is nominal: the bounding-box sides over the nodes per
+    axis. ``volume_defect`` records |sum(w) - volume|, which a Gauss
+    rule keeps at rounding level.
     """
 
     region: Region
@@ -81,50 +81,130 @@ class QuadratureGrid:
         return abs(self.weight_sum - self.region.volume())
 
 
+def _gauss_line(a: float, b: float, n: int):
+    """n Gauss-Legendre nodes and weights on [a, b], in panels of at most
+    16 nodes whose widths follow their node counts."""
+    panels = -(-n // _PANEL_ORDER)
+    sizes = [n // panels + (i < n % panels) for i in range(panels)]
+    edges = a + (b - a) / n * np.cumsum([0] + sizes)
+    rules = [panel_nodes(edges[i:i + 2], m) for i, m in enumerate(sizes)]
+    return tuple(np.concatenate(part) for part in zip(*rules))
+
+
+def _trapezoid(m: int):
+    """The m-point trapezoid rule on the circle [0, 2 pi)."""
+    return 2.0 * math.pi / m * np.arange(m), np.full(m, 2.0 * math.pi / m)
+
+
+def _pieces(region: Region, n: int) -> list:
+    """The boxes and balls of the rule with their nodes per axis: a
+    union's balls get n times their diameter over the longest side of its
+    bounding box, and a 1-D ball is its interval."""
+    pieces = [(region, n)]
+    if isinstance(region, DisjointBallUnion):
+        bbox = region.bounding_box()
+        side = float((bbox.upper - bbox.lower).max())
+        pieces = [(b, max(2, round(n * 2.0 * b.radius / side)))
+                  for b in region.balls]
+    return [(p.bounding_box() if p.dim == 1 else p, m) for p, m in pieces]
+
+
+def _orders(piece, n: int) -> tuple:
+    """Node counts of the piece's 1-D factor rules at n nodes per axis.
+
+    A box takes n per axis. A ball in R^d, d = 2..4, takes n // 2 in the
+    radius, at least (d + 3) // 2 so that its volume and second moment
+    are exact, and leaves the sphere the rest of c_d (n/2)^d: m angles
+    (d = 2), or k nodes in cos(theta) (d = 3) or s = sin^2(eta) (d = 4)
+    and m ~ 2k angles per circle, with k m^(d-2) within the rest.
+    """
+    d = piece.dim
+    if isinstance(piece, Box):
+        return (n,) * d
+    if d > 4:
+        raise ValueError(f"no window rule for balls in R^{d}; d must be 1 to 4")
+    nr = max(n // 2, (d + 3) // 2)
+    sphere = unit_ball_volume(d) * (n / 2) ** d / nr  # >= 1 for n >= 2
+    if d == 2:
+        return nr, math.floor(sphere)
+    k = max(1, math.floor((sphere / 2 ** (d - 2)) ** (1 / (d - 1))))
+    return (nr, k) + (math.floor((sphere / k) ** (1 / (d - 2))),) * (d - 2)
+
+
+def _node_count(region: Region, n: int) -> int:
+    return sum(math.prod(_orders(p, m)) for p, m in _pieces(region, n))
+
+
+def _product(rules):
+    """Tensor product of 1-D rules (x, w): the coordinates and the weight
+    of every combination, the last rule varying fastest."""
+    coords = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+    return ([c.ravel() for c in coords],
+            reduce(np.multiply.outer, [w for _, w in rules]).ravel())
+
+
+def _piece_rule(piece, n: int):
+    """Nodes and weights of one box or ball at n nodes per axis."""
+    orders = _orders(piece, n)
+    if isinstance(piece, Box):
+        coords, w = _product([_gauss_line(lo, hi, m) for lo, hi, m
+                              in zip(piece.lower, piece.upper, orders)])
+        return np.column_stack(coords), w
+    d = piece.dim
+    r, wr = _gauss_line(0.0, piece.radius, orders[0])
+    radial = (r, wr * r ** (d - 1))
+    if d == 2:
+        (r, phi), w = _product([radial, _trapezoid(orders[1])])
+        unit = [np.cos(phi), np.sin(phi)]
+    elif d == 3:
+        (r, t, phi), w = _product([radial, _gauss_line(-1.0, 1.0, orders[1]),
+                                   _trapezoid(orders[2])])
+        st = np.sqrt((1.0 - t) * (1.0 + t))
+        unit = [st * np.cos(phi), st * np.sin(phi), t]
+    else:
+        # Hopf coordinates (sqrt(1-s) e^{i phi1}, sqrt(s) e^{i phi2}), in
+        # which the S^3 measure is ds dphi1 dphi2 / 2
+        s, ws = _gauss_line(0.0, 1.0, orders[1])
+        (r, s, p1, p2), w = _product([radial, (s, 0.5 * ws),
+                                      _trapezoid(orders[2]),
+                                      _trapezoid(orders[3])])
+        a, b = np.sqrt(1.0 - s), np.sqrt(s)
+        unit = [a * np.cos(p1), a * np.sin(p1), b * np.cos(p2), b * np.sin(p2)]
+    return piece.center + r[:, None] * np.column_stack(unit), w
+
+
 def build_grid(region: Region, n_per_axis: int,
                node_cap: int = DEFAULT_NODE_CAP) -> QuadratureGrid:
-    """Midpoint-rule grid: bounding-box cells kept iff their midpoint is inside."""
+    """Product Gauss rule on the region at ``n_per_axis`` nodes per axis:
+    n^d nodes on a box, at most c_d (n/2)^d on a ball (see ``_orders``),
+    checked against ``node_cap`` before any node is built."""
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be at least 2")
+    count = _node_count(region, n_per_axis)
+    if count > node_cap:
+        raise ResourceLimitError(f"grid has {count} nodes, cap is {node_cap}")
+    # past the float range the weights would overflow with a warning only
+    if not math.isfinite(region.volume()):
+        raise OverflowError("window volume exceeds the float range")
+    rules = [_piece_rule(p, m) for p, m in _pieces(region, n_per_axis)]
     bbox = region.bounding_box()
-    d = bbox.dim
-    if n_per_axis ** d > _CANDIDATE_CELL_CAP:
-        raise ResourceLimitError(
-            f"{n_per_axis}^{d} candidate cells exceed the generation cap"
-        )
-    spacing = (bbox.upper - bbox.lower) / n_per_axis
-    axes = [bbox.lower[k] + spacing[k] * (np.arange(n_per_axis) + 0.5)
-            for k in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    keep = region.contains_points(pts)
-    nodes = pts[keep]
-    if nodes.shape[0] == 0:
-        raise DegenerateGridError(
-            f"region thinner than cells at n_per_axis={n_per_axis}"
-        )
-    if nodes.shape[0] > node_cap:
-        raise ResourceLimitError(
-            f"grid has {nodes.shape[0]} nodes, cap is {node_cap}"
-        )
-    cell_volume = float(np.prod(spacing))
-    weights = np.full(nodes.shape[0], cell_volume)
-    return QuadratureGrid(region=region, nodes=nodes, weights=weights,
-                          spacing=spacing)
+    return QuadratureGrid(region=region,
+                          nodes=np.concatenate([x for x, _ in rules]),
+                          weights=np.concatenate([w for _, w in rules]),
+                          spacing=(bbox.upper - bbox.lower) / n_per_axis)
 
 
 def max_n_per_axis(region: Region, node_cap: int = DEFAULT_NODE_CAP) -> int:
-    """Largest n_per_axis whose grid stays within the node cap."""
-    bbox = region.bounding_box()
-    fill = region.volume() / bbox.volume()
-    n = int((node_cap / fill) ** (1.0 / bbox.dim)) + 1
-    while n > 2:
-        try:
-            build_grid(region, n, node_cap=node_cap)
-            return n
-        except (ResourceLimitError, DegenerateGridError):
-            n -= 1
-    return 2
+    """Largest n_per_axis whose grid stays within the node cap (at least
+    2), by bisection on the closed-form node count, which grows with n;
+    no grid is built."""
+    lo, hi = 2, 4
+    while _node_count(region, hi) <= node_cap:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _node_count(region, mid) <= node_cap else (lo, mid)
+    return lo
 
 
 def window_grid(region: Region, node_cap: int,

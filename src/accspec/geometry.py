@@ -78,7 +78,8 @@ class Box:
         return self.lower.size
 
     def volume(self) -> float:
-        return float(np.prod(self.upper - self.lower))
+        # Python floats overflow to inf without a numpy warning
+        return math.prod((self.upper - self.lower).tolist())
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

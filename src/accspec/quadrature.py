@@ -11,6 +11,13 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_NODES_PER_PANEL = 64
+# the band-limited radial variance at radius R takes 4R/pi panels, so
+# radii up to 7.8e5 (about 6 s at d = 1) stay within the cap
+PANEL_CAP = 10 ** 6
+
+
+class ResourceLimitError(RuntimeError):
+    """A grid, a panel set or a factor would exceed its size cap."""
 
 
 @lru_cache(maxsize=16)
@@ -39,11 +46,14 @@ def panel_nodes(edges: np.ndarray, n_nodes: int = DEFAULT_NODES_PER_PANEL):
 
 
 def uniform_edges(a: float, b: float, max_width: float) -> np.ndarray:
-    """Panel edges on [a, b] with width <= max_width (>= 1 panel)."""
+    """Panel edges on [a, b] with width <= max_width (>= 1 panel); more
+    than PANEL_CAP panels raise ResourceLimitError before allocating."""
     if b <= a:
         raise ValueError("empty integration interval")
-    n = max(1, int(np.ceil((b - a) / max_width)))
-    return np.linspace(a, b, n + 1)
+    panels = (b - a) / max_width
+    if not panels <= PANEL_CAP:
+        raise ResourceLimitError(f"{panels:.3g} panels needed, cap is {PANEL_CAP}")
+    return np.linspace(a, b, max(1, int(np.ceil(panels))) + 1)
 
 
 def geometric_edges(a: float, b: float, first_width: float,

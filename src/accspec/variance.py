@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import (DEFAULT_NODE_CAP, DegenerateGridError,
-                         ResourceLimitError, SpectralData, assemble_operator,
-                         spectral_decompose, window_grid)
+from .discretize import (DEFAULT_NODE_CAP, ResourceLimitError,
+                         SpectralData, assemble_operator, spectral_decompose,
+                         window_grid)
 from .geometry import (Ball, DisjointBallUnion, Region,
                        _ball_volume_unchecked, lens_volume_exact_many,
                        unit_ball_volume, unit_sphere_area)
@@ -88,7 +88,11 @@ def variance_radial(kernel: Kernel, radius: float) -> RadialVariance:
     d = kernel.ambient_dim
     ball = unit_ball_volume(d) * radius ** d
     e_count = kernel.diagonal_value * ball
-    edges = kernel.radial_panel_edges(0.0, 2.0 * radius)
+    try:
+        edges = kernel.radial_panel_edges(0.0, 2.0 * radius)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"radial variance at radius {radius:g}: "
+                                 f"{exc}") from None
 
     def pair_integral(n_nodes):
         total = 0.0
@@ -132,10 +136,6 @@ class CurvePoint:
     var_radial: float | None
     ratio: float
 
-    @property
-    def best_variance(self) -> float:
-        return self.var_radial if self.var_radial is not None else self.var_spectral
-
 
 def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
                           spectral: str = "off",
@@ -165,7 +165,7 @@ def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
         try:
             built = [window_grid(w, node_cap, nodes_per_unit, n_per_axis)[0]
                      for w in windows]
-        except (ResourceLimitError, DegenerateGridError) as exc:
+        except ResourceLimitError as exc:
             if spectral == "on":
                 raise
             dropped = f"auto dropped the spectral route: {exc}"
@@ -197,11 +197,6 @@ def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
                                  var_spectral=var_spec, var_radial=var_rad,
                                  ratio=best / e_count))
     return points
-
-
-def ratios_decreasing(points) -> bool:
-    ratios = [p.ratio for p in points]
-    return all(b < a for a, b in zip(ratios, ratios[1:]))
 
 
 def asymptotic_constant(d: int) -> float:
@@ -268,47 +263,3 @@ def fit_asymptotics(dim: int, scales, variances) -> AsymptoticFit:
                          slope=float(slope), intercept=float(intercept),
                          reference_constant=asymptotic_constant(dim),
                          window_low=float(window_low))
-
-
-# ---------------------------------------------------------------------------
-# combined report
-
-
-@dataclass(eq=False)
-class VarianceReport:
-    region: Region
-    e_count: float
-    var_spectral: float | None
-    var_radial: float | None
-    var_upper_subadditive: float | None
-    radial_error_estimate: float | None
-
-    @property
-    def best_variance(self) -> float:
-        for v in (self.var_radial, self.var_upper_subadditive, self.var_spectral):
-            if v is not None:
-                return v
-        raise ValueError("report holds no variance value")
-
-    @property
-    def ratio(self) -> float:
-        return self.best_variance / self.e_count
-
-
-def variance_report(kernel: Kernel, region: Region,
-                    spectral: SpectralData | None = None) -> VarianceReport:
-    """Assemble every variance route applicable to the region."""
-    e_count = expected_count(kernel, region)
-    var_spec = variance_spectral(spectral) if spectral is not None else None
-    var_rad = None
-    var_sub = None
-    rad_err = None
-    if isinstance(region, Ball):
-        rv = variance_radial(kernel, region.radius)
-        var_rad, rad_err = rv.value, rv.error_estimate
-    elif isinstance(region, DisjointBallUnion):
-        var_sub = variance_subadditive_upper(kernel, region)
-    return VarianceReport(region=region, e_count=e_count,
-                          var_spectral=var_spec, var_radial=var_rad,
-                          var_upper_subadditive=var_sub,
-                          radial_error_estimate=rad_err)

@@ -114,8 +114,14 @@ def test_series_divergence_is_numerical_failure(capsys):
     (["variance", "--kernel", "ginibre", "--R", "1e200"], 3),
     (["lens", "--dim", "2", "--r", "nan", "--R", "1"], 2),
     (["variance", "--kernel", "sine", "--R", "1,inf"], 2),
+    (["variance", "--kernel", "sine", "--R", "1e12", "--spectral", "off"], 3),
+    (["variance", "--kernel", "sine", "--R", "1e200"], 3),
+    (["variance", "--kernel", "ginibre", "--region", "box:0,0:1,1",
+      "--R", "1e200"], 3),
 ], ids=["ball-volume-overflow", "radius-power-overflow",
-        "window-volume-overflow", "nan-offset", "infinite-scale"])
+        "window-volume-overflow", "nan-offset", "infinite-scale",
+        "radial-panels-beyond-cap", "radial-panels-overflow",
+        "box-volume-overflow"])
 def test_overflow_and_nonfinite_inputs_end_in_one_error_line(argv, code):
     # a subprocess, so that warnings reach stderr as a user would see them
     proc = subprocess.run([sys.executable, "-m", "accspec.cli", *argv],
@@ -398,6 +404,20 @@ def test_spectral_auto_keeps_the_column_at_a_large_node_cap(tmp_path):
     row, = _read_summary(out)
     assert float(row["var_spectral"]) == approx(float(row["var_radial"]),
                                                 rel=0.02)
+
+
+@pytest.mark.parametrize("argv, rel", [
+    (["--kernel", "pw", "--dim", "3", "--R", "1,2", "--spectral", "on"], 1e-10),
+    (["--kernel", "ginibre", "--cdim", "2", "--R", "1"], 1e-4),
+], ids=["pw-d3", "ginibre-c2"])
+def test_spectral_route_matches_radial_in_three_and_four_dimensions(
+        argv, rel, tmp_path):
+    # measured gaps: 9.4e-15 and 1.3e-14 (pw d=3), 1.3e-6 (ginibre C^2)
+    out = tmp_path / "v.csv"
+    assert main(["variance", *argv, "--out", str(out)]) == 0
+    for row in _read_summary(out):
+        spectral, radial = float(row["var_spectral"]), float(row["var_radial"])
+        assert abs(spectral - radial) <= rel * radial
 
 
 def test_variance_nodes_per_unit_is_read_in_two_dimensions(tmp_path):

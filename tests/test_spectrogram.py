@@ -109,12 +109,6 @@ def test_inner_product_identity(sine_run):
     np.testing.assert_array_equal(sine_run.defect.window_integral, ipd)
 
 
-def test_inner_product_scalar_index(sine_run):
-    value, _ = inner_product_spectral(sine_run.psi, x_index=7)
-    full, _ = inner_product_spectral(sine_run.psi)
-    assert value == full[7]
-
-
 def test_inner_product_bounded_by_diagonal(sine_run):
     ipd = inner_product_direct(sine_run.kernel, sine_run.grid,
                                sine_run.eval_grid.nodes)
