@@ -4,15 +4,15 @@ independent routes, and hyperuniformity diagnostics at desk scale."""
 __version__ = "0.1.0"
 
 from .geometry import (Ball, Box, DisjointBallUnion, LensSpec, Region,
-                       lens_volume_exact, lens_volume_series, pochhammer,
+                       lens_volume_exact, lens_volume_series,
                        unit_ball_volume, unit_sphere_area)
 from .kernels import (GinibreKernel, Kernel, PaleyWienerKernel, bessel_j,
                       radial_normalization_check, sine_kernel)
 from .discretize import (QuadratureGrid, SpectralData, assemble_operator,
                          build_grid, spectral_decompose, window_grid)
-from .spectrogram import (EvalGrid, ResolutionPolicy, SpectrogramField,
-                          accumulated_spectrogram, build_eval_grid, c_delta,
-                          compute_psi, count_n, count_n_delta, defect_g,
+from .spectrogram import (EvalGrid, SpectrogramField, accumulated_spectrogram,
+                          build_eval_grid, c_delta, compute_psi, count_n,
+                          count_n_delta, defect_g,
                           dilation_snapshot, inequality_report,
                           inner_product_direct, inner_product_spectral,
                           l1_convergence_study)
@@ -24,14 +24,14 @@ from .variance import (AsymptoticFit, asymptotic_constant,
 
 __all__ = [
     "Ball", "Box", "DisjointBallUnion", "LensSpec", "Region",
-    "lens_volume_exact", "lens_volume_series", "pochhammer",
+    "lens_volume_exact", "lens_volume_series",
     "unit_ball_volume", "unit_sphere_area",
     "GinibreKernel", "Kernel", "PaleyWienerKernel", "bessel_j",
     "radial_normalization_check", "sine_kernel",
     "QuadratureGrid", "SpectralData", "assemble_operator", "build_grid",
     "spectral_decompose", "window_grid",
-    "EvalGrid", "ResolutionPolicy", "SpectrogramField",
-    "accumulated_spectrogram", "build_eval_grid", "c_delta", "compute_psi",
+    "EvalGrid", "SpectrogramField", "accumulated_spectrogram",
+    "build_eval_grid", "c_delta", "compute_psi",
     "count_n", "count_n_delta", "defect_g", "dilation_snapshot",
     "inequality_report", "inner_product_direct", "inner_product_spectral",
     "l1_convergence_study",

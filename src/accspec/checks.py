@@ -6,13 +6,17 @@ against a compensated power series, the two forms of the asymptotic
 variance constant, the kernels' radial normalization, and, on the
 reference sine window (-5, 5) at 400 nodes, the four spectral-count
 inequalities, the dual inner-product identity and mass conservation of
-the accumulated spectrogram. ``accspec check`` prints these lines.
+the accumulated spectrogram. The suite is one fixed configuration:
+``accspec check`` prints its lines and the acceptance tests assert the
+same lines. ``reference_run`` builds the reference window's pipeline,
+which the tests also share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,17 +31,29 @@ from .spectrogram import (InequalityCheck, accumulated_spectrogram,
 from .variance import asymptotic_constant, asymptotic_constant_geometric
 
 
-def self_checks(delta: float = 0.25, margin: float | None = None,
-                lens_tol: float = 1e-9,
-                max_series_terms: int | None = None) -> list[InequalityCheck]:
-    """Every check of the suite, in a fixed order.
+def reference_run() -> SimpleNamespace:
+    """The sine kernel on (-5, 5) at 400 nodes with the default evaluation
+    margin, through every stage: ``kernel``, ``region``, ``grid``,
+    ``operator``, ``spectral``, ``eval_grid``, ``psi``, ``field`` and
+    ``defect``."""
+    kernel = sine_kernel()
+    region = Box(np.array([-5.0]), np.array([5.0]))
+    grid, _ = window_grid(region, DEFAULT_NODE_CAP, n_per_axis=400)
+    operator = assemble_operator(kernel, grid)
+    spectral = spectral_decompose(operator)
+    eval_grid = build_eval_grid(kernel, region, reference_grid=grid)
+    psi = compute_psi(kernel, spectral, eval_grid)
+    fld = accumulated_spectrogram(kernel, spectral, eval_grid, psi=psi)
+    defect = defect_g(kernel, grid, eval_grid)
+    return SimpleNamespace(kernel=kernel, region=region, grid=grid,
+                           operator=operator, spectral=spectral,
+                           eval_grid=eval_grid, psi=psi, field=fld,
+                           defect=defect)
 
-    ``delta`` is the spectral-count threshold of the inequality suite,
-    ``margin`` the evaluation margin around the reference window (None:
-    four correlation lengths), ``lens_tol`` the lens series tolerance and
-    ``max_series_terms`` a hard truncation of that series (fault
-    injection: the lens lines must then fail).
-    """
+
+def self_checks(delta: float = 0.25) -> list[InequalityCheck]:
+    """Every check of the suite, in a fixed order; ``delta`` is the
+    spectral-count threshold of the inequality lines."""
     lines = []
 
     # lens: series agrees with the closed-form cap route on a 50-point grid
@@ -45,8 +61,7 @@ def self_checks(delta: float = 0.25, margin: float | None = None,
         worst = 0.0
         for r in np.linspace(0.0, 2.0, 50):
             spec = LensSpec(d, float(r), 1.0)
-            series = lens_volume_series(spec, tol=lens_tol,
-                                        max_terms=max_series_terms)
+            series = lens_volume_series(spec, tol=1e-9)
             worst = max(worst, abs(series - lens_volume_exact(spec)))
         lines.append(InequalityCheck(f"lens_series_vs_exact_d{d}", worst,
                                      1e-8, 0.0))
@@ -78,21 +93,15 @@ def self_checks(delta: float = 0.25, margin: float | None = None,
             abs(res), bound, 0.0))
 
     # inequality suite and identities on the reference configuration
-    kernel = sine_kernel()
-    region = Box(np.array([-5.0]), np.array([5.0]))
-    grid, _ = window_grid(region, DEFAULT_NODE_CAP, n_per_axis=400)
-    spectral = spectral_decompose(assemble_operator(kernel, grid))
-    eval_grid = build_eval_grid(kernel, region, margin=margin,
-                                reference_grid=grid)
-    psi = compute_psi(kernel, spectral, eval_grid)
-    fld = accumulated_spectrogram(kernel, spectral, eval_grid, psi=psi)
-    defect = defect_g(kernel, grid, eval_grid)
-    report = inequality_report(kernel, spectral, fld, psi, defect, delta)
+    run = reference_run()
+    fld, defect = run.field, run.defect
+    report = inequality_report(run.kernel, run.spectral, fld, run.psi,
+                               defect, delta)
     for chk in report.checks:
         lines.append(replace(chk, name=f"{chk.name}_delta{delta:g}"
                                        f"_Cdelta{report.c_delta:g}"))
 
-    ips, _ = inner_product_spectral(psi)
+    ips, _ = inner_product_spectral(run.psi)
     ipd = defect.window_integral
     rel = float(np.max(np.abs(ips - ipd) / ipd))
     lines.append(InequalityCheck("inner_product_identity_max_rel", rel,

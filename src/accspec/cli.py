@@ -6,17 +6,18 @@ Subcommands:
   summary table and a per-node field table.
 * ``variance``: hyperuniformity curve (expectation, variance routes,
   ratio) plus the log-asymptotic fit when the radii span a decade.
-* ``check``: prints the self-check suite of ``accspec.checks`` (lens
-  routes, Bessel series, kernel admissibility, inequality diagnostics);
-  exit 1 on any failure.
+* ``check``: prints the fixed self-check suite of ``accspec.checks``
+  (lens routes, Bessel series, kernel admissibility, inequality
+  diagnostics at ``--delta``), the same lines the acceptance tests
+  assert; exit 1 on any failure.
 * ``lens``: both lens-volume routes for one (dim, r, R).
 
 The module only parses arguments, calls the library and prints.
 Exit codes: 0 success, 1 check failure, 2 usage/configuration error,
 3 numerical failure (a series that misses its tolerance within the term
-cap, a resource limit, a float overflow, an eigensolve that fails its
-residual check, or a spectrum with fewer modes above the floor than the
-mode count needs).
+cap, a resource limit, a float overflow, an expected count that
+underflows, an eigensolve that fails its residual check, or a spectrum
+with fewer modes above the floor than the mode count needs).
 A reader that closes stdout early (``accspec --schema | head -1``) ends
 the run quietly with exit 0: the rest of the output is discarded.
 Identical configurations produce byte-identical output apart from the
@@ -40,14 +41,13 @@ import numpy as np
 
 from . import __version__
 from .checks import self_checks
-from .discretize import (DEFAULT_NODE_CAP, ResourceLimitError,
+from .discretize import (DEFAULT_NODE_CAP, NODES_PER_UNIT, ResourceLimitError,
                          SpectralSolverError)
 from .geometry import (Ball, Box, DisjointBallUnion, LensSpec, Region,
                        SeriesDivergenceError, lens_volume_exact,
                        lens_volume_series)
 from .kernels import GinibreKernel, PaleyWienerKernel, sine_kernel
-from .spectrogram import (RankDeficiencyError, ResolutionPolicy,
-                          dilation_snapshot)
+from .spectrogram import RankDeficiencyError, dilation_snapshot
 from .variance import FitRangeError, fit_asymptotics, hyperuniformity_curve
 
 SUMMARY_COLUMNS = ("R", "trace", "N", "E_count", "var_spectral", "var_radial",
@@ -285,14 +285,13 @@ def write_tables(args, summary, fields=None, fit=None) -> None:
 
 def cmd_spectrogram(args) -> int:
     kernel, region, scales = kernel_region_scales(args, region_required=True)
-    policy = ResolutionPolicy(nodes_per_unit=args.nodes_per_unit,
-                              margin=args.margin,
-                              eval_spacing=args.eval_spacing,
-                              node_cap=args.node_cap)
 
     def run_one(scale):
-        return dilation_snapshot(kernel, region, scale, policy,
-                                 n_per_axis=args.n)
+        return dilation_snapshot(kernel, region, scale,
+                                 node_cap=args.node_cap,
+                                 nodes_per_unit=args.nodes_per_unit,
+                                 n_per_axis=args.n, margin=args.margin,
+                                 eval_spacing=args.eval_spacing)
 
     with ThreadPoolExecutor(max_workers=worker_count(len(scales))) as pool:
         results = list(pool.map(run_one, scales))
@@ -354,10 +353,7 @@ def cmd_lens(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if not args.lens_tol > 0:
-        raise UsageError("lens-tol: must be positive")
-    lines = self_checks(args.delta, args.margin, args.lens_tol,
-                        args.debug_max_series_terms)
+    lines = self_checks(args.delta)
     failures = 0
     for line in lines:
         status = "PASS" if line.passed else "FAIL"
@@ -404,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = add_common(sub.add_parser("spectrogram",
                                        help="dilation convergence study"),
                         cmd_spectrogram)
-    p_spec.add_argument("--nodes-per-unit", type=float, default=40.0,
+    p_spec.add_argument("--nodes-per-unit", type=float, default=NODES_PER_UNIT,
                         help="window grid resolution per unit length")
     p_spec.add_argument("--margin", type=float, default=None,
                         help="evaluation margin (default: 4 correlation lengths)")
@@ -421,15 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "variance (auto: at every scale or at none)")
     p_var.add_argument("--nodes-per-unit", type=float, default=None,
                        help="window grid resolution per unit length (default: "
-                            "40 in 1-D, else the finest within --node-cap)")
+                            f"{NODES_PER_UNIT:g} in 1-D, else the finest "
+                            "within --node-cap)")
 
     p_check = sub.add_parser("check", help="self-check suite")
     p_check.set_defaults(run=cmd_check)
     p_check.add_argument("--delta", type=float, default=0.25)
-    p_check.add_argument("--margin", type=float, default=None)
-    p_check.add_argument("--lens-tol", type=float, default=1e-9)
-    p_check.add_argument("--debug-max-series-terms", type=int, default=None,
-                         help="fault injection: hard-truncate the lens series")
 
     p_lens = sub.add_parser("lens", help="lens volume, both routes")
     p_lens.set_defaults(run=cmd_lens)
@@ -459,6 +452,9 @@ def _dispatch(parser: argparse.ArgumentParser, argv) -> int:
         return 3
     except OverflowError as exc:  # e.g. a unit-ball volume past d = 340
         print(f"error: float overflow: {exc.args[-1]}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:  # e.g. an expected count below 2^-1022
+        print(f"error: float underflow: {exc}", file=sys.stderr)
         return 3
 
 

@@ -37,6 +37,8 @@ from .kernels import Kernel
 from .quadrature import ResourceLimitError, panel_nodes
 
 DEFAULT_NODE_CAP = 4096
+# default window grid nodes per unit length of ladders and 1-D curves
+NODES_PER_UNIT = 40.0
 # nodes per Gauss-Legendre panel: numpy's leggauss is an O(m^3) eigensolve
 _PANEL_ORDER = 16
 # largest row buffer the pivoted Cholesky factor may grow to

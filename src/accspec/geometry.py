@@ -42,16 +42,6 @@ def unit_sphere_area(d: int) -> float:
     return d * unit_ball_volume(d)
 
 
-def pochhammer(alpha: float, k: int) -> float:
-    """Rising factorial (alpha)_k = alpha (alpha+1) ... (alpha+k-1)."""
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
-    out = 1.0
-    for j in range(k):
-        out *= alpha + j
-    return out + 0.0  # normalizes -0.0
-
-
 # ---------------------------------------------------------------------------
 # regions
 
@@ -234,16 +224,14 @@ class LensSpec:
             raise ValueError("radius R must be positive and finite")
 
 
-def lens_volume_series(spec: LensSpec, tol: float = 1e-9,
-                       term_cap: int = SERIES_TERM_CAP,
-                       max_terms: int | None = None) -> float:
+def lens_volume_series(spec: LensSpec, tol: float = 1e-9) -> float:
     """Lens volume by the Pochhammer power series in q = r/(2R).
 
     The sum stops once a rigorous tail bound drops below ``tol`` (near
     q = 1 the series converges only polynomially, so a plain
-    last-term-small test would understate the truncation error).
-    ``max_terms`` hard-truncates the sum; it exists for fault injection
-    in the self-check command and must stay None in normal use.
+    last-term-small test would understate the truncation error). A sum
+    that has not met ``tol`` after ``SERIES_TERM_CAP`` terms (read at
+    call time) raises SeriesDivergenceError.
     """
     d, r, R = spec.dim, spec.r, spec.R
     cd = unit_ball_volume(d)
@@ -260,10 +248,9 @@ def lens_volume_series(spec: LensSpec, tol: float = 1e-9,
     total = 0.0
     coef = 1.0  # (alpha)_k / k! at the current block start
     k0 = 0
+    term_cap = SERIES_TERM_CAP
     while k0 < term_cap:
         block = min(_SERIES_BLOCK, term_cap - k0)
-        if max_terms is not None:
-            block = min(block, max(max_terms - k0, 1))
         ks = np.arange(k0, k0 + block, dtype=float)
         ratios = (alpha + ks) / (ks + 1.0)
         coefs = coef * np.concatenate(([1.0], np.cumprod(ratios[:-1])))
@@ -271,8 +258,6 @@ def lens_volume_series(spec: LensSpec, tol: float = 1e-9,
         total += float(terms.sum())
         coef = float(coefs[-1] * ratios[-1])
         k0 += block
-        if max_terms is not None and k0 >= max_terms:
-            return prefactor * total
         if coef == 0.0:
             return prefactor * total  # odd d: the series terminates exactly
         last = abs(float(terms[-1]))

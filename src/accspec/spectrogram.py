@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # bench/test_bench.py checks that its tracer rebinds build_grid here
-from .discretize import (DEFAULT_NODE_CAP, QuadratureGrid,  # noqa: F401
-                         ResourceLimitError, SpectralData, assemble_operator,
-                         build_grid, spectral_decompose, window_grid)
+from .discretize import (DEFAULT_NODE_CAP, NODES_PER_UNIT,  # noqa: F401
+                         QuadratureGrid, ResourceLimitError, SpectralData,
+                         assemble_operator, build_grid, spectral_decompose,
+                         window_grid)
 from .geometry import Box, Region
 from .kernels import Kernel
 
@@ -95,7 +96,8 @@ def build_eval_grid(kernel: Kernel, region: Region,
     """Uniform grid on the bounding box of ``region`` inflated by ``margin``.
 
     The default margin is four correlation lengths of the kernel; the
-    default spacing matches ``reference_grid`` when given. A grid above
+    spacing is ``spacing`` if given, else the finest nominal spacing of
+    ``reference_grid``, and one of the two is required. A grid above
     ``EVAL_NODE_CAP`` nodes raises ResourceLimitError.
     """
     if margin is None:
@@ -103,10 +105,10 @@ def build_eval_grid(kernel: Kernel, region: Region,
     if not 0 < margin < math.inf:
         raise ValueError("evaluation margin must be positive")
     if spacing is None:
-        if reference_grid is not None:
-            spacing = float(reference_grid.spacing.min())
-        else:
-            spacing = kernel.correlation_length() / 8.0
+        if reference_grid is None:
+            raise ValueError("evaluation grid needs a spacing or a "
+                             "reference grid")
+        spacing = float(reference_grid.spacing.min())
     if not 0 < spacing < math.inf:
         raise ValueError(
             f"evaluation spacing must be positive and finite, got {spacing:g}")
@@ -201,7 +203,6 @@ class SpectrogramField:
 
     eval_grid: EvalGrid
     rho: np.ndarray
-    psi_norms_sq: np.ndarray
     n_count: int
     trace: float
     tail_mass: float
@@ -228,9 +229,8 @@ def accumulated_spectrogram(kernel: Kernel, spectral: SpectralData,
         )
     rho = np.sum(np.abs(psi.values[:, :n_count]) ** 2, axis=1)
     integral = float(np.sum(rho * eval_grid.weights))
-    return SpectrogramField(eval_grid=eval_grid, rho=rho,
-                            psi_norms_sq=psi.raw_norms_sq[:n_count].copy(),
-                            n_count=n_count, trace=spectral.trace,
+    return SpectrogramField(eval_grid=eval_grid, rho=rho, n_count=n_count,
+                            trace=spectral.trace,
                             tail_mass=n_count - integral)
 
 
@@ -386,20 +386,6 @@ def inequality_report(kernel: Kernel, spectral: SpectralData,
 
 
 @dataclass(frozen=True)
-class ResolutionPolicy:
-    """How grids scale along a dilation ladder.
-
-    The window grid aims at ``nodes_per_unit`` nodes per unit length per
-    axis until the node cap forces coarsening (reported per row).
-    """
-
-    nodes_per_unit: float = 40.0
-    margin: float | None = None
-    eval_spacing: float | None = None
-    node_cap: int = DEFAULT_NODE_CAP
-
-
-@dataclass(frozen=True)
 class ConvergenceRow:
     scale: float
     n_per_axis: int
@@ -412,30 +398,34 @@ class ConvergenceRow:
     trace_defect: float
 
 
-def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float,
-                      policy: ResolutionPolicy = ResolutionPolicy(),
-                      n_per_axis: int | None = None):
+def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
+                      node_cap: int = DEFAULT_NODE_CAP,
+                      nodes_per_unit: float = NODES_PER_UNIT,
+                      n_per_axis: int | None = None,
+                      margin: float | None = None,
+                      eval_spacing: float | None = None):
     """One rung of the dilation ladder: discretize, decompose, compare.
 
-    Returns (ConvergenceRow, SpectrogramField). ``n_per_axis`` overrides
-    the policy's per-unit scaling with a fixed grid resolution, which
-    raises ResourceLimitError beyond the node cap instead of saturating.
+    Returns (ConvergenceRow, SpectrogramField). The window grid aims at
+    ``nodes_per_unit`` per unit length until ``node_cap`` forces the
+    finest grid within it (``saturated``); a fixed ``n_per_axis`` raises
+    ResourceLimitError beyond the cap instead. ``margin`` and
+    ``eval_spacing`` go to ``build_eval_grid``.
     """
     region = base_region.dilate(float(scale))
     try:
-        grid, n_axis = window_grid(region, policy.node_cap,
-                                   policy.nodes_per_unit, n_per_axis)
+        grid, n_axis = window_grid(region, node_cap, nodes_per_unit,
+                                   n_per_axis)
         saturated = False
     except ResourceLimitError:
         if n_per_axis is not None:
             raise
-        grid, n_axis = window_grid(region, policy.node_cap)
+        grid, n_axis = window_grid(region, node_cap)
         saturated = True
     operator = assemble_operator(kernel, grid)
     spectral = spectral_decompose(operator)
-    eval_grid = build_eval_grid(kernel, region, margin=policy.margin,
-                                spacing=policy.eval_spacing,
-                                reference_grid=grid)
+    eval_grid = build_eval_grid(kernel, region, margin=margin,
+                                spacing=eval_spacing, reference_grid=grid)
     fld = accumulated_spectrogram(kernel, spectral, eval_grid)
     target = kernel.diagonal_value * eval_grid.inside_base()
     err_raw = float(np.sum(np.abs(fld.rho - target) * eval_grid.weights))
@@ -449,15 +439,16 @@ def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float,
 
 
 def l1_convergence_study(kernel: Kernel, base_region: Region, scales,
-                         policy: ResolutionPolicy = ResolutionPolicy()):
+                         **resolution):
     """L1 distance of rho from its limit shape along dilations of a region.
 
     err_raw integrates |rho - K(x,x) 1_window| over E and adds the mass
     accounting remainder; err_normalized divides by the mode count N,
     which is the normalization under which the distance tends to zero.
+    ``resolution`` takes the keywords of ``dilation_snapshot``.
     """
     scales = [float(s) for s in scales]
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly ascending")
-    return [dilation_snapshot(kernel, base_region, s, policy)[0]
+    return [dilation_snapshot(kernel, base_region, s, **resolution)[0]
             for s in scales]

@@ -15,11 +15,12 @@ variance is its quantitative benchmark.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import (DEFAULT_NODE_CAP, ResourceLimitError,
+from .discretize import (DEFAULT_NODE_CAP, NODES_PER_UNIT, ResourceLimitError,
                          SpectralData, assemble_operator, spectral_decompose,
                          window_grid)
 from .geometry import (Ball, DisjointBallUnion, Region,
@@ -34,12 +35,18 @@ class FitRangeError(ValueError):
 
 
 def expected_count(kernel: Kernel, region: Region) -> float:
-    """E = diagonal * volume; exact for constant-diagonal kernels."""
+    """E = diagonal * volume; exact for constant-diagonal kernels. A
+    count below the smallest normal float raises FloatingPointError."""
     if kernel.ambient_dim != region.dim:
         raise ValueError(
             f"kernel acts on R^{kernel.ambient_dim} but region lives in R^{region.dim}"
         )
-    return kernel.diagonal_value * region.volume()
+    e_count = kernel.diagonal_value * region.volume()
+    if e_count < sys.float_info.min:
+        raise FloatingPointError(
+            f"expected count {e_count:.3g} is below the smallest normal "
+            f"float ({sys.float_info.min:.3g})")
+    return e_count
 
 
 def variance_spectral(spectral: SpectralData) -> float:
@@ -146,19 +153,21 @@ def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
 
     The radial route covers balls (and bounds unions from above). The
     spectral column (``spectral`` "off", "on" or "auto") uses the grids
-    of ``discretize.window_grid``; ``nodes_per_unit`` None means 40 in
-    one dimension and filling the node cap above. "on" fills it at every
-    scale, a grid beyond the cap raising ResourceLimitError; "auto"
-    fills it at every scale if every grid fits the cap with spacing at
-    most a quarter correlation length, else at none. The ratio column
-    is the hyperuniformity diagnostic and should decay along the ladder.
+    of ``discretize.window_grid``; ``nodes_per_unit`` None means
+    ``NODES_PER_UNIT`` in one dimension and filling the node cap above.
+    "on" fills it at every scale, a grid beyond the cap raising
+    ResourceLimitError; "auto" fills it at every scale if every grid
+    fits the cap with spacing at most a quarter correlation length, else
+    at none. The ratio column is the hyperuniformity diagnostic and
+    should decay along the ladder. An expected count that underflows
+    raises FloatingPointError naming the scale.
     """
     if spectral not in ("off", "on", "auto"):
         raise ValueError(f"spectral must be off, on or auto, got {spectral!r}")
     scales = [float(s) for s in scales]
     windows = [region.dilate(s) for s in scales]
     if nodes_per_unit is None and kernel.ambient_dim == 1:
-        nodes_per_unit = 40.0
+        nodes_per_unit = NODES_PER_UNIT
     grids, dropped = [None] * len(windows), "the spectral route is off"
     if spectral != "off":
         limit = kernel.correlation_length() / 4.0
@@ -183,7 +192,10 @@ def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
                          f"{dropped}")
     points = []
     for scale, window, grid in zip(scales, windows, grids):
-        e_count = expected_count(kernel, window)
+        try:
+            e_count = expected_count(kernel, window)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"at scale {scale:g}: {exc}") from None
         if isinstance(region, Ball):
             var_rad = variance_radial(kernel, scale * region.radius).value
         elif isinstance(region, DisjointBallUnion):

@@ -1,10 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from accspec import (Box, assemble_operator, build_eval_grid, build_grid,
-                     compute_psi, defect_g, sine_kernel, spectral_decompose)
-from accspec.spectrogram import accumulated_spectrogram
+from accspec.checks import reference_run
 
 settings.register_profile(
     "numeric",
@@ -15,28 +12,8 @@ settings.register_profile(
 settings.load_profile("numeric")
 
 
-class SineDefaultRun:
-    """Reference configuration shared across test modules.
-
-    Sine kernel on (-5, 5) at 400 nodes with the default evaluation
-    margin; built once because the eigendecomposition plus mode images
-    dominate the suite's runtime.
-    """
-
-    def __init__(self):
-        self.kernel = sine_kernel()
-        self.region = Box(np.array([-5.0]), np.array([5.0]))
-        self.grid = build_grid(self.region, 400)
-        self.operator = assemble_operator(self.kernel, self.grid)
-        self.spectral = spectral_decompose(self.operator)
-        self.eval_grid = build_eval_grid(self.kernel, self.region,
-                                         reference_grid=self.grid)
-        self.psi = compute_psi(self.kernel, self.spectral, self.eval_grid)
-        self.field = accumulated_spectrogram(self.kernel, self.spectral,
-                                             self.eval_grid, psi=self.psi)
-        self.defect = defect_g(self.kernel, self.grid, self.eval_grid)
-
-
 @pytest.fixture(scope="session")
-def sine_run() -> SineDefaultRun:
-    return SineDefaultRun()
+def sine_run():
+    """The self-check suite's reference run, built once because the
+    eigendecomposition plus mode images dominate the suite's runtime."""
+    return reference_run()

@@ -91,7 +91,6 @@ def test_lens_command_invalid(capsys):
     ["lens", "--dim", "2", "--r", "1.9999", "--R", "1", "--tol", "0"],
     ["lens", "--dim", "2", "--r", "1", "--R", "1", "--tol=-1e-9"],
     ["lens", "--dim", "2", "--r", "1", "--R", "1", "--tol", "nan"],
-    ["check", "--lens-tol", "0"],
 ])
 def test_nonpositive_tolerance_is_usage_error(argv, capsys):
     assert main(argv) == 2
@@ -118,10 +117,11 @@ def test_series_divergence_is_numerical_failure(capsys):
     (["variance", "--kernel", "sine", "--R", "1e200"], 3),
     (["variance", "--kernel", "ginibre", "--region", "box:0,0:1,1",
       "--R", "1e200"], 3),
+    (["variance", "--kernel", "ginibre", "--R", "1e-200"], 3),
 ], ids=["ball-volume-overflow", "radius-power-overflow",
         "window-volume-overflow", "nan-offset", "infinite-scale",
         "radial-panels-beyond-cap", "radial-panels-overflow",
-        "box-volume-overflow"])
+        "box-volume-overflow", "expected-count-underflow"])
 def test_overflow_and_nonfinite_inputs_end_in_one_error_line(argv, code):
     # a subprocess, so that warnings reach stderr as a user would see them
     proc = subprocess.run([sys.executable, "-m", "accspec.cli", *argv],
@@ -321,8 +321,12 @@ def test_check_line_names_pinned(capsys):
     assert [c.name for c in checks.self_checks()] == printed
 
 
-def test_check_subcommand_fault_injection(capsys):
-    assert main(["check", "--debug-max-series-terms", "2"]) == 1
+def test_check_subcommand_fault_injection(capsys, monkeypatch):
+    # a lens route off by 1e-4 must fail the suite
+    exact = checks.lens_volume_exact
+    monkeypatch.setattr(checks, "lens_volume_exact",
+                        lambda spec: exact(spec) + 1e-4)
+    assert main(["check"]) == 1
     out = capsys.readouterr().out
     assert "FAIL lens_series_vs_exact_d2" in out
 
@@ -357,6 +361,9 @@ def test_union_region_variance_columns(tmp_path):
     ["variance", "--kernel", "sine", "--R", "1,2", "--eval-spacing", "-1"],
     ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
      "--R", "2", "--delta", "0.3"],
+    ["check", "--margin", "5"],
+    ["check", "--lens-tol", "1e-9"],
+    ["check", "--debug-max-series-terms", "2"],
 ])
 def test_unread_options_are_usage_errors(argv, capsys):
     # options the subcommand would ignore are not accepted at all

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 from pytest import approx
 
+from accspec import geometry
 from accspec.geometry import (Ball, Box, DisjointBallUnion, LensSpec,
                               SeriesDivergenceError, lens_volume_exact,
                               lens_volume_exact_many, lens_volume_series,
-                              pochhammer, unit_ball_volume, unit_sphere_area)
+                              unit_ball_volume, unit_sphere_area)
 
 # closed-form overlap of two unit circles at center distance 1:
 # pi - (2 acos(1/2) - (1/2) sqrt(3)) outside the centered one
@@ -32,19 +33,6 @@ def test_unit_sphere_areas():
 def test_dimension_zero_rejected(func):
     with pytest.raises(ValueError):
         func(0)
-
-
-def test_pochhammer_values():
-    assert pochhammer(2, 3) == 24.0
-    assert pochhammer(-1, 3) == 0.0
-    assert pochhammer(5.37, 0) == 1.0
-    assert pochhammer(-2.5, 2) == approx(-2.5 * -1.5)
-
-
-@given(st.floats(-10, 10), st.integers(0, 20))
-def test_pochhammer_recurrence(alpha, k):
-    assert pochhammer(alpha, k + 1) == approx(pochhammer(alpha, k) * (alpha + k),
-                                              rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +179,15 @@ def test_lens_nondecreasing_in_offset(d):
 def test_lens_series_terminates_for_odd_dimension(d, n_nonzero):
     # the rising factorial (-(d-1)/2)_k hits zero after (d+1)/2 terms
     alpha = -(d - 1) / 2.0
-    nonzero = [k for k in range(12) if pochhammer(alpha, k) != 0.0]
+    nonzero = [k for k in range(12)
+               if math.prod(alpha + j for j in range(k)) != 0.0]
     assert nonzero == list(range(n_nonzero))
 
 
-def test_lens_series_cap_raises():
-    with pytest.raises(SeriesDivergenceError):
-        lens_volume_series(LensSpec(2, 1.9999999, 1.0), tol=1e-14, term_cap=500)
-
-
-def test_lens_series_fault_injection_departs():
-    # hard truncation must visibly break agreement with the exact route
-    spec = LensSpec(2, 1.2, 1.0)
-    truncated = lens_volume_series(spec, max_terms=2)
-    assert abs(truncated - lens_volume_exact(spec)) > 1e-4
+def test_lens_series_cap_raises(monkeypatch):
+    monkeypatch.setattr(geometry, "SERIES_TERM_CAP", 500)
+    with pytest.raises(SeriesDivergenceError, match="within 500 terms"):
+        lens_volume_series(LensSpec(2, 1.9999999, 1.0), tol=1e-14)
 
 
 def test_lens_exact_vectorized_matches_scalar():

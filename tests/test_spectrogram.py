@@ -8,7 +8,7 @@ from accspec.discretize import QuadratureGrid
 from accspec.geometry import Box
 from helpers import synthetic_spectral
 from accspec.kernels import GinibreKernel, sine_kernel
-from accspec.spectrogram import (RankDeficiencyError, ResolutionPolicy,
+from accspec.spectrogram import (RankDeficiencyError,
                                  accumulated_spectrogram, build_eval_grid,
                                  c_delta, compute_psi, count_n, count_n_delta,
                                  inequality_report, inner_product_direct,
@@ -210,8 +210,7 @@ def test_pure_projection_equality_case():
 def test_l1_study_smoke():
     rows = l1_convergence_study(sine_kernel(), Box(np.array([-1.0]),
                                                    np.array([1.0])),
-                                [2.0, 4.0],
-                                ResolutionPolicy(nodes_per_unit=30.0))
+                                [2.0, 4.0], nodes_per_unit=30.0)
     assert rows[1].err_normalized < rows[0].err_normalized
     for row in rows:
         assert abs(row.tail_mass) < 1e-8
@@ -227,8 +226,7 @@ def test_l1_study_rejects_unordered_scales():
 def test_l1_study_reports_saturation():
     rows = l1_convergence_study(sine_kernel(),
                                 Box(np.array([-1.0]), np.array([1.0])),
-                                [8.0], ResolutionPolicy(nodes_per_unit=40.0,
-                                                        node_cap=128))
+                                [8.0], nodes_per_unit=40.0, node_cap=128)
     assert rows[0].saturated
     assert rows[0].n_per_axis <= 128
 
@@ -264,6 +262,11 @@ def test_eval_grid_contains_window(sine_run):
 def test_eval_grid_margin_validation(sine_run):
     with pytest.raises(ValueError):
         build_eval_grid(sine_run.kernel, sine_run.region, margin=-1.0)
+
+
+def test_eval_grid_needs_a_spacing(sine_run):
+    with pytest.raises(ValueError, match="spacing or a reference grid"):
+        build_eval_grid(sine_run.kernel, sine_run.region)
 
 
 def test_spectrogram_reuses_psi(sine_run):

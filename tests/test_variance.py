@@ -31,6 +31,19 @@ def test_expected_count_dimension_mismatch():
         expected_count(sine_kernel(), Ball(np.zeros(2), 1.0))
 
 
+@pytest.mark.parametrize("radius", [1e-200, 1e-160])
+def test_expected_count_below_normal_floats_raises(radius):
+    # pi R^2 underflows to 0 at 1e-200 and is subnormal at 1e-160
+    with pytest.raises(FloatingPointError, match="smallest normal float"):
+        expected_count(GinibreKernel(1), Ball(np.zeros(2), radius))
+
+
+def test_curve_names_the_underflowing_scale():
+    with pytest.raises(FloatingPointError, match="at scale 1e-200"):
+        hyperuniformity_curve(GinibreKernel(1), Ball(np.zeros(2), 1.0),
+                              [1e-200, 1.0])
+
+
 def test_variance_spectral_closed_cases():
     assert variance_spectral(synthetic_spectral([1.0, 1.0, 0.0])) == 0.0
     assert variance_spectral(synthetic_spectral([0.5])) == approx(0.25)
