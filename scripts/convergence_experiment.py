@@ -7,6 +7,7 @@ the normalized error column so the decay is visible at a glance.
 """
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -30,11 +31,11 @@ def run(out_dir: Path) -> int:
             return code
         path = out_dir / f"convergence_{name}.csv"
         print(f"{name}: {path}")
-        for line in path.read_text().splitlines():
-            if line.startswith("#") or line.startswith("R,"):
-                continue
-            cols = line.split(",")
-            print(f"  R={cols[0]:>4}  N={cols[2]:>3}  err_normalized={cols[8]}")
+        lines = [ln for ln in path.read_text().splitlines()
+                 if not ln.startswith("#")]
+        for row in csv.DictReader(lines):
+            print(f"  R={row['R']:>4}  N={row['N']:>3}  "
+                  f"err_normalized={row['err_normalized']}")
     return 0
 
 

@@ -2,10 +2,12 @@
 
 Subcommands:
 
-* ``spectrogram``: dilation ladder of accumulated spectrograms; emits a
-  summary table and a per-node field table.
+* ``spectrogram``: dilation ladder of accumulated spectrograms
+  (``spectrogram.l1_convergence_study``, one scale after another); emits
+  its summary table and a per-node field table.
 * ``variance``: hyperuniformity curve (expectation, variance routes,
-  ratio) plus the log-asymptotic fit when the radii span a decade.
+  ratio) in its own summary table, plus the log-asymptotic fit when the
+  radii span a decade.
 * ``check``: prints the fixed self-check suite of ``accspec.checks``
   (lens routes, Bessel series, kernel admissibility, inequality
   diagnostics at ``--delta``), the same lines the acceptance tests
@@ -21,8 +23,7 @@ with fewer modes above the floor than the mode count needs).
 A reader that closes stdout early (``accspec --schema | head -1``) ends
 the run quietly with exit 0: the rest of the output is discarded.
 Identical configurations produce byte-identical output apart from the
-version header line. ``ACC_SPECGRAM_THREADS`` caps how many dilation
-scales run concurrently (0 or unset: automatic).
+version header line.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -47,31 +47,39 @@ from .geometry import (Ball, Box, DisjointBallUnion, LensSpec, Region,
                        SeriesDivergenceError, lens_volume_exact,
                        lens_volume_series)
 from .kernels import GinibreKernel, PaleyWienerKernel, sine_kernel
-from .spectrogram import RankDeficiencyError, dilation_snapshot
+from .spectrogram import RankDeficiencyError, l1_convergence_study
 from .variance import FitRangeError, fit_asymptotics, hyperuniformity_curve
 
-SUMMARY_COLUMNS = ("R", "trace", "N", "E_count", "var_spectral", "var_radial",
-                   "ratio", "err_raw", "err_normalized", "tail_mass")
+SPECTROGRAM_COLUMNS = ("R", "trace", "N", "err_raw", "err_normalized",
+                       "tail_mass")
+VARIANCE_COLUMNS = ("R", "E_count", "var_spectral", "var_radial", "ratio")
 
 SCHEMA_TEXT = f"""accspec output schemas (version {__version__})
 
-summary table (spectrogram and variance subcommands), columns:
-  {",".join(SUMMARY_COLUMNS)}
+spectrogram summary table, columns:
+  {",".join(SPECTROGRAM_COLUMNS)}
   R               dilation scale
-  trace           discrete trace of the restricted operator (= E_count
-                  when computed spectrally; empty for radial-only rows)
-  N               upper integer part of the trace (spectrogram rows)
-  E_count         expected point count in the dilated window
-  var_spectral    sum mu (1-mu) over the discretized spectrum
-  var_radial      radial-route variance (balls; upper bound for unions)
-  ratio           best variance / E_count
+  trace           discrete trace of the restricted operator, the
+                  spectral expected point count
+  N               upper integer part of the trace
   err_raw         L1 distance between rho and its limit shape, plus the
-                  mass-accounting remainder (spectrogram rows)
-  err_normalized  err_raw / N (spectrogram rows)
+                  mass-accounting remainder
+  err_normalized  err_raw / N
   tail_mass       N - integral of rho over the evaluation box
+
+variance summary table, columns:
+  {",".join(VARIANCE_COLUMNS)}
+  R               dilation scale
+  E_count         expected point count in the dilated window
+  var_spectral    sum mu (1-mu) over the discretized spectrum (empty
+                  when the spectral route is off or auto drops it)
+  var_radial      radial-route variance (balls; upper bound for unions;
+                  empty on a box)
+  ratio           best variance / E_count
 Absent quantities are emitted as empty fields, never as zeros.
 
 field table (spectrogram subcommand, <out>.fields.csv), columns:
+  R               dilation scale
   x1..xd          evaluation node coordinates
   rho             accumulated spectrogram value at the node
   target          kernel diagonal times the window indicator
@@ -81,8 +89,8 @@ variance fit block (CSV: '# fit_*' comment lines; JSON: 'fit' object):
 
 CSV files start with a '# accspec <version>' header line, use '.' as
 the decimal separator and 17 significant digits. JSON output is a
-single UTF-8 document with 'summary', and where applicable 'fields'
-and 'fit' entries.
+single UTF-8 document with 'summary' (one object per row, keyed by the
+CSV header), and where applicable 'fields' and 'fit' entries.
 """
 
 
@@ -183,17 +191,6 @@ def kernel_region_scales(args, region_required: bool):
     return kernel, region, scales
 
 
-def worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("ACC_SPECGRAM_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
-
-
 # ---------------------------------------------------------------------------
 # output formatting
 
@@ -258,23 +255,24 @@ def _json_val(v):
     return float(v)
 
 
-def write_tables(args, summary, fields=None, fit=None) -> None:
-    """Summary, (header, rows) field table and fit block: one JSON
-    document, or CSV with '# fit_*' comments and the fields file."""
+def write_tables(args, header, summary, fields=None, fit=None) -> None:
+    """Summary table under ``header``, (header, rows) field table and fit
+    block: one JSON document, or CSV with '# fit_*' comments and the
+    fields file."""
     if args.format == "json":
-        doc = {"summary": [dict(zip(SUMMARY_COLUMNS, map(_json_val, row)))
+        doc = {"summary": [dict(zip(header, map(_json_val, row)))
                            for row in summary]}
         if fields is not None:
-            header, rows = fields
-            doc["fields"] = [dict(zip(header, map(_json_val, row)))
-                             for row in rows]
+            field_header, field_rows = fields
+            doc["fields"] = [dict(zip(field_header, map(_json_val, row)))
+                             for row in field_rows]
         if fit is not None:
             doc["fit"] = fit
         write_json(args.out, doc)
         return
     comments = [f"fit_{key}: {v if isinstance(v, str) else _fmt(v)}"
                 for key, v in (fit or {}).items()]
-    write_csv(args.out, SUMMARY_COLUMNS, summary, comments=comments)
+    write_csv(args.out, header, summary, comments=comments)
     if fields is not None and args.out is not None:
         write_csv(fields_path(args.out), *fields)
 
@@ -285,33 +283,22 @@ def write_tables(args, summary, fields=None, fit=None) -> None:
 
 def cmd_spectrogram(args) -> int:
     kernel, region, scales = kernel_region_scales(args, region_required=True)
-
-    def run_one(scale):
-        return dilation_snapshot(kernel, region, scale,
-                                 node_cap=args.node_cap,
-                                 nodes_per_unit=args.nodes_per_unit,
-                                 n_per_axis=args.n, margin=args.margin,
-                                 eval_spacing=args.eval_spacing)
-
-    with ThreadPoolExecutor(max_workers=worker_count(len(scales))) as pool:
-        results = list(pool.map(run_one, scales))
-
-    summary = []
-    for row, _ in results:
-        summary.append((row.scale, row.trace, row.n_count, row.trace, None,
-                        None, None, row.err_raw, row.err_normalized,
-                        row.tail_mass))
-
+    rows = l1_convergence_study(kernel, region, scales, node_cap=args.node_cap,
+                                nodes_per_unit=args.nodes_per_unit,
+                                n_per_axis=args.n, margin=args.margin,
+                                eval_spacing=args.eval_spacing)
+    summary = [(row.scale, row.trace, row.n_count, row.err_raw,
+                row.err_normalized, row.tail_mass) for row in rows]
     field_header = ("R", *[f"x{k + 1}" for k in range(kernel.ambient_dim)],
                     "rho", "target")
     field_rows = []
-    for (row, fld) in results:
-        nodes = fld.eval_grid.nodes
-        target = kernel.diagonal_value * fld.eval_grid.inside_base()
-        for i in range(nodes.shape[0]):
-            field_rows.append((row.scale, *nodes[i], fld.rho[i], target[i]))
-
-    write_tables(args, summary, fields=(field_header, field_rows))
+    for row in rows:
+        grid = row.field.eval_grid
+        target = kernel.diagonal_value * grid.inside_base()
+        field_rows += [(row.scale, *node, rho, t) for node, rho, t
+                       in zip(grid.nodes, row.field.rho, target)]
+    write_tables(args, SPECTROGRAM_COLUMNS, summary,
+                 fields=(field_header, field_rows))
     return 0
 
 
@@ -320,8 +307,8 @@ def cmd_variance(args) -> int:
     points = hyperuniformity_curve(
         kernel, region, scales, spectral=args.spectral, node_cap=args.node_cap,
         nodes_per_unit=args.nodes_per_unit, n_per_axis=args.n)
-    summary = [(p.scale, None, None, p.e_count, p.var_spectral, p.var_radial,
-                p.ratio, None, None, None) for p in points]
+    summary = [(p.scale, p.e_count, p.var_spectral, p.var_radial, p.ratio)
+               for p in points]
 
     fit = None
     if isinstance(kernel, PaleyWienerKernel) and isinstance(region, Ball):
@@ -336,7 +323,7 @@ def cmd_variance(args) -> int:
         except FitRangeError as exc:
             fit = {"warning": str(exc)}
 
-    write_tables(args, summary, fit=fit)
+    write_tables(args, VARIANCE_COLUMNS, summary, fit=fit)
     return 0
 
 

@@ -75,9 +75,6 @@ class Box:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.all((pts > self.lower) & (pts < self.upper), axis=1)
 
-    def contains(self, point) -> bool:
-        return bool(self.contains_points(np.asarray(point, dtype=float))[0])
-
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         below = self.lower - pts
@@ -122,9 +119,6 @@ class Ball:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.sum((pts - self.center) ** 2, axis=1) < self.radius ** 2
 
-    def contains(self, point) -> bool:
-        return bool(self.contains_points(np.asarray(point, dtype=float))[0])
-
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.abs(np.linalg.norm(pts - self.center, axis=1) - self.radius)
@@ -156,7 +150,7 @@ class DisjointBallUnion:
             raise ValueError("all balls must share one dimension")
         for i in range(len(balls)):
             for j in range(i + 1, len(balls)):
-                gap = np.linalg.norm(balls[i].center - balls[j].center)
+                gap = math.dist(balls[i].center, balls[j].center)
                 if gap < balls[i].radius + balls[j].radius - 1e-12:
                     raise ValueError(
                         f"balls {i} and {j} overlap "
@@ -177,9 +171,6 @@ class DisjointBallUnion:
         for b in self.balls:
             mask |= b.contains_points(pts)
         return mask
-
-    def contains(self, point) -> bool:
-        return bool(self.contains_points(np.asarray(point, dtype=float))[0])
 
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         return np.min(np.column_stack(

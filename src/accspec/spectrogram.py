@@ -17,6 +17,7 @@ run is resolved enough to trust.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,12 +116,17 @@ def build_eval_grid(kernel: Kernel, region: Region,
     bbox = region.bounding_box()
     lo = bbox.lower - margin
     hi = bbox.upper + margin
-    ns = [max(2, int(np.ceil((hi[k] - lo[k]) / spacing))) for k in range(bbox.dim)]
-    if int(np.prod(ns, dtype=np.int64)) > EVAL_NODE_CAP:
-        raise ResourceLimitError(
-            f"evaluation grid would need {int(np.prod(ns, dtype=np.int64))} nodes, "
-            f"cap is {EVAL_NODE_CAP}"
-        )
+    # node counts in Python floats: a huge span over a tiny spacing reaches
+    # inf, with no overflow error or warning, and still fails the cap
+    counts = [max(2.0, float(np.ceil(float(hi[k] - lo[k]) / spacing)))
+              for k in range(bbox.dim)]
+    n_nodes = math.prod(counts)
+    if n_nodes > EVAL_NODE_CAP:
+        need = (f"{n_nodes:.12g}" if math.isfinite(n_nodes)
+                else f"more than {sys.float_info.max:.3g}")
+        raise ResourceLimitError(f"evaluation grid would need {need} nodes, "
+                                 f"cap is {EVAL_NODE_CAP}")
+    ns = [int(c) for c in counts]
     axes = [lo[k] + (hi[k] - lo[k]) / ns[k] * (np.arange(ns[k]) + 0.5)
             for k in range(bbox.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -157,10 +163,6 @@ class PsiSet:
     @property
     def n_modes(self) -> int:
         return self.values.shape[1]
-
-    def norm_ratios(self) -> np.ndarray:
-        """raw_norms_sq / mu, the per-mode mass captured by E."""
-        return self.raw_norms_sq / self.eigenvalues
 
 
 def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
@@ -333,10 +335,6 @@ class DiagnosticsReport:
     g_l1: float
     checks: tuple
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
 
 def inequality_report(kernel: Kernel, spectral: SpectralData,
                       spectrogram: SpectrogramField, psi: PsiSet,
@@ -385,7 +383,7 @@ def inequality_report(kernel: Kernel, spectral: SpectralData,
 # dilation convergence study
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceRow:
     scale: float
     n_per_axis: int
@@ -396,6 +394,7 @@ class ConvergenceRow:
     tail_mass: float
     saturated: bool
     trace_defect: float
+    field: SpectrogramField
 
 
 def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
@@ -406,11 +405,11 @@ def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
                       eval_spacing: float | None = None):
     """One rung of the dilation ladder: discretize, decompose, compare.
 
-    Returns (ConvergenceRow, SpectrogramField). The window grid aims at
-    ``nodes_per_unit`` per unit length until ``node_cap`` forces the
-    finest grid within it (``saturated``); a fixed ``n_per_axis`` raises
-    ResourceLimitError beyond the cap instead. ``margin`` and
-    ``eval_spacing`` go to ``build_eval_grid``.
+    Returns the scale's ConvergenceRow, whose ``field`` holds rho. The
+    window grid aims at ``nodes_per_unit`` per unit length until
+    ``node_cap`` forces the finest grid within it (``saturated``); a fixed
+    ``n_per_axis`` raises ResourceLimitError beyond the cap instead.
+    ``margin`` and ``eval_spacing`` go to ``build_eval_grid``.
     """
     region = base_region.dilate(float(scale))
     try:
@@ -430,12 +429,12 @@ def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
     target = kernel.diagonal_value * eval_grid.inside_base()
     err_raw = float(np.sum(np.abs(fld.rho - target) * eval_grid.weights))
     err_raw += abs(fld.tail_mass)
-    row = ConvergenceRow(scale=float(scale), n_per_axis=n_axis,
-                         n_count=fld.n_count, trace=fld.trace,
-                         err_raw=err_raw, err_normalized=err_raw / fld.n_count,
-                         tail_mass=fld.tail_mass, saturated=saturated,
-                         trace_defect=abs(spectral.trace - operator.trace))
-    return row, fld
+    return ConvergenceRow(scale=float(scale), n_per_axis=n_axis,
+                          n_count=fld.n_count, trace=fld.trace,
+                          err_raw=err_raw, err_normalized=err_raw / fld.n_count,
+                          tail_mass=fld.tail_mass, saturated=saturated,
+                          trace_defect=abs(spectral.trace - operator.trace),
+                          field=fld)
 
 
 def l1_convergence_study(kernel: Kernel, base_region: Region, scales,
@@ -450,5 +449,5 @@ def l1_convergence_study(kernel: Kernel, base_region: Region, scales,
     scales = [float(s) for s in scales]
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly ascending")
-    return [dilation_snapshot(kernel, base_region, s, **resolution)[0]
+    return [dilation_snapshot(kernel, base_region, s, **resolution)
             for s in scales]

@@ -36,12 +36,16 @@ class FitRangeError(ValueError):
 
 def expected_count(kernel: Kernel, region: Region) -> float:
     """E = diagonal * volume; exact for constant-diagonal kernels. A
-    count below the smallest normal float raises FloatingPointError."""
+    count below the smallest normal float raises FloatingPointError, one
+    beyond the largest float OverflowError."""
     if kernel.ambient_dim != region.dim:
         raise ValueError(
             f"kernel acts on R^{kernel.ambient_dim} but region lives in R^{region.dim}"
         )
     e_count = kernel.diagonal_value * region.volume()
+    if not math.isfinite(e_count):
+        raise OverflowError(f"expected count exceeds the largest float "
+                            f"({sys.float_info.max:.3g})")
     if e_count < sys.float_info.min:
         raise FloatingPointError(
             f"expected count {e_count:.3g} is below the smallest normal "
@@ -160,7 +164,8 @@ def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
     fits the cap with spacing at most a quarter correlation length, else
     at none. The ratio column is the hyperuniformity diagnostic and
     should decay along the ladder. An expected count that underflows
-    raises FloatingPointError naming the scale.
+    raises FloatingPointError, one that overflows OverflowError, each
+    naming the scale.
     """
     if spectral not in ("off", "on", "auto"):
         raise ValueError(f"spectral must be off, on or auto, got {spectral!r}")
@@ -194,8 +199,8 @@ def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
     for scale, window, grid in zip(scales, windows, grids):
         try:
             e_count = expected_count(kernel, window)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"at scale {scale:g}: {exc}") from None
+        except (FloatingPointError, OverflowError) as exc:
+            raise type(exc)(f"at scale {scale:g}: {exc.args[-1]}") from None
         if isinstance(region, Ball):
             var_rad = variance_radial(kernel, scale * region.radius).value
         elif isinstance(region, DisjointBallUnion):

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from accspec import checks, cli
-from accspec.cli import (SUMMARY_COLUMNS, UsageError, main, parse_region,
-                         parse_scale_list)
+from accspec import checks, cli, spectrogram
+from accspec.cli import UsageError, main, parse_region, parse_scale_list
 from accspec.discretize import ResourceLimitError
 from accspec.geometry import Ball, Box, DisjointBallUnion
 from accspec.spectrogram import RankDeficiencyError
@@ -118,10 +117,23 @@ def test_series_divergence_is_numerical_failure(capsys):
     (["variance", "--kernel", "ginibre", "--region", "box:0,0:1,1",
       "--R", "1e200"], 3),
     (["variance", "--kernel", "ginibre", "--R", "1e-200"], 3),
+    (["variance", "--kernel", "ginibre", "--R", "1e154", "--spectral", "off"],
+     3),
+    (["variance", "--kernel", "ginibre", "--cdim", "2", "--R", "1e77",
+      "--spectral", "off"], 3),
+    (["variance", "--kernel", "ginibre", "--region", "union:0,0:1;5,5:1",
+      "--R", "1e154", "--spectral", "off"], 3),
+    (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+      "--R", "1e-200"], 3),
+    (["spectrogram", "--kernel", "ginibre", "--region", "box:0,0:1,1",
+      "--R", "1e-170", "--n", "4"], 3),
 ], ids=["ball-volume-overflow", "radius-power-overflow",
         "window-volume-overflow", "nan-offset", "infinite-scale",
         "radial-panels-beyond-cap", "radial-panels-overflow",
-        "box-volume-overflow", "expected-count-underflow"])
+        "box-volume-overflow", "expected-count-underflow",
+        "expected-count-overflow", "expected-count-overflow-c2",
+        "union-expected-count-overflow", "eval-grid-count-1d",
+        "eval-grid-count-2d"])
 def test_overflow_and_nonfinite_inputs_end_in_one_error_line(argv, code):
     # a subprocess, so that warnings reach stderr as a user would see them
     proc = subprocess.run([sys.executable, "-m", "accspec.cli", *argv],
@@ -163,7 +175,7 @@ def test_rank_deficiency_is_numerical_failure(capsys, monkeypatch):
     def too_few_modes(*args, **kwargs):
         raise RankDeficiencyError("psi set holds 2 modes but N = 3")
 
-    monkeypatch.setattr(cli, "dilation_snapshot", too_few_modes)
+    monkeypatch.setattr(spectrogram, "dilation_snapshot", too_few_modes)
     argv = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
             "--R", "2", "--n", "40"]
     assert main(argv) == 3
@@ -174,7 +186,7 @@ def test_rank_deficiency_is_numerical_failure(capsys, monkeypatch):
 def test_schema_flag(capsys):
     assert main(["--schema"]) == 0
     out = capsys.readouterr().out
-    assert ",".join(SUMMARY_COLUMNS) in out
+    assert SPECTROGRAM_HEADER in out and VARIANCE_HEADER in out
 
 
 @pytest.mark.parametrize("argv", [["--schema"],
@@ -200,11 +212,14 @@ def test_closed_stdout_exits_quietly(argv, unbuffered):
     assert proc.stderr == b""
 
 
-def _read_summary(path):
+# golden schemas: each subcommand's summary header is pinned verbatim
+SPECTROGRAM_HEADER = "R,trace,N,err_raw,err_normalized,tail_mass"
+VARIANCE_HEADER = "R,E_count,var_spectral,var_radial,ratio"
+
+
+def _read_summary(path, golden=VARIANCE_HEADER):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    # golden schema: the summary header is pinned verbatim
-    assert lines[0] == "R,trace,N,E_count,var_spectral,var_radial,ratio," \
-                       "err_raw,err_normalized,tail_mass"
+    assert lines[0] == golden
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     return rows
@@ -216,7 +231,7 @@ def test_spectrogram_csv_run(tmp_path):
             "--R", "2,4,8", "--n", "300", "--margin", "10",
             "--out", str(out)]
     assert main(args) == 0
-    rows = _read_summary(out)
+    rows = _read_summary(out, SPECTROGRAM_HEADER)
     assert len(rows) == 3
     errs = [float(r["err_normalized"]) for r in rows]
     assert errs == sorted(errs, reverse=True)
@@ -245,7 +260,7 @@ def test_spectrogram_json_document(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc) == {"version", "summary", "fields"}
     assert doc["summary"][0]["N"] == 2
-    assert doc["summary"][0]["var_spectral"] is None
+    assert ",".join(doc["summary"][0]) == SPECTROGRAM_HEADER
     node = doc["fields"][0]
     assert set(node) == {"R", "x1", "rho", "target"}
 
@@ -279,6 +294,7 @@ def test_variance_spectral_column_ginibre(tmp_path):
             "--n", "40", "--format", "json", "--out", str(out)]
     assert main(args) == 0
     row = json.loads(out.read_text())["summary"][0]
+    assert ",".join(row) == VARIANCE_HEADER
     assert row["var_spectral"] is not None
     assert row["var_spectral"] == approx(row["var_radial"], rel=0.02)
 
@@ -334,16 +350,6 @@ def test_check_subcommand_fault_injection(capsys, monkeypatch):
 def test_check_reports_c_delta(capsys):
     assert main(["check", "--delta", "0.5"]) == 0
     assert "Cdelta2" in capsys.readouterr().out
-
-
-def test_thread_cap_does_not_change_output(tmp_path, monkeypatch):
-    args = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
-            "--R", "2,4", "--n", "120", "--margin", "6"]
-    monkeypatch.setenv("ACC_SPECGRAM_THREADS", "3")
-    assert main(args + ["--out", str(tmp_path / "p3.csv")]) == 0
-    monkeypatch.setenv("ACC_SPECGRAM_THREADS", "1")
-    assert main(args + ["--out", str(tmp_path / "p1.csv")]) == 0
-    assert (tmp_path / "p3.csv").read_bytes() == (tmp_path / "p1.csv").read_bytes()
 
 
 def test_union_region_variance_columns(tmp_path):
@@ -501,3 +507,17 @@ def test_eval_grid_beyond_cap_is_numerical_failure(capsys):
     assert main(argv) == 3
     assert capsys.readouterr().err == (
         "error: evaluation grid would need 1640000 nodes, cap is 400000\n")
+
+
+@pytest.mark.parametrize("argv, need", [
+    (["--kernel", "sine", "--region", "interval:-1,1", "--R", "1e-200"],
+     "1.6e+202"),
+    (["--kernel", "ginibre", "--region", "box:0,0:1,1", "--R", "1e-170",
+      "--n", "4"], "more than 1.8e+308"),
+], ids=["1d", "2d-beyond-float-range"])
+def test_tiny_window_gets_the_eval_grid_cap_message(argv, need, capsys):
+    # the margin dwarfs the window: the node count must not overflow
+    # before it is compared with the cap
+    assert main(["spectrogram", *argv]) == 3
+    assert capsys.readouterr().err == (
+        f"error: evaluation grid would need {need} nodes, cap is 400000\n")

@@ -48,16 +48,16 @@ def test_ball_dilation_scaling_law():
 
 def test_box_contains_origin():
     box = Box(-np.ones(3), np.ones(3))
-    assert box.contains(np.zeros(3))
-    assert not box.contains(np.array([0.0, 0.0, 1.5]))
+    assert box.contains_points(np.zeros(3))[0]
+    assert not box.contains_points(np.array([0.0, 0.0, 1.5]))[0]
 
 
 def test_union_volume_additive():
     union = DisjointBallUnion((Ball(np.array([0.0]), 1.0),
                                Ball(np.array([3.0]), 1.0)))
     assert union.volume() == approx(4.0)
-    assert union.contains(np.array([3.2]))
-    assert not union.contains(np.array([1.5]))
+    assert union.contains_points(np.array([3.2]))[0]
+    assert not union.contains_points(np.array([1.5]))[0]
 
 
 def test_union_rejects_overlap():
