@@ -133,8 +133,11 @@ def _orders(piece, n: int) -> tuple:
     return (nr, k) + (math.floor((sphere / k) ** (1 / (d - 2))),) * (d - 2)
 
 
-def _node_count(region: Region, n: int) -> int:
-    return sum(math.prod(_orders(p, m)) for p, m in _pieces(region, n))
+def _node_count(region: Region, n: int) -> float:
+    try:
+        return sum(math.prod(_orders(p, m)) for p, m in _pieces(region, n))
+    except OverflowError:  # a ball's (n/2)^d beyond the float range
+        return math.inf
 
 
 def _product(rules):
@@ -351,10 +354,13 @@ def spectral_decompose(operator: OperatorMatrix) -> SpectralData:
     factor, residual_trace = _pivoted_cholesky(operator)
     k = factor.shape[0]
     q, r = np.linalg.qr(factor.T)
-    # near full rank the factor is as large as a dense operator
+    # near full rank the factor is as large as a dense operator, and R
+    # and its Gram matrix are k x k each: keep one of them at a time
     del factor
+    gram = r @ r.conj().T
+    del r
     try:
-        vals, small_vecs = np.linalg.eigh(r @ r.conj().T)
+        vals, small_vecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
         raise SpectralSolverError(
             f"eigendecomposition failed for rank {k} factor of size {n} "

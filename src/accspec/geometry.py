@@ -113,7 +113,12 @@ class Ball:
         return self.center.size
 
     def volume(self) -> float:
-        return unit_ball_volume(self.dim) * self.radius ** self.dim
+        # a float power raises OverflowError where Box.volume's product
+        # reaches inf: return inf too, so both windows share one message
+        try:
+            return unit_ball_volume(self.dim) * self.radius ** self.dim
+        except OverflowError:
+            return math.inf
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

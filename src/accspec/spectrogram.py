@@ -32,12 +32,20 @@ from .kernels import Kernel
 
 MU_FLOOR = 1e-12
 EVAL_NODE_CAP = 400_000
-_CHUNK = 4096
+# entries per evaluation-grid kernel block: a complex block of 2^16
+# entries (1 MB) and eval_matrix's temporaries stay in cache, where a
+# fixed row count would stream every elementwise pass through memory
+_BLOCK_ENTRIES = 1 << 16
 _COUNT_TIE_TOL = 1e-9
 
 
 class RankDeficiencyError(RuntimeError):
     """More Psi modes were requested than the spectrum supports."""
+
+
+def _block_rows(n_nodes: int) -> int:
+    """Evaluation rows per kernel block against ``n_nodes`` window nodes."""
+    return max(1, _BLOCK_ENTRIES // max(1, n_nodes))
 
 
 def count_n(trace: float) -> int:
@@ -167,7 +175,13 @@ class PsiSet:
 
 def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
                 j_max: int | None = None) -> PsiSet:
-    """Quadrature images of the leading eigenfunctions, unit-normalized on E."""
+    """Quadrature images of the leading eigenfunctions, unit-normalized on E.
+
+    The M x n kernel block between the M evaluation nodes and the n window
+    nodes is evaluated a few rows at a time, at most ``_BLOCK_ENTRIES``
+    entries per block, so the working memory is O(_BLOCK_ENTRIES + M k)
+    for k = ``j_max`` modes.
+    """
     mu = spectral.eigenvalues_clamped
     n_above = int(np.sum(mu > MU_FLOOR))
     if j_max is None:
@@ -184,11 +198,14 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
     scaled_vecs = np.sqrt(lam.weights)[:, None] * spectral.vectors[:, :j_max]
     pts = eval_grid.nodes
     w_e = eval_grid.weights
-    chunks = []
-    for start in range(0, pts.shape[0], _CHUNK):
-        block = kernel.eval_matrix(pts[start:start + _CHUNK], lam.nodes)
-        chunks.append(block @ scaled_vecs)
-    raw = np.concatenate(chunks, axis=0)
+    rows = _block_rows(lam.n_nodes)
+    raw = None
+    for start in range(0, pts.shape[0], rows):
+        block = kernel.eval_matrix(pts[start:start + rows], lam.nodes)
+        if raw is None:
+            raw = np.empty((pts.shape[0], j_max),
+                           np.result_type(block, scaled_vecs))
+        np.matmul(block, scaled_vecs, out=raw[start:start + rows])
     norms_sq = np.real(np.sum(np.abs(raw) ** 2 * w_e[:, None], axis=0))
     if np.any(norms_sq <= 0):
         raise RankDeficiencyError("a mode image vanished on the evaluation grid")
@@ -252,12 +269,18 @@ def inner_product_spectral(psi: PsiSet):
 
 def inner_product_direct(kernel: Kernel, lambda_grid: QuadratureGrid,
                          points: np.ndarray) -> np.ndarray:
-    """Window integral of |K(x, .)|^2 by quadrature on the window grid."""
+    """Window integral of |K(x, .)|^2 by quadrature on the window grid.
+
+    The kernel block is evaluated in row blocks of at most
+    ``_BLOCK_ENTRIES`` entries, so the working memory is
+    O(_BLOCK_ENTRIES + M) for M points, whatever the window size.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], _CHUNK):
-        block = kernel.eval_matrix(points[start:start + _CHUNK], lambda_grid.nodes)
-        out[start:start + _CHUNK] = np.abs(block) ** 2 @ lambda_grid.weights
+    rows = _block_rows(lambda_grid.n_nodes)
+    for start in range(0, points.shape[0], rows):
+        block = kernel.eval_matrix(points[start:start + rows], lambda_grid.nodes)
+        out[start:start + rows] = np.abs(block) ** 2 @ lambda_grid.weights
     return out
 
 
@@ -291,7 +314,10 @@ def defect_g(kernel: Kernel, lambda_grid: QuadratureGrid,
     The L1 norm over all space splits into the part computed on E plus
     the mass of the direct integral lying beyond E, which is known
     exactly from the trace identity (the integral of G off E is the
-    off-E mass of the window integral, up to sign).
+    off-E mass of the window integral, up to sign). The window integral
+    comes from ``inner_product_direct`` in kernel blocks of at most
+    ``_BLOCK_ENTRIES`` entries: O(_BLOCK_ENTRIES + M) working memory on
+    M evaluation nodes.
     """
     ipd = inner_product_direct(kernel, lambda_grid, eval_grid.nodes)
     inside = eval_grid.inside_base()

@@ -127,13 +127,15 @@ def test_series_divergence_is_numerical_failure(capsys):
       "--R", "1e-200"], 3),
     (["spectrogram", "--kernel", "ginibre", "--region", "box:0,0:1,1",
       "--R", "1e-170", "--n", "4"], 3),
+    (["spectrogram", "--kernel", "ginibre", "--region", "ball:0,0:1",
+      "--R", "1e200"], 3),
 ], ids=["ball-volume-overflow", "radius-power-overflow",
         "window-volume-overflow", "nan-offset", "infinite-scale",
         "radial-panels-beyond-cap", "radial-panels-overflow",
         "box-volume-overflow", "expected-count-underflow",
         "expected-count-overflow", "expected-count-overflow-c2",
         "union-expected-count-overflow", "eval-grid-count-1d",
-        "eval-grid-count-2d"])
+        "eval-grid-count-2d", "spectrogram-window-volume-overflow"])
 def test_overflow_and_nonfinite_inputs_end_in_one_error_line(argv, code):
     # a subprocess, so that warnings reach stderr as a user would see them
     proc = subprocess.run([sys.executable, "-m", "accspec.cli", *argv],
@@ -521,3 +523,18 @@ def test_tiny_window_gets_the_eval_grid_cap_message(argv, need, capsys):
     assert main(["spectrogram", *argv]) == 3
     assert capsys.readouterr().err == (
         f"error: evaluation grid would need {need} nodes, cap is 400000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["variance", "--kernel", "ginibre", "--R", "1e200"],
+    ["variance", "--kernel", "ginibre", "--region", "box:0,0:1,1",
+     "--R", "1e200"],
+    # 40 nodes per unit on a disk of radius 1e200: the node count
+    # overflows before the grid is coarsened to the node cap
+    ["spectrogram", "--kernel", "ginibre", "--region", "ball:0,0:1",
+     "--R", "1e200"],
+], ids=["ball", "box", "ball-spectrogram"])
+def test_window_volume_overflow_names_the_window_volume(argv, capsys):
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: float overflow: window volume exceeds the float range\n")

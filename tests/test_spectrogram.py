@@ -1,16 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from pytest import approx
 
-from accspec.discretize import QuadratureGrid
-from accspec.geometry import Box
+from accspec import spectrogram
+from accspec.discretize import (QuadratureGrid, assemble_operator,
+                                build_grid, spectral_decompose)
+from accspec.geometry import Ball, Box
 from helpers import synthetic_spectral
 from accspec.kernels import GinibreKernel, sine_kernel
 from accspec.spectrogram import (RankDeficiencyError,
                                  accumulated_spectrogram, build_eval_grid,
                                  c_delta, compute_psi, count_n, count_n_delta,
+                                 defect_g,
                                  inequality_report, inner_product_direct,
                                  inner_product_spectral,
                                  l1_convergence_study)
@@ -136,11 +140,50 @@ def test_inner_product_empty_window():
 
 def test_ginibre_center_inner_product():
     k = GinibreKernel(1)
-    from accspec.discretize import build_grid
-    from accspec.geometry import Ball
     grid = build_grid(Ball(np.zeros(2), 3.0), 48)
     value = inner_product_direct(k, grid, np.zeros((1, 2)))[0]
     assert value == approx(1.0, rel=1e-3)
+
+
+@pytest.fixture(scope="module")
+def ginibre_disk_fields():
+    """Ginibre unit disk: n = 1240 window nodes, M = 1600 eval nodes."""
+    kernel = GinibreKernel(1)
+    region = Ball(np.zeros(2), 1.0)
+    grid = build_grid(region, 40)
+    spectral = spectral_decompose(assemble_operator(kernel, grid))
+    eval_grid = build_eval_grid(kernel, region, margin=1.0, spacing=0.1)
+    assert (grid.n_nodes, eval_grid.nodes.shape[0]) == (1240, 1600)
+    return kernel, grid, spectral, eval_grid
+
+
+def test_field_memory_is_bounded_by_the_block_budget(ginibre_disk_fields):
+    # one whole M x n complex block would take 32 MB, its temporaries more
+    kernel, grid, spectral, eval_grid = ginibre_disk_fields
+    tracemalloc.start()
+    try:
+        compute_psi(kernel, spectral, eval_grid)
+        defect_g(kernel, grid, eval_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("budget", ["one-row", "whole-grid"])
+def test_fields_do_not_depend_on_the_block_size(ginibre_disk_fields,
+                                                monkeypatch, budget):
+    kernel, grid, spectral, eval_grid = ginibre_disk_fields
+    n_modes = count_n(spectral.trace)
+    psi = compute_psi(kernel, spectral, eval_grid, j_max=n_modes).values
+    ipd = inner_product_direct(kernel, grid, eval_grid.nodes)
+    entries = grid.n_nodes * (1 if budget == "one-row"
+                              else eval_grid.nodes.shape[0])
+    monkeypatch.setattr(spectrogram, "_BLOCK_ENTRIES", entries)
+    psi_b = compute_psi(kernel, spectral, eval_grid, j_max=n_modes).values
+    ipd_b = inner_product_direct(kernel, grid, eval_grid.nodes)
+    assert np.abs(psi_b - psi).max() <= 1e-13 * np.abs(psi).max()
+    assert np.abs(ipd_b - ipd).max() <= 1e-13 * ipd.max()
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +276,6 @@ def test_l1_study_reports_saturation():
 def test_ginibre_disk_bulk_density():
     # unit-diagonal kernel: rho plateaus at 1 well inside the window
     kernel = GinibreKernel(1)
-    from accspec.discretize import build_grid, assemble_operator, \
-        spectral_decompose
-    from accspec.geometry import Ball
     region = Ball(np.zeros(2), 2.0)
     grid = build_grid(region, 40)
     spectral = spectral_decompose(assemble_operator(kernel, grid))
