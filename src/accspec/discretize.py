@@ -302,13 +302,14 @@ def _pivoted_cholesky(operator: OperatorMatrix) -> tuple[np.ndarray, float]:
     """Greedy diagonal-pivoted Cholesky of the operator, column by column.
 
     Returns (F, residual_trace) with A ~= F.T @ F.conj(): row j of F is
-    column j of the factor L in A ~= L L^*. Each step pivots on the
-    largest residual diagonal entry (the first on ties), evaluates that
-    column of A and takes the Schur complement's, O(n k) work. It stops
-    once the residual diagonal sums to at most ``_RESIDUAL_TRACE_TOL``
-    times the trace; the residual is PSD, so that sum also bounds its
-    norm. A row buffer beyond ``_FACTOR_BYTE_BUDGET`` raises
-    ResourceLimitError before it is allocated.
+    column j of the factor L in A ~= L L^*, and F is a k x n array of its
+    own. Each step pivots on the largest residual diagonal entry (the
+    first on ties), evaluates that column of A and takes the Schur
+    complement's, O(n k) work. It stops once the residual diagonal sums
+    to at most ``_RESIDUAL_TRACE_TOL`` times the trace; the residual is
+    PSD, so that sum also bounds its norm. A row buffer beyond
+    ``_FACTOR_BYTE_BUDGET`` raises ResourceLimitError before it is
+    allocated.
     """
     n = operator.grid.n_nodes
     diag = operator.diagonal()
@@ -334,7 +335,10 @@ def _pivoted_cholesky(operator: OperatorMatrix) -> tuple[np.ndarray, float]:
         rows[k] = col
         diag -= col.real ** 2 + col.imag ** 2
         k += 1
-    return rows[:k], float(diag.sum())
+    # a view rows[:k] would keep the whole buffer, up to 2k rows, alive
+    if k < rows.shape[0]:
+        rows = rows[:k].copy()
+    return rows, float(diag.sum())
 
 
 def spectral_decompose(operator: OperatorMatrix) -> SpectralData:

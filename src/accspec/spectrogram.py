@@ -12,13 +12,19 @@ modes, N being the upper integer part of the trace. This module builds
 those fields on an evaluation grid, together with the defect field G,
 the near-1 eigenvalue counts, and the inequality suite that certifies a
 run is resolved enough to trust.
+
+Psi and G both read the kernel between the evaluation grid and the
+window: Psi through the image sum above, G through the window integral
+int_Lambda |K(x,y)|^2 dy. Each evaluation-grid kernel block is
+evaluated once and feeds both; ``compute_psi`` leaves the window
+integral on the EvalGrid for ``defect_g``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +91,9 @@ class EvalGrid:
     grid: QuadratureGrid
     base_region: Region
     margin: float
+    # (kernel, window grid, window integral) of the last compute_psi
+    _window_integral: tuple | None = field(default=None, init=False,
+                                           repr=False)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -173,6 +182,31 @@ class PsiSet:
         return self.values.shape[1]
 
 
+def _kernel_pass(kernel: Kernel, lambda_grid: QuadratureGrid,
+                 points: np.ndarray, scaled_vecs: np.ndarray | None = None):
+    """One pass over the kernel block between ``points`` and the window.
+
+    The M x n block is evaluated ``_block_rows(n)`` rows at a time, and
+    each block gives the window integral int_Lambda |K(x,y)|^2 dy of its
+    rows and, if ``scaled_vecs`` is given, the images ``block @
+    scaled_vecs``. Returns (images or None, window integral).
+    """
+    m = points.shape[0]
+    window = np.empty(m)
+    images = None
+    rows = _block_rows(lambda_grid.n_nodes)
+    for start in range(0, m, rows):
+        block = kernel.eval_matrix(points[start:start + rows],
+                                   lambda_grid.nodes)
+        if scaled_vecs is not None:
+            if images is None:
+                images = np.empty((m, scaled_vecs.shape[1]),
+                                  np.result_type(block, scaled_vecs))
+            np.matmul(block, scaled_vecs, out=images[start:start + rows])
+        window[start:start + rows] = np.abs(block) ** 2 @ lambda_grid.weights
+    return images, window
+
+
 def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
                 j_max: int | None = None) -> PsiSet:
     """Quadrature images of the leading eigenfunctions, unit-normalized on E.
@@ -180,7 +214,10 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
     The M x n kernel block between the M evaluation nodes and the n window
     nodes is evaluated a few rows at a time, at most ``_BLOCK_ENTRIES``
     entries per block, so the working memory is O(_BLOCK_ENTRIES + M k)
-    for k = ``j_max`` modes.
+    for k = ``j_max`` modes. Each block also gives its rows' window
+    integral, which is left on ``eval_grid`` with the kernel and window
+    grid it came from, so that ``defect_g`` need not evaluate the block
+    again.
     """
     mu = spectral.eigenvalues_clamped
     n_above = int(np.sum(mu > MU_FLOOR))
@@ -196,16 +233,9 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
 
     lam = spectral.grid
     scaled_vecs = np.sqrt(lam.weights)[:, None] * spectral.vectors[:, :j_max]
-    pts = eval_grid.nodes
     w_e = eval_grid.weights
-    rows = _block_rows(lam.n_nodes)
-    raw = None
-    for start in range(0, pts.shape[0], rows):
-        block = kernel.eval_matrix(pts[start:start + rows], lam.nodes)
-        if raw is None:
-            raw = np.empty((pts.shape[0], j_max),
-                           np.result_type(block, scaled_vecs))
-        np.matmul(block, scaled_vecs, out=raw[start:start + rows])
+    raw, window = _kernel_pass(kernel, lam, eval_grid.nodes, scaled_vecs)
+    eval_grid._window_integral = (kernel, lam, window)
     norms_sq = np.real(np.sum(np.abs(raw) ** 2 * w_e[:, None], axis=0))
     if np.any(norms_sq <= 0):
         raise RankDeficiencyError("a mode image vanished on the evaluation grid")
@@ -273,15 +303,12 @@ def inner_product_direct(kernel: Kernel, lambda_grid: QuadratureGrid,
 
     The kernel block is evaluated in row blocks of at most
     ``_BLOCK_ENTRIES`` entries, so the working memory is
-    O(_BLOCK_ENTRIES + M) for M points, whatever the window size.
+    O(_BLOCK_ENTRIES + M) for M points, whatever the window size. The
+    blocks and the arithmetic are those of ``compute_psi``'s pass, so on
+    an evaluation grid both give the same array bit for bit.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty(points.shape[0])
-    rows = _block_rows(lambda_grid.n_nodes)
-    for start in range(0, points.shape[0], rows):
-        block = kernel.eval_matrix(points[start:start + rows], lambda_grid.nodes)
-        out[start:start + rows] = np.abs(block) ** 2 @ lambda_grid.weights
-    return out
+    return _kernel_pass(kernel, lambda_grid, points)[1]
 
 
 @dataclass(eq=False)
@@ -315,11 +342,16 @@ def defect_g(kernel: Kernel, lambda_grid: QuadratureGrid,
     the mass of the direct integral lying beyond E, which is known
     exactly from the trace identity (the integral of G off E is the
     off-E mass of the window integral, up to sign). The window integral
-    comes from ``inner_product_direct`` in kernel blocks of at most
-    ``_BLOCK_ENTRIES`` entries: O(_BLOCK_ENTRIES + M) working memory on
-    M evaluation nodes.
+    is the one ``compute_psi`` left on ``eval_grid`` when it ran with
+    this very kernel and window grid (compared by identity); otherwise
+    it is evaluated here, in kernel blocks of at most ``_BLOCK_ENTRIES``
+    entries: O(_BLOCK_ENTRIES + M) working memory on M evaluation nodes.
     """
-    ipd = inner_product_direct(kernel, lambda_grid, eval_grid.nodes)
+    memo = eval_grid._window_integral
+    if memo is not None and memo[0] is kernel and memo[1] is lambda_grid:
+        ipd = memo[2]
+    else:
+        ipd = inner_product_direct(kernel, lambda_grid, eval_grid.nodes)
     inside = eval_grid.inside_base()
     g = kernel.diagonal_value * inside - ipd
     l1 = float(np.sum(np.abs(g) * eval_grid.weights))

@@ -196,6 +196,17 @@ def test_factor_byte_budget_checked_before_allocation(monkeypatch):
     assert 64 * n * 8 <= peak < 128 * n * 8
 
 
+def test_pivoted_cholesky_factor_is_compact():
+    # PW d=2 on a disk of radius 5 has rank above 64, so the factor's row
+    # buffer grows past the rank; a view of it would keep the whole buffer
+    grid = build_grid(Ball(np.zeros(2), 5.0), 40)
+    op = assemble_operator(PaleyWienerKernel(2), grid)
+    factor, _ = discretize._pivoted_cholesky(op)
+    k = spectral_decompose(op).vectors.shape[1]
+    assert factor.shape == (k, grid.n_nodes)
+    assert factor.flags.owndata and factor.base is None
+
+
 def test_dimension_mismatch_rejected():
     grid = build_grid(Box(np.array([0.0]), np.array([1.0])), 4)
     with pytest.raises(ValueError):
