@@ -289,16 +289,20 @@ def cmd_spectrogram(args) -> int:
                                 eval_spacing=args.eval_spacing)
     summary = [(row.scale, row.trace, row.n_count, row.err_raw,
                 row.err_normalized, row.tail_mass) for row in rows]
-    field_header = ("R", *[f"x{k + 1}" for k in range(kernel.ambient_dim)],
-                    "rho", "target")
-    field_rows = []
-    for row in rows:
-        grid = row.field.eval_grid
-        target = kernel.diagonal_value * grid.inside_base()
-        field_rows += [(row.scale, *node, rho, t) for node, rho, t
-                       in zip(grid.nodes, row.field.rho, target)]
-    write_tables(args, SPECTROGRAM_COLUMNS, summary,
-                 fields=(field_header, field_rows))
+    fields = None
+    # the per-node rows go only to JSON and to the --out fields file
+    if args.format == "json" or args.out is not None:
+        field_header = ("R", *[f"x{k + 1}"
+                               for k in range(kernel.ambient_dim)],
+                        "rho", "target")
+        field_rows = []
+        for row in rows:
+            grid = row.field.eval_grid
+            target = kernel.diagonal_value * grid.inside_base()
+            field_rows += [(row.scale, *node, rho, t) for node, rho, t
+                           in zip(grid.nodes, row.field.rho, target)]
+        fields = (field_header, field_rows)
+    write_tables(args, SPECTROGRAM_COLUMNS, summary, fields=fields)
     return 0
 
 

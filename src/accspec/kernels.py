@@ -128,6 +128,16 @@ class Kernel:
     def eval_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def axis_factors(self, axes, ys: np.ndarray) -> list[np.ndarray] | None:
+        """Per-axis tables F_k of shape (len(axes[k]), n) for n points ys.
+
+        On the product lattice of ``axes`` (one coordinate array per real
+        axis), K(x, y) = prod_k F_k[i_k(x), y], where i_k(x) indexes x's
+        k-th coordinate in ``axes[k]``. None when the kernel does not
+        factor over the axes; callers then use ``eval_matrix``.
+        """
+        return None
+
     def radial_profile(self, r) -> np.ndarray | float:
         """phi(r) = |K(x,y)|^2 for any pair with |x-y| = r."""
         raise NotImplementedError
@@ -188,6 +198,29 @@ class GinibreKernel(Kernel):
         zn = 0.5 * np.sum(np.abs(z) ** 2, axis=1)
         wn = 0.5 * np.sum(np.abs(w) ** 2, axis=1)
         return np.exp(math.pi * (cross - zn[:, None] - wn[None, :]))
+
+    def axis_factors(self, axes, ys: np.ndarray) -> list[np.ndarray]:
+        """Exact per-axis factors: with z = s + it and w = u + iv,
+
+            K(z, w) = exp(-pi (s-u)^2/2 - i pi s v)
+                      * exp(-pi (t-v)^2/2 + i pi t u),
+
+        and for complex_dim 2 the product of one such pair per complex
+        coordinate. Axis k pairs with axis k ^ 1, its complex partner.
+        """
+        ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        if len(axes) != self.ambient_dim or ys.shape[1] != self.ambient_dim:
+            raise ValueError(
+                f"need {self.ambient_dim} axes and points in "
+                f"R^{self.ambient_dim}, got {len(axes)} and {ys.shape}")
+        tables = []
+        for k, axis in enumerate(axes):
+            a = np.asarray(axis, dtype=float)[:, None]
+            # -pi s v on a real axis, +pi t u on an imaginary one
+            phase = (math.pi if k % 2 else -math.pi) * (a * ys[:, k ^ 1])
+            tables.append(np.exp(-0.5 * math.pi * (a - ys[:, k]) ** 2
+                                 + 1j * phase))
+        return tables
 
     def radial_profile(self, r):
         r = np.asarray(r, dtype=float)

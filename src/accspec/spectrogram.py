@@ -16,8 +16,13 @@ run is resolved enough to trust.
 Psi and G both read the kernel between the evaluation grid and the
 window: Psi through the image sum above, G through the window integral
 int_Lambda |K(x,y)|^2 dy. Each evaluation-grid kernel block is
-evaluated once and feeds both; ``compute_psi`` leaves the window
-integral on the EvalGrid for ``defect_g``.
+built once and feeds both; ``compute_psi`` leaves the window integral
+on the EvalGrid for ``defect_g``. The evaluation grid is a uniform
+product lattice, and a kernel that factors exactly over the real axes
+(``Kernel.axis_factors``: the Ginibre kernel) builds each block from
+per-axis tables, with no ``exp`` per entry; other kernels call
+``eval_matrix``. ``inner_product_direct`` always calls ``eval_matrix``
+and is the independent reference for the lattice route.
 """
 
 from __future__ import annotations
@@ -91,6 +96,8 @@ class EvalGrid:
     grid: QuadratureGrid
     base_region: Region
     margin: float
+    # per-axis coordinates; the nodes are their product in C order
+    axes: tuple
     # (kernel, window grid, window integral) of the last compute_psi
     _window_integral: tuple | None = field(default=None, init=False,
                                            repr=False)
@@ -153,7 +160,8 @@ def build_eval_grid(kernel: Kernel, region: Region,
     quad = QuadratureGrid(region=Box(lo, hi), nodes=nodes, weights=weights,
                           spacing=np.array([(hi[k] - lo[k]) / ns[k]
                                             for k in range(bbox.dim)]))
-    return EvalGrid(grid=quad, base_region=region, margin=float(margin))
+    return EvalGrid(grid=quad, base_region=region, margin=float(margin),
+                    axes=tuple(axes))
 
 
 # ---------------------------------------------------------------------------
@@ -183,27 +191,41 @@ class PsiSet:
 
 
 def _kernel_pass(kernel: Kernel, lambda_grid: QuadratureGrid,
-                 points: np.ndarray, scaled_vecs: np.ndarray | None = None):
+                 points: np.ndarray, scaled_vecs: np.ndarray | None = None,
+                 axes: tuple | None = None):
     """One pass over the kernel block between ``points`` and the window.
 
-    The M x n block is evaluated ``_block_rows(n)`` rows at a time, and
-    each block gives the window integral int_Lambda |K(x,y)|^2 dy of its
-    rows and, if ``scaled_vecs`` is given, the images ``block @
-    scaled_vecs``. Returns (images or None, window integral).
+    The M x n block is built ``_block_rows(n)`` rows at a time, and each
+    block gives the window integral int_Lambda |K(x,y)|^2 dy of its rows
+    and, if ``scaled_vecs`` is given, the images ``block @ scaled_vecs``.
+    When ``points`` are the product lattice of ``axes`` and the kernel
+    gives ``axis_factors`` for them, each block is the product of the
+    factor rows of its nodes: one complex multiply per entry and axis
+    beyond the first, and no ``exp``. Otherwise each block comes from
+    ``eval_matrix``. Returns (images or None, window integral).
     """
     m = points.shape[0]
     window = np.empty(m)
     images = None
     rows = _block_rows(lambda_grid.n_nodes)
+    factors = (None if axes is None
+               else kernel.axis_factors(axes, lambda_grid.nodes))
     for start in range(0, m, rows):
-        block = kernel.eval_matrix(points[start:start + rows],
-                                   lambda_grid.nodes)
+        stop = min(start + rows, m)
+        if factors is None:
+            block = kernel.eval_matrix(points[start:stop], lambda_grid.nodes)
+        else:
+            index = np.unravel_index(np.arange(start, stop),
+                                     [len(axis) for axis in axes])
+            block = factors[0][index[0]]
+            for table, i in zip(factors[1:], index[1:]):
+                block *= table[i]
         if scaled_vecs is not None:
             if images is None:
                 images = np.empty((m, scaled_vecs.shape[1]),
                                   np.result_type(block, scaled_vecs))
-            np.matmul(block, scaled_vecs, out=images[start:start + rows])
-        window[start:start + rows] = np.abs(block) ** 2 @ lambda_grid.weights
+            np.matmul(block, scaled_vecs, out=images[start:stop])
+        window[start:stop] = np.abs(block) ** 2 @ lambda_grid.weights
     return images, window
 
 
@@ -212,12 +234,14 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
     """Quadrature images of the leading eigenfunctions, unit-normalized on E.
 
     The M x n kernel block between the M evaluation nodes and the n window
-    nodes is evaluated a few rows at a time, at most ``_BLOCK_ENTRIES``
-    entries per block, so the working memory is O(_BLOCK_ENTRIES + M k)
-    for k = ``j_max`` modes. Each block also gives its rows' window
-    integral, which is left on ``eval_grid`` with the kernel and window
-    grid it came from, so that ``defect_g`` need not evaluate the block
-    again.
+    nodes is built a few rows at a time, at most ``_BLOCK_ENTRIES``
+    entries per block, from the kernel's factor tables on the grid's axes
+    when it has them and from ``eval_matrix`` otherwise. The working
+    memory is O(_BLOCK_ENTRIES + M k) for k = ``j_max`` modes, plus
+    O((M_1 + ... + M_d) n) for the factor tables, M_i being the number of
+    nodes on axis i. Each block also gives its rows' window integral,
+    which is left on ``eval_grid`` with the kernel and window grid it
+    came from, so that ``defect_g`` need not build the block again.
     """
     mu = spectral.eigenvalues_clamped
     n_above = int(np.sum(mu > MU_FLOOR))
@@ -234,7 +258,8 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
     lam = spectral.grid
     scaled_vecs = np.sqrt(lam.weights)[:, None] * spectral.vectors[:, :j_max]
     w_e = eval_grid.weights
-    raw, window = _kernel_pass(kernel, lam, eval_grid.nodes, scaled_vecs)
+    raw, window = _kernel_pass(kernel, lam, eval_grid.nodes, scaled_vecs,
+                               eval_grid.axes)
     eval_grid._window_integral = (kernel, lam, window)
     norms_sq = np.real(np.sum(np.abs(raw) ** 2 * w_e[:, None], axis=0))
     if np.any(norms_sq <= 0):
@@ -301,11 +326,13 @@ def inner_product_direct(kernel: Kernel, lambda_grid: QuadratureGrid,
                          points: np.ndarray) -> np.ndarray:
     """Window integral of |K(x, .)|^2 by quadrature on the window grid.
 
-    The kernel block is evaluated in row blocks of at most
-    ``_BLOCK_ENTRIES`` entries, so the working memory is
+    The kernel block is evaluated by ``eval_matrix`` in row blocks of at
+    most ``_BLOCK_ENTRIES`` entries, so the working memory is
     O(_BLOCK_ENTRIES + M) for M points, whatever the window size. The
-    blocks and the arithmetic are those of ``compute_psi``'s pass, so on
-    an evaluation grid both give the same array bit for bit.
+    points need not form a lattice, and the factor tables are never used:
+    this is the independent reference for the window integral that
+    ``compute_psi`` and ``defect_g`` build on the evaluation lattice,
+    which it matches to rounding (bitwise for kernels without factors).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     return _kernel_pass(kernel, lambda_grid, points)[1]
@@ -344,14 +371,16 @@ def defect_g(kernel: Kernel, lambda_grid: QuadratureGrid,
     off-E mass of the window integral, up to sign). The window integral
     is the one ``compute_psi`` left on ``eval_grid`` when it ran with
     this very kernel and window grid (compared by identity); otherwise
-    it is evaluated here, in kernel blocks of at most ``_BLOCK_ENTRIES``
-    entries: O(_BLOCK_ENTRIES + M) working memory on M evaluation nodes.
+    it is built here by the same pass on the grid's axes, so it has the
+    same bits either way: O(_BLOCK_ENTRIES + M) working memory on M
+    evaluation nodes, plus the kernel's factor tables.
     """
     memo = eval_grid._window_integral
     if memo is not None and memo[0] is kernel and memo[1] is lambda_grid:
         ipd = memo[2]
     else:
-        ipd = inner_product_direct(kernel, lambda_grid, eval_grid.nodes)
+        ipd = _kernel_pass(kernel, lambda_grid, eval_grid.nodes,
+                           axes=eval_grid.axes)[1]
     inside = eval_grid.inside_base()
     g = kernel.diagonal_value * inside - ipd
     l1 = float(np.sum(np.abs(g) * eval_grid.weights))

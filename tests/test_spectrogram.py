@@ -170,12 +170,24 @@ def test_field_memory_is_bounded_by_the_block_budget(ginibre_disk_fields):
     assert peak < 16 * 2 ** 20
 
 
+def factor_route(kernel, grid, eval_grid):
+    """A fresh window-integral pass on the evaluation lattice's axes."""
+    return spectrogram._kernel_pass(kernel, grid, eval_grid.nodes,
+                                    axes=eval_grid.axes)[1]
+
+
+# The lattice factors and inner_product_direct's eval_matrix round
+# differently; measured 1.4e-15 of the maximum on the ginibre fields below
+CROSS_ROUTE_REL = 1e-14
+
+
 @pytest.mark.parametrize("budget", ["one-row", "whole-grid"])
 def test_fields_do_not_depend_on_the_block_size(ginibre_disk_fields,
                                                 monkeypatch, budget):
     kernel, grid, spectral, eval_grid = ginibre_disk_fields
     n_modes = count_n(spectral.trace)
     psi = compute_psi(kernel, spectral, eval_grid, j_max=n_modes).values
+    fused = defect_g(kernel, grid, eval_grid).window_integral
     ipd = inner_product_direct(kernel, grid, eval_grid.nodes)
     entries = grid.n_nodes * (1 if budget == "one-row"
                               else eval_grid.nodes.shape[0])
@@ -184,28 +196,45 @@ def test_fields_do_not_depend_on_the_block_size(ginibre_disk_fields,
     fused_b = defect_g(kernel, grid, eval_grid).window_integral
     ipd_b = inner_product_direct(kernel, grid, eval_grid.nodes)
     assert np.abs(psi_b - psi).max() <= 1e-13 * np.abs(psi).max()
+    assert np.abs(fused_b - fused).max() <= 1e-13 * fused.max()
     assert np.abs(ipd_b - ipd).max() <= 1e-13 * ipd.max()
-    assert np.array_equal(fused_b, ipd_b)
+    assert np.array_equal(fused_b, factor_route(kernel, grid, eval_grid))
+    assert np.abs(fused_b - ipd_b).max() <= CROSS_ROUTE_REL * ipd_b.max()
 
 
 def test_psi_and_defect_share_one_kernel_pass(ginibre_disk_fields,
                                               monkeypatch):
     kernel, grid, spectral, eval_grid = ginibre_disk_fields
-    entries = []
+    entries, factor_calls = [], []
     eval_matrix = GinibreKernel.eval_matrix
+    axis_factors = GinibreKernel.axis_factors
 
     def counted(self, xs, ys):
         block = eval_matrix(self, xs, ys)
         entries.append(block.size)
         return block
 
+    def counted_factors(self, axes, ys):
+        factor_calls.append(len(axes))
+        return axis_factors(self, axes, ys)
+
     monkeypatch.setattr(GinibreKernel, "eval_matrix", counted)
+    monkeypatch.setattr(GinibreKernel, "axis_factors", counted_factors)
     compute_psi(kernel, spectral, eval_grid)
     defect = defect_g(kernel, grid, eval_grid)
-    assert sum(entries) == eval_grid.nodes.shape[0] * grid.n_nodes
+    # the Ginibre evaluation grid is built from the factor tables alone
+    assert (sum(entries), len(factor_calls)) == (0, 1)
     monkeypatch.undo()
     assert np.array_equal(defect.window_integral,
-                          inner_product_direct(kernel, grid, eval_grid.nodes))
+                          factor_route(kernel, grid, eval_grid))
+    # the fallback, with no compute_psi on this grid, gives the same bits
+    region = Ball(np.zeros(2), 1.0)
+    unused = build_eval_grid(kernel, region, margin=1.0, spacing=0.1)
+    assert np.array_equal(defect_g(kernel, grid, unused).window_integral,
+                          defect.window_integral)
+    ipd = inner_product_direct(kernel, grid, eval_grid.nodes)
+    assert (np.abs(defect.window_integral - ipd).max()
+            <= CROSS_ROUTE_REL * ipd.max())
 
 
 def test_defect_does_not_reuse_another_window_or_kernel():
@@ -218,11 +247,13 @@ def test_defect_does_not_reuse_another_window_or_kernel():
     nodes = eval_grid.nodes
     for kernel, grid in ((ginibre, grid_b), (PaleyWienerKernel(2), grid_a)):
         compute_psi(ginibre, spectral, eval_grid)
-        left = inner_product_direct(ginibre, grid_a, nodes)
-        fresh = inner_product_direct(kernel, grid, nodes)
+        left = factor_route(ginibre, grid_a, eval_grid)
+        fresh = factor_route(kernel, grid, eval_grid)
         assert not np.array_equal(fresh, left)
         window = defect_g(kernel, grid, eval_grid).window_integral
         assert np.array_equal(window, fresh)
+        ipd = inner_product_direct(kernel, grid, nodes)
+        assert np.abs(window - ipd).max() <= CROSS_ROUTE_REL * ipd.max()
 
 
 def test_ginibre_box_window_integral_closed_form():
