@@ -18,8 +18,10 @@ The module only parses arguments, calls the library and prints.
 Exit codes: 0 success, 1 check failure, 2 usage/configuration error,
 3 numerical failure (a series that misses its tolerance within the term
 cap, a resource limit, a float overflow, an expected count that
-underflows, an eigensolve that fails its residual check, or a spectrum
-with fewer modes above the floor than the mode count needs).
+underflows, an eigensolve that fails its residual check, a spectrum
+with fewer modes above the floor than the mode count needs, or a
+NaN or infinite value in an output table, which is refused before that
+table is written).
 A reader that closes stdout early (``accspec --schema | head -1``) ends
 the run quietly with exit 0: the rest of the output is discarded.
 Identical configurations produce byte-identical output apart from the
@@ -96,6 +98,10 @@ CSV header), and where applicable 'fields' and 'fit' entries.
 
 class UsageError(Exception):
     """Configuration problem; maps to exit code 2."""
+
+
+class NonFiniteOutputError(ArithmeticError):
+    """A table cell is NaN or infinite; maps to exit code 3."""
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +201,24 @@ def kernel_region_scales(args, region_required: bool):
 # output formatting
 
 
-def _fmt(value) -> str:
+def _cell(value):
+    """A table cell as both writers take it: None, an int or a finite
+    float; anything else raises NonFiniteOutputError."""
     if value is None:
-        return ""
+        return None
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return int(value)
     value = float(value)
     if not math.isfinite(value):
-        raise RuntimeError("refusing to emit a non-finite value")
-    return f"{value:.17g}"
+        raise NonFiniteOutputError("refusing to emit a non-finite value")
+    return value
+
+
+def _fmt(value) -> str:
+    value = _cell(value)
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, int) else f"{value:.17g}"
 
 
 def write_csv(path: Path | None, header: tuple, rows, comments=()) -> None:
@@ -223,36 +238,18 @@ def write_csv(path: Path | None, header: tuple, rows, comments=()) -> None:
 
 
 def write_json(path: Path | None, document: dict) -> None:
+    """``document`` after a version key, as indented JSON; its numbers
+    come through ``_cell``, so none is NaN or infinite."""
     document = {"version": __version__, **document}
-    _reject_nonfinite(document)
-    text = json.dumps(document, indent=2, allow_nan=False)
+    text = json.dumps(document, indent=2)
     if path is None:
         sys.stdout.write(text + "\n")
     else:
         path.write_text(text + "\n", encoding="utf-8")
 
 
-def _reject_nonfinite(obj) -> None:
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise RuntimeError("refusing to emit a non-finite value")
-    if isinstance(obj, dict):
-        for v in obj.values():
-            _reject_nonfinite(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _reject_nonfinite(v)
-
-
 def fields_path(out: Path) -> Path:
     return out.with_name(out.stem + ".fields" + (out.suffix or ".csv"))
-
-
-def _json_val(v):
-    if v is None:
-        return None
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return float(v)
 
 
 def write_tables(args, header, summary, fields=None, fit=None) -> None:
@@ -260,14 +257,15 @@ def write_tables(args, header, summary, fields=None, fit=None) -> None:
     block: one JSON document, or CSV with '# fit_*' comments and the
     fields file."""
     if args.format == "json":
-        doc = {"summary": [dict(zip(header, map(_json_val, row)))
+        doc = {"summary": [dict(zip(header, map(_cell, row)))
                            for row in summary]}
         if fields is not None:
             field_header, field_rows = fields
-            doc["fields"] = [dict(zip(field_header, map(_json_val, row)))
+            doc["fields"] = [dict(zip(field_header, map(_cell, row)))
                              for row in field_rows]
         if fit is not None:
-            doc["fit"] = fit
+            doc["fit"] = {key: v if isinstance(v, str) else _cell(v)
+                          for key, v in fit.items()}
         write_json(args.out, doc)
         return
     comments = [f"fit_{key}: {v if isinstance(v, str) else _fmt(v)}"
@@ -438,7 +436,7 @@ def _dispatch(parser: argparse.ArgumentParser, argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SeriesDivergenceError, ResourceLimitError, SpectralSolverError,
-            RankDeficiencyError) as exc:
+            RankDeficiencyError, NonFiniteOutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OverflowError as exc:  # e.g. a unit-ball volume past d = 340

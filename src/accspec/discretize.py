@@ -27,6 +27,7 @@ Everything is deterministic; no randomness enters anywhere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
@@ -133,6 +134,18 @@ def _orders(piece, n: int) -> tuple:
     return (nr, k) + (math.floor((sphere / k) ** (1 / (d - 2))),) * (d - 2)
 
 
+def _count_text(count) -> str:
+    """A node count for a cap message: 12 significant digits, or a bound
+    once the count is past the float range."""
+    try:
+        count = float(count)
+    except OverflowError:  # an integer count beyond the float range
+        count = math.inf
+    if math.isfinite(count):
+        return f"{count:.12g}"
+    return f"more than {sys.float_info.max:.3g}"
+
+
 def _node_count(region: Region, n: int) -> float:
     try:
         return sum(math.prod(_orders(p, m)) for p, m in _pieces(region, n))
@@ -187,7 +200,8 @@ def build_grid(region: Region, n_per_axis: int,
         raise ValueError("n_per_axis must be at least 2")
     count = _node_count(region, n_per_axis)
     if count > node_cap:
-        raise ResourceLimitError(f"grid has {count} nodes, cap is {node_cap}")
+        raise ResourceLimitError(
+            f"grid has {_count_text(count)} nodes, cap is {node_cap}")
     # past the float range the weights would overflow with a warning only
     if not math.isfinite(region.volume()):
         raise OverflowError("window volume exceeds the float range")
@@ -274,9 +288,10 @@ class SpectralData:
     zeros past the rank k. ``eigenvalues_clamped`` clips them to [0, 1]
     for the variance and count formulas, which are sign-sensitive to the
     overshoot. ``vectors`` is n x k, orthonormal columns matching the
-    leading k eigenvalues. ``residual_trace`` is the trace the factor
-    left out, so that ``trace`` = sum(eigenvalues) + residual_trace
-    reproduces the operator's trace.
+    leading k eigenvalues; the eigenfunctions at the nodes are
+    Phi_j(x_i) = vectors[i, j] / sqrt(w_i). ``residual_trace`` is the
+    trace the factor left out, so that ``trace`` = sum(eigenvalues) +
+    residual_trace reproduces the operator's trace.
     """
 
     eigenvalues: np.ndarray
@@ -288,11 +303,6 @@ class SpectralData:
     @property
     def trace(self) -> float:
         return float(self.eigenvalues.sum()) + self.residual_trace
-
-    def phi_values(self, j_slice=None) -> np.ndarray:
-        """Eigenfunction values at the grid nodes, Phi_j(x_i) = V[i,j]/sqrt(w_i)."""
-        cols = self.vectors if j_slice is None else self.vectors[:, j_slice]
-        return cols / np.sqrt(self.grid.weights)[:, None]
 
     def count_above(self, threshold: float) -> int:
         return int(np.sum(self.eigenvalues_clamped > threshold))

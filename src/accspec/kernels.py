@@ -142,14 +142,19 @@ class Kernel:
         """phi(r) = |K(x,y)|^2 for any pair with |x-y| = r."""
         raise NotImplementedError
 
+    def _points(self, pts) -> np.ndarray:
+        """``pts`` as an n x ambient_dim float array; the one dimension
+        check of every kernel evaluation."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if pts.shape[1] != self.ambient_dim:
+            raise ValueError(f"points must lie in R^{self.ambient_dim}, "
+                             f"got shape {pts.shape}")
+        return pts
+
     def eval(self, x, y):
+        """K(x, y) for one pair of points."""
         x = np.asarray(x, dtype=float).reshape(1, -1)
         y = np.asarray(y, dtype=float).reshape(1, -1)
-        if x.shape[1] != self.ambient_dim or y.shape[1] != self.ambient_dim:
-            raise ValueError(
-                f"points must lie in R^{self.ambient_dim}, "
-                f"got shapes {x.shape} and {y.shape}"
-            )
         return self.eval_matrix(x, y)[0, 0]
 
     def correlation_length(self) -> float:
@@ -184,11 +189,7 @@ class GinibreKernel(Kernel):
         return "ginibre"
 
     def _to_complex(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if pts.shape[1] != self.ambient_dim:
-            raise ValueError(
-                f"points must lie in R^{self.ambient_dim}, got shape {pts.shape}"
-            )
+        pts = self._points(pts)
         return pts[:, 0::2] + 1j * pts[:, 1::2]
 
     def eval_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -208,11 +209,10 @@ class GinibreKernel(Kernel):
         and for complex_dim 2 the product of one such pair per complex
         coordinate. Axis k pairs with axis k ^ 1, its complex partner.
         """
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        if len(axes) != self.ambient_dim or ys.shape[1] != self.ambient_dim:
+        ys = self._points(ys)
+        if len(axes) != self.ambient_dim:
             raise ValueError(
-                f"need {self.ambient_dim} axes and points in "
-                f"R^{self.ambient_dim}, got {len(axes)} and {ys.shape}")
+                f"need {self.ambient_dim} axes, got {len(axes)}")
         tables = []
         for k, axis in enumerate(axes):
             a = np.asarray(axis, dtype=float)[:, None]
@@ -271,13 +271,7 @@ class PaleyWienerKernel(Kernel):
         return out[0] if scalar else out
 
     def eval_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        if xs.shape[1] != self.dim or ys.shape[1] != self.dim:
-            raise ValueError(
-                f"points must lie in R^{self.dim}, "
-                f"got shapes {xs.shape} and {ys.shape}"
-            )
+        xs, ys = self._points(xs), self._points(ys)
         diff = xs[:, None, :] - ys[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=2))
         return self._profile_amplitude(dist)

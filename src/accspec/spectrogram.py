@@ -28,7 +28,6 @@ and is the independent reference for the lattice route.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +35,11 @@ import numpy as np
 # bench/test_bench.py checks that its tracer rebinds build_grid here
 from .discretize import (DEFAULT_NODE_CAP, NODES_PER_UNIT,  # noqa: F401
                          QuadratureGrid, ResourceLimitError, SpectralData,
-                         assemble_operator, build_grid, spectral_decompose,
-                         window_grid)
+                         _count_text, assemble_operator, build_grid,
+                         spectral_decompose, window_grid)
 from .geometry import Box, Region
 from .kernels import Kernel
+from .variance import variance_spectral
 
 MU_FLOOR = 1e-12
 EVAL_NODE_CAP = 400_000
@@ -52,11 +52,6 @@ _COUNT_TIE_TOL = 1e-9
 
 class RankDeficiencyError(RuntimeError):
     """More Psi modes were requested than the spectrum supports."""
-
-
-def _block_rows(n_nodes: int) -> int:
-    """Evaluation rows per kernel block against ``n_nodes`` window nodes."""
-    return max(1, _BLOCK_ENTRIES // max(1, n_nodes))
 
 
 def count_n(trace: float) -> int:
@@ -90,10 +85,10 @@ def count_n_delta(spectral: SpectralData, delta: float) -> int:
 
 
 @dataclass(eq=False)
-class EvalGrid:
-    """Quadrature grid over an evaluation box E containing the window."""
+class EvalGrid(QuadratureGrid):
+    """Midpoint grid on an evaluation box E (``region``) that contains the
+    window ``base_region`` with ``margin`` to spare on every side."""
 
-    grid: QuadratureGrid
     base_region: Region
     margin: float
     # per-axis coordinates; the nodes are their product in C order
@@ -102,16 +97,8 @@ class EvalGrid:
     _window_integral: tuple | None = field(default=None, init=False,
                                            repr=False)
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.grid.nodes
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.grid.weights
-
     def inside_base(self) -> np.ndarray:
-        return self.base_region.contains_points(self.grid.nodes)
+        return self.base_region.contains_points(self.nodes)
 
 
 def build_eval_grid(kernel: Kernel, region: Region,
@@ -146,22 +133,19 @@ def build_eval_grid(kernel: Kernel, region: Region,
               for k in range(bbox.dim)]
     n_nodes = math.prod(counts)
     if n_nodes > EVAL_NODE_CAP:
-        need = (f"{n_nodes:.12g}" if math.isfinite(n_nodes)
-                else f"more than {sys.float_info.max:.3g}")
-        raise ResourceLimitError(f"evaluation grid would need {need} nodes, "
+        raise ResourceLimitError(f"evaluation grid would need "
+                                 f"{_count_text(n_nodes)} nodes, "
                                  f"cap is {EVAL_NODE_CAP}")
     ns = [int(c) for c in counts]
-    axes = [lo[k] + (hi[k] - lo[k]) / ns[k] * (np.arange(ns[k]) + 0.5)
-            for k in range(bbox.dim)]
+    step = (hi - lo) / ns
+    axes = tuple(lo[k] + step[k] * (np.arange(n) + 0.5)
+                 for k, n in enumerate(ns))
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.column_stack([m.ravel() for m in mesh])
-    cell = float(np.prod([(hi[k] - lo[k]) / ns[k] for k in range(bbox.dim)]))
-    weights = np.full(nodes.shape[0], cell)
-    quad = QuadratureGrid(region=Box(lo, hi), nodes=nodes, weights=weights,
-                          spacing=np.array([(hi[k] - lo[k]) / ns[k]
-                                            for k in range(bbox.dim)]))
-    return EvalGrid(grid=quad, base_region=region, margin=float(margin),
-                    axes=tuple(axes))
+    return EvalGrid(region=Box(lo, hi), nodes=nodes,
+                    weights=np.full(nodes.shape[0], float(np.prod(step))),
+                    spacing=step, base_region=region, margin=float(margin),
+                    axes=axes)
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +159,14 @@ class PsiSet:
     ``values[:, j]`` is the image (K P Phi_j) scaled to unit discrete L2
     norm over E. ``raw_norms_sq[j]`` is the pre-normalization squared
     norm; in exact arithmetic over the whole space it equals mu_j, so
-    its deviation from ``eigenvalues[j]`` measures window truncation
-    plus discretization error.
+    its deviation from mu_j measures window truncation plus
+    discretization error. ``dropped_trace`` is the trace of the modes
+    beyond the last image.
     """
 
     values: np.ndarray
     raw_norms_sq: np.ndarray
-    eigenvalues: np.ndarray
     dropped_trace: float
-    eval_grid: EvalGrid
 
     @property
     def n_modes(self) -> int:
@@ -195,9 +178,10 @@ def _kernel_pass(kernel: Kernel, lambda_grid: QuadratureGrid,
                  axes: tuple | None = None):
     """One pass over the kernel block between ``points`` and the window.
 
-    The M x n block is built ``_block_rows(n)`` rows at a time, and each
-    block gives the window integral int_Lambda |K(x,y)|^2 dy of its rows
-    and, if ``scaled_vecs`` is given, the images ``block @ scaled_vecs``.
+    The M x n block is built ``_BLOCK_ENTRIES // n`` rows at a time (at
+    least one), and each block gives the window integral int_Lambda
+    |K(x,y)|^2 dy of its rows and, if ``scaled_vecs`` is given, the
+    images ``block @ scaled_vecs``.
     When ``points`` are the product lattice of ``axes`` and the kernel
     gives ``axis_factors`` for them, each block is the product of the
     factor rows of its nodes: one complex multiply per entry and axis
@@ -207,7 +191,7 @@ def _kernel_pass(kernel: Kernel, lambda_grid: QuadratureGrid,
     m = points.shape[0]
     window = np.empty(m)
     images = None
-    rows = _block_rows(lambda_grid.n_nodes)
+    rows = max(1, _BLOCK_ENTRIES // max(1, lambda_grid.n_nodes))
     factors = (None if axes is None
                else kernel.axis_factors(axes, lambda_grid.nodes))
     for start in range(0, m, rows):
@@ -257,32 +241,34 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
 
     lam = spectral.grid
     scaled_vecs = np.sqrt(lam.weights)[:, None] * spectral.vectors[:, :j_max]
-    w_e = eval_grid.weights
     raw, window = _kernel_pass(kernel, lam, eval_grid.nodes, scaled_vecs,
                                eval_grid.axes)
     eval_grid._window_integral = (kernel, lam, window)
-    norms_sq = np.real(np.sum(np.abs(raw) ** 2 * w_e[:, None], axis=0))
+    norms_sq = np.real(np.sum(np.abs(raw) ** 2 * eval_grid.weights[:, None],
+                              axis=0))
     if np.any(norms_sq <= 0):
         raise RankDeficiencyError("a mode image vanished on the evaluation grid")
     values = raw / np.sqrt(norms_sq)[None, :]
     dropped = float(max(spectral.trace - float(spectral.eigenvalues[:j_max].sum()), 0.0))
-    return PsiSet(values=values, raw_norms_sq=norms_sq,
-                  eigenvalues=mu[:j_max].copy(), dropped_trace=dropped,
-                  eval_grid=eval_grid)
+    return PsiSet(values=values, raw_norms_sq=norms_sq, dropped_trace=dropped)
 
 
 @dataclass(eq=False)
 class SpectrogramField:
-    """Accumulated spectrogram values with exact mass accounting."""
+    """The accumulated spectrogram ``rho`` of ``n_count`` = N modes on
+    ``eval_grid``, with exact mass accounting: ``tail_mass`` is N minus
+    the integral of rho over E."""
 
     eval_grid: EvalGrid
     rho: np.ndarray
     n_count: int
-    trace: float
-    tail_mass: float
 
     def integral(self) -> float:
         return float(np.sum(self.rho * self.eval_grid.weights))
+
+    @property
+    def tail_mass(self) -> float:
+        return self.n_count - self.integral()
 
 
 def accumulated_spectrogram(kernel: Kernel, spectral: SpectralData,
@@ -302,10 +288,7 @@ def accumulated_spectrogram(kernel: Kernel, spectral: SpectralData,
             f"psi set holds {psi.n_modes} modes but N = {n_count}"
         )
     rho = np.sum(np.abs(psi.values[:, :n_count]) ** 2, axis=1)
-    integral = float(np.sum(rho * eval_grid.weights))
-    return SpectrogramField(eval_grid=eval_grid, rho=rho, n_count=n_count,
-                            trace=spectral.trace,
-                            tail_mass=n_count - integral)
+    return SpectrogramField(eval_grid=eval_grid, rho=rho, n_count=n_count)
 
 
 def inner_product_spectral(psi: PsiSet):
@@ -384,9 +367,9 @@ def defect_g(kernel: Kernel, lambda_grid: QuadratureGrid,
     inside = eval_grid.inside_base()
     g = kernel.diagonal_value * inside - ipd
     l1 = float(np.sum(np.abs(g) * eval_grid.weights))
-    e_count = kernel.diagonal_value * float(lambda_grid.weights.sum())
+    e_count = kernel.diagonal_value * lambda_grid.weight_sum
     tail = max(e_count - float(np.sum(ipd * eval_grid.weights)), 0.0)
-    half_diag = 0.5 * float(np.linalg.norm(eval_grid.grid.spacing))
+    half_diag = 0.5 * float(np.linalg.norm(eval_grid.spacing))
     straddle = eval_grid.base_region.boundary_distance(eval_grid.nodes) < half_diag
     quad_est = kernel.diagonal_value * float(
         np.sum(eval_grid.weights[straddle]))
@@ -413,13 +396,11 @@ class InequalityCheck:
 
 @dataclass(eq=False)
 class DiagnosticsReport:
+    """The four inequality ``checks`` at threshold ``delta``, whose
+    constant is ``c_delta``; each check carries its own lhs and rhs."""
+
     delta: float
     c_delta: float
-    n_delta: int
-    n_count: int
-    e_count: float
-    variance: float
-    g_l1: float
     checks: tuple
 
 
@@ -434,10 +415,9 @@ def inequality_report(kernel: Kernel, spectral: SpectralData,
     to rounding, so its volume defect needs no share of the slack.
     """
     cdel = c_delta(delta)
-    mu = spectral.eigenvalues_clamped
     e_count = spectral.trace
-    variance = float(np.sum(mu * (1.0 - mu)))
-    n_delta = count_n_delta(spectral, delta)
+    variance = variance_spectral(spectral)
+    n_delta = spectral.count_above(1.0 - delta)
     abs_slack = 1e-12
 
     ips, _ = inner_product_spectral(psi)
@@ -460,10 +440,7 @@ def inequality_report(kernel: Kernel, spectral: SpectralData,
         InequalityCheck("variance_vs_mean", variance, e_count,
                         1e-6 * e_count + abs_slack),
     )
-    return DiagnosticsReport(delta=delta, c_delta=cdel, n_delta=n_delta,
-                             n_count=spectrogram.n_count, e_count=e_count,
-                             variance=variance, g_l1=defect.l1_total,
-                             checks=checks)
+    return DiagnosticsReport(delta=delta, c_delta=cdel, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +494,7 @@ def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
     err_raw = float(np.sum(np.abs(fld.rho - target) * eval_grid.weights))
     err_raw += abs(fld.tail_mass)
     return ConvergenceRow(scale=float(scale), n_per_axis=n_axis,
-                          n_count=fld.n_count, trace=fld.trace,
+                          n_count=fld.n_count, trace=spectral.trace,
                           err_raw=err_raw, err_normalized=err_raw / fld.n_count,
                           tail_mass=fld.tail_mass, saturated=saturated,
                           trace_defect=abs(spectral.trace - operator.trace),

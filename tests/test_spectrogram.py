@@ -55,7 +55,8 @@ def test_count_n_delta():
 
 def test_psi_norms_approach_eigenvalues(sine_run):
     n = sine_run.field.n_count
-    ratios = (sine_run.psi.raw_norms_sq / sine_run.psi.eigenvalues)[:n]
+    mu = sine_run.spectral.eigenvalues_clamped
+    ratios = sine_run.psi.raw_norms_sq[:n] / mu[:n]
     # window truncation removes a little of each mode's mass; the slow
     # 1/x^2 kernel tail keeps the plunge mode a percent or two short
     assert np.all(ratios <= 1.0 + 1e-9)
@@ -72,10 +73,10 @@ def test_psi_orthonormal_on_eval_window(sine_run):
 
 def test_top_mode_reproduces_eigenfunction(sine_run):
     # mu_1 ~ 1: Psi_1 is essentially Phi_1 inside the window
-    phi1 = sine_run.spectral.phi_values(slice(0, 1))[:, 0]
+    w = sine_run.grid.weights
+    phi1 = sine_run.spectral.vectors[:, 0] / np.sqrt(w)
     inside = sine_run.eval_grid.inside_base()
     psi1 = sine_run.psi.values[inside, 0]
-    w = sine_run.grid.weights
     overlap = float(np.abs(np.sum(psi1 * phi1 * w)))
     assert overlap == approx(1.0, abs=0.01)
 
@@ -379,12 +380,12 @@ def test_ginibre_disk_bulk_density():
 def test_eval_grid_contains_window(sine_run):
     ev = sine_run.eval_grid
     assert ev.margin == approx(80.0)  # 4 x capped correlation length
-    bbox = ev.grid.region
+    bbox = ev.region
     assert bbox.lower[0] == approx(-85.0)
     assert bbox.upper[0] == approx(85.0)
     inside = ev.inside_base()
     assert inside.sum() > 0
-    assert inside.sum() < ev.grid.n_nodes
+    assert inside.sum() < ev.n_nodes
 
 
 def test_eval_grid_margin_validation(sine_run):
