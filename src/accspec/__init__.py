@@ -12,8 +12,7 @@ from .discretize import (QuadratureGrid, SpectralData, assemble_operator,
                          build_grid, spectral_decompose, window_grid)
 from .spectrogram import (EvalGrid, SpectrogramField, accumulated_spectrogram,
                           build_eval_grid, c_delta, compute_psi, count_n,
-                          count_n_delta, defect_g,
-                          dilation_snapshot, inequality_report,
+                          defect_g, dilation_snapshot, inequality_report,
                           inner_product_direct, inner_product_spectral,
                           l1_convergence_study)
 from .variance import (AsymptoticFit, asymptotic_constant,
@@ -32,7 +31,7 @@ __all__ = [
     "spectral_decompose", "window_grid",
     "EvalGrid", "SpectrogramField", "accumulated_spectrogram",
     "build_eval_grid", "c_delta", "compute_psi",
-    "count_n", "count_n_delta", "defect_g", "dilation_snapshot",
+    "count_n", "defect_g", "dilation_snapshot",
     "inequality_report", "inner_product_direct", "inner_product_spectral",
     "l1_convergence_study",
     "AsymptoticFit", "asymptotic_constant", "asymptotic_constant_geometric",

@@ -58,21 +58,16 @@ def self_checks(delta: float = 0.25) -> list[InequalityCheck]:
 
     # lens: series agrees with the closed-form cap route on a 50-point grid
     for d in (1, 2, 3):
-        worst = 0.0
-        for r in np.linspace(0.0, 2.0, 50):
-            spec = LensSpec(d, float(r), 1.0)
-            series = lens_volume_series(spec, tol=1e-9)
-            worst = max(worst, abs(series - lens_volume_exact(spec)))
+        specs = [LensSpec(d, float(r), 1.0) for r in np.linspace(0.0, 2.0, 50)]
+        worst = max(abs(lens_volume_series(s, tol=1e-9) - lens_volume_exact(s))
+                    for s in specs)
         lines.append(InequalityCheck(f"lens_series_vs_exact_d{d}", worst,
                                      1e-8, 0.0))
 
     # Bessel implementation against a compensated direct series sum
     for nu in (0.5, 1.0, 1.5):
-        xs = np.linspace(0.0, 10.0, 101)
-        worst = 0.0
-        for x in xs:
-            ref = _bessel_series_fsum(nu, float(x))
-            worst = max(worst, abs(bessel_j(nu, float(x)) - ref))
+        worst = max(abs(bessel_j(nu, x) - _bessel_series_fsum(nu, x))
+                    for x in np.linspace(0.0, 10.0, 101).tolist())
         lines.append(InequalityCheck(f"bessel_vs_series_nu{nu}", worst,
                                      1e-10, 0.0))
 
@@ -107,7 +102,8 @@ def self_checks(delta: float = 0.25) -> list[InequalityCheck]:
     lines.append(InequalityCheck("inner_product_identity_max_rel", rel,
                                  0.02, 0.0))
 
-    conservation = abs(fld.integral() + fld.tail_mass - fld.n_count)
+    # each Psi_j has unit discrete norm on E, so rho integrates to N
+    conservation = abs(fld.n_count - fld.integral())
     lines.append(InequalityCheck("rho_mass_conservation", conservation,
                                  1e-8, 0.0))
     return lines

@@ -20,8 +20,8 @@ Exit codes: 0 success, 1 check failure, 2 usage/configuration error,
 cap, a resource limit, a float overflow, an expected count that
 underflows, an eigensolve that fails its residual check, a spectrum
 with fewer modes above the floor than the mode count needs, or a
-NaN or infinite value in an output table, which is refused before that
-table is written).
+NaN or infinite value in an output table, which is refused before any
+file is written).
 A reader that closes stdout early (``accspec --schema | head -1``) ends
 the run quietly with exit 0: the rest of the output is discarded.
 Identical configurations produce byte-identical output apart from the
@@ -158,8 +158,6 @@ def parse_region(text: str) -> Region:
                 if "overlap" in str(exc):
                     raise UsageError("union: balls overlap") from None
                 raise UsageError(f"union: {exc}") from None
-    except UsageError:
-        raise
     except (ValueError, TypeError) as exc:
         raise UsageError(f"region: cannot parse '{text}': {exc}") from None
     raise UsageError(f"region: unknown kind '{kind}' "
@@ -255,7 +253,8 @@ def fields_path(out: Path) -> Path:
 def write_tables(args, header, summary, fields=None, fit=None) -> None:
     """Summary table under ``header``, (header, rows) field table and fit
     block: one JSON document, or CSV with '# fit_*' comments and the
-    fields file."""
+    fields file. The field rows (any iterable) go through ``_cell`` before
+    any file is written."""
     if args.format == "json":
         doc = {"summary": [dict(zip(header, map(_cell, row)))
                            for row in summary]}
@@ -270,6 +269,8 @@ def write_tables(args, header, summary, fields=None, fit=None) -> None:
         return
     comments = [f"fit_{key}: {v if isinstance(v, str) else _fmt(v)}"
                 for key, v in (fit or {}).items()]
+    if fields is not None and args.out is not None:
+        fields = (fields[0], [tuple(map(_cell, row)) for row in fields[1]])
     write_csv(args.out, header, summary, comments=comments)
     if fields is not None and args.out is not None:
         write_csv(fields_path(args.out), *fields)
@@ -285,7 +286,7 @@ def cmd_spectrogram(args) -> int:
                                 nodes_per_unit=args.nodes_per_unit,
                                 n_per_axis=args.n, margin=args.margin,
                                 eval_spacing=args.eval_spacing)
-    summary = [(row.scale, row.trace, row.n_count, row.err_raw,
+    summary = [(row.scale, row.trace, row.field.n_count, row.err_raw,
                 row.err_normalized, row.tail_mass) for row in rows]
     fields = None
     # the per-node rows go only to JSON and to the --out fields file
@@ -293,13 +294,9 @@ def cmd_spectrogram(args) -> int:
         field_header = ("R", *[f"x{k + 1}"
                                for k in range(kernel.ambient_dim)],
                         "rho", "target")
-        field_rows = []
-        for row in rows:
-            grid = row.field.eval_grid
-            target = kernel.diagonal_value * grid.inside_base()
-            field_rows += [(row.scale, *node, rho, t) for node, rho, t
-                           in zip(grid.nodes, row.field.rho, target)]
-        fields = (field_header, field_rows)
+        fields = (field_header, (
+            (row.scale, *node, rho, t) for row in rows for node, rho, t
+            in zip(row.field.eval_grid.nodes, row.field.rho, row.field.target)))
     write_tables(args, SPECTROGRAM_COLUMNS, summary, fields=fields)
     return 0
 
@@ -343,12 +340,11 @@ def cmd_lens(args) -> int:
 
 def cmd_check(args) -> int:
     lines = self_checks(args.delta)
-    failures = 0
     for line in lines:
         status = "PASS" if line.passed else "FAIL"
-        failures += 0 if line.passed else 1
         print(f"{status} {line.name} lhs={_fmt(line.lhs)} rhs={_fmt(line.rhs)} "
               f"slack={_fmt(line.slack)}")
+    failures = sum(not line.passed for line in lines)
     if failures:
         print(f"{failures} check(s) failed")
         return 1

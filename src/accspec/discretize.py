@@ -195,9 +195,8 @@ def build_grid(region: Region, n_per_axis: int,
                node_cap: int = DEFAULT_NODE_CAP) -> QuadratureGrid:
     """Product Gauss rule on the region at ``n_per_axis`` nodes per axis:
     n^d nodes on a box, at most c_d (n/2)^d on a ball (see ``_orders``),
-    checked against ``node_cap`` before any node is built."""
-    if n_per_axis < 2:
-        raise ValueError("n_per_axis must be at least 2")
+    checked against ``node_cap`` before any node is built. The resolution
+    itself is checked by ``check_resolution``."""
     count = _node_count(region, n_per_axis)
     if count > node_cap:
         raise ResourceLimitError(
@@ -226,6 +225,19 @@ def max_n_per_axis(region: Region, node_cap: int = DEFAULT_NODE_CAP) -> int:
     return lo
 
 
+def check_resolution(node_cap: int, nodes_per_unit: float | None = None,
+                     n_per_axis: int | None = None) -> None:
+    """ValueError unless node_cap >= 1, 0 < nodes_per_unit < inf and
+    n_per_axis >= 2, the last two where given."""
+    if not node_cap >= 1:
+        raise ValueError(f"node cap must be at least 1, got {node_cap}")
+    if nodes_per_unit is not None and not 0 < nodes_per_unit < math.inf:
+        raise ValueError(
+            f"nodes per unit must be positive and finite, got {nodes_per_unit:g}")
+    if n_per_axis is not None and n_per_axis < 2:
+        raise ValueError("n_per_axis must be at least 2")
+
+
 def window_grid(region: Region, node_cap: int,
                 nodes_per_unit: float | None = None,
                 n_per_axis: int | None = None) -> tuple[QuadratureGrid, int]:
@@ -233,11 +245,7 @@ def window_grid(region: Region, node_cap: int,
     else ceil(nodes_per_unit * longest bounding-box side) (at least 2),
     else the finest grid within the node cap. A requested grid beyond
     the cap raises ResourceLimitError."""
-    if not node_cap >= 1:
-        raise ValueError(f"node cap must be at least 1, got {node_cap}")
-    if nodes_per_unit is not None and not 0 < nodes_per_unit < math.inf:
-        raise ValueError(
-            f"nodes per unit must be positive and finite, got {nodes_per_unit:g}")
+    check_resolution(node_cap, nodes_per_unit, n_per_axis)
     if n_per_axis is None:
         if nodes_per_unit is None:
             n_per_axis = max_n_per_axis(region, node_cap)

@@ -23,6 +23,8 @@ product lattice, and a kernel that factors exactly over the real axes
 per-axis tables, with no ``exp`` per entry; other kernels call
 ``eval_matrix``. ``inner_product_direct`` always calls ``eval_matrix``
 and is the independent reference for the lattice route.
+The window mask 1_Lambda is evaluated once per evaluation grid and the
+limit shape K(x,x) 1_Lambda of rho once per field; their readers share them.
 """
 
 from __future__ import annotations
@@ -73,13 +75,6 @@ def c_delta(delta: float) -> float:
     return max(1.0 / delta, 1.0 / (1.0 - delta))
 
 
-def count_n_delta(spectral: SpectralData, delta: float) -> int:
-    """Number of (clamped) eigenvalues above 1 - delta."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return spectral.count_above(1.0 - delta)
-
-
 # ---------------------------------------------------------------------------
 # evaluation grids
 
@@ -93,12 +88,16 @@ class EvalGrid(QuadratureGrid):
     margin: float
     # per-axis coordinates; the nodes are their product in C order
     axes: tuple
+    _inside: np.ndarray = field(init=False, repr=False)
     # (kernel, window grid, window integral) of the last compute_psi
     _window_integral: tuple | None = field(default=None, init=False,
                                            repr=False)
 
+    def __post_init__(self):
+        self._inside = self.base_region.contains_points(self.nodes)
+
     def inside_base(self) -> np.ndarray:
-        return self.base_region.contains_points(self.nodes)
+        return self._inside
 
 
 def build_eval_grid(kernel: Kernel, region: Region,
@@ -168,10 +167,6 @@ class PsiSet:
     raw_norms_sq: np.ndarray
     dropped_trace: float
 
-    @property
-    def n_modes(self) -> int:
-        return self.values.shape[1]
-
 
 def _kernel_pass(kernel: Kernel, lambda_grid: QuadratureGrid,
                  points: np.ndarray, scaled_vecs: np.ndarray | None = None,
@@ -227,8 +222,7 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
     which is left on ``eval_grid`` with the kernel and window grid it
     came from, so that ``defect_g`` need not build the block again.
     """
-    mu = spectral.eigenvalues_clamped
-    n_above = int(np.sum(mu > MU_FLOOR))
+    n_above = spectral.count_above(MU_FLOOR)
     if j_max is None:
         j_max = n_above
     if j_max > n_above:
@@ -256,11 +250,13 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
 @dataclass(eq=False)
 class SpectrogramField:
     """The accumulated spectrogram ``rho`` of ``n_count`` = N modes on
-    ``eval_grid``, with exact mass accounting: ``tail_mass`` is N minus
-    the integral of rho over E."""
+    ``eval_grid`` and its limit shape ``target`` = K(x,x) 1_Lambda, with
+    exact mass accounting: ``tail_mass`` is N minus the integral of rho
+    over E."""
 
     eval_grid: EvalGrid
     rho: np.ndarray
+    target: np.ndarray
     n_count: int
 
     def integral(self) -> float:
@@ -283,12 +279,13 @@ def accumulated_spectrogram(kernel: Kernel, spectral: SpectralData,
     n_count = count_n(spectral.trace)
     if psi is None:
         psi = compute_psi(kernel, spectral, eval_grid, j_max=n_count)
-    elif psi.n_modes < n_count:
+    elif psi.values.shape[1] < n_count:
         raise RankDeficiencyError(
-            f"psi set holds {psi.n_modes} modes but N = {n_count}"
-        )
+            f"psi set holds {psi.values.shape[1]} modes but N = {n_count}")
     rho = np.sum(np.abs(psi.values[:, :n_count]) ** 2, axis=1)
-    return SpectrogramField(eval_grid=eval_grid, rho=rho, n_count=n_count)
+    target = kernel.diagonal_value * eval_grid.inside_base()
+    return SpectrogramField(eval_grid=eval_grid, rho=rho, target=target,
+                            n_count=n_count)
 
 
 def inner_product_spectral(psi: PsiSet):
@@ -326,7 +323,8 @@ class DefectField:
     """G(x) = K(x,x) 1_Lambda(x) - int_Lambda |K(x,y)|^2 dy on the eval grid.
 
     ``window_integral`` is int_Lambda |K(x,y)|^2 dy at each node, the
-    direct side of the dual inner-product identity.
+    direct side of the dual inner-product identity. ``l1_total`` is the
+    L1 norm of G on E plus the window integral's mass beyond E.
     ``quad_error_estimate`` is the mass of evaluation cells straddling
     the window boundary times the diagonal: |G| jumps there, so each
     straddling cell may misattribute up to its whole weight.
@@ -334,14 +332,8 @@ class DefectField:
 
     values: np.ndarray
     window_integral: np.ndarray
-    l1_on_window: float
-    l1_tail_bound: float
-    inside: np.ndarray
+    l1_total: float
     quad_error_estimate: float
-
-    @property
-    def l1_total(self) -> float:
-        return self.l1_on_window + self.l1_tail_bound
 
 
 def defect_g(kernel: Kernel, lambda_grid: QuadratureGrid,
@@ -364,8 +356,7 @@ def defect_g(kernel: Kernel, lambda_grid: QuadratureGrid,
     else:
         ipd = _kernel_pass(kernel, lambda_grid, eval_grid.nodes,
                            axes=eval_grid.axes)[1]
-    inside = eval_grid.inside_base()
-    g = kernel.diagonal_value * inside - ipd
+    g = kernel.diagonal_value * eval_grid.inside_base() - ipd
     l1 = float(np.sum(np.abs(g) * eval_grid.weights))
     e_count = kernel.diagonal_value * lambda_grid.weight_sum
     tail = max(e_count - float(np.sum(ipd * eval_grid.weights)), 0.0)
@@ -373,8 +364,7 @@ def defect_g(kernel: Kernel, lambda_grid: QuadratureGrid,
     straddle = eval_grid.base_region.boundary_distance(eval_grid.nodes) < half_diag
     quad_est = kernel.diagonal_value * float(
         np.sum(eval_grid.weights[straddle]))
-    return DefectField(values=g, window_integral=ipd, l1_on_window=l1,
-                       l1_tail_bound=tail, inside=inside,
+    return DefectField(values=g, window_integral=ipd, l1_total=l1 + tail,
                        quad_error_estimate=quad_est)
 
 
@@ -449,16 +439,23 @@ def inequality_report(kernel: Kernel, spectral: SpectralData,
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceRow:
+    """One rung of the dilation ladder; N and the tail mass are its field's."""
+
     scale: float
     n_per_axis: int
-    n_count: int
     trace: float
     err_raw: float
-    err_normalized: float
-    tail_mass: float
     saturated: bool
     trace_defect: float
     field: SpectrogramField
+
+    @property
+    def tail_mass(self) -> float:
+        return self.field.tail_mass
+
+    @property
+    def err_normalized(self) -> float:
+        return self.err_raw / self.field.n_count
 
 
 def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
@@ -490,13 +487,11 @@ def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
     eval_grid = build_eval_grid(kernel, region, margin=margin,
                                 spacing=eval_spacing, reference_grid=grid)
     fld = accumulated_spectrogram(kernel, spectral, eval_grid)
-    target = kernel.diagonal_value * eval_grid.inside_base()
-    err_raw = float(np.sum(np.abs(fld.rho - target) * eval_grid.weights))
+    err_raw = float(np.sum(np.abs(fld.rho - fld.target) * eval_grid.weights))
     err_raw += abs(fld.tail_mass)
     return ConvergenceRow(scale=float(scale), n_per_axis=n_axis,
-                          n_count=fld.n_count, trace=spectral.trace,
-                          err_raw=err_raw, err_normalized=err_raw / fld.n_count,
-                          tail_mass=fld.tail_mass, saturated=saturated,
+                          trace=spectral.trace, err_raw=err_raw,
+                          saturated=saturated,
                           trace_defect=abs(spectral.trace - operator.trace),
                           field=fld)
 

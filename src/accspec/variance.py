@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import (DEFAULT_NODE_CAP, NODES_PER_UNIT, ResourceLimitError,
-                         SpectralData, assemble_operator, spectral_decompose,
-                         window_grid)
+                         SpectralData, assemble_operator, check_resolution,
+                         spectral_decompose, window_grid)
 from .geometry import (Ball, DisjointBallUnion, Region,
                        _ball_volume_unchecked, lens_volume_exact_many,
                        unit_ball_volume, unit_sphere_area)
@@ -165,10 +165,12 @@ def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
     at none. The ratio column is the hyperuniformity diagnostic and
     should decay along the ladder. An expected count that underflows
     raises FloatingPointError, one that overflows OverflowError, each
-    naming the scale.
+    naming the scale. Invalid resolution arguments raise ValueError even
+    when the spectral route is off.
     """
     if spectral not in ("off", "on", "auto"):
         raise ValueError(f"spectral must be off, on or auto, got {spectral!r}")
+    check_resolution(node_cap, nodes_per_unit, n_per_axis)
     scales = [float(s) for s in scales]
     windows = [region.dilate(s) for s in scales]
     if nodes_per_unit is None and kernel.ambient_dim == 1:

@@ -351,6 +351,22 @@ def test_check_subcommand_fault_injection(capsys, monkeypatch):
     assert "FAIL lens_series_vs_exact_d2" in out
 
 
+def test_rho_mass_conservation_sees_a_mass_error(sine_run, monkeypatch):
+    # rho one part in 10^6 too heavy integrates to N (1 + 1e-6)
+    reference = checks.reference_run
+
+    def heavy_run():
+        run = reference()
+        run.field.rho = run.field.rho * (1.0 + 1e-6)
+        return run
+
+    monkeypatch.setattr(checks, "reference_run", heavy_run)
+    line = next(c for c in checks.self_checks()
+                if c.name == "rho_mass_conservation")
+    assert not line.passed
+    assert line.lhs == approx(1e-6 * sine_run.field.n_count, rel=1e-3)
+
+
 def test_check_reports_c_delta(capsys):
     assert main(["check", "--delta", "0.5"]) == 0
     assert "Cdelta2" in capsys.readouterr().out
@@ -462,6 +478,10 @@ def test_variance_nodes_per_unit_is_read_in_two_dimensions(tmp_path):
      "--R", "2", "--eval-spacing", "0"],
     ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
      "--R", "2", "--eval-spacing", "-1"],
+    # the spectral route builds no grid, but the options are still vetted
+    *[["variance", "--kernel", "sine", "--R", "1,2", "--spectral", "off",
+       *extra] for extra in (["--node-cap", "0"], ["--nodes-per-unit", "-5"],
+                             ["--n", "1"])],
 ])
 def test_nonpositive_resolution_is_usage_error(argv, capsys):
     assert main(argv) == 2
@@ -574,6 +594,41 @@ def test_nonfinite_output_is_numerical_failure(fmt, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "error: refusing to emit a non-finite value\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("column", ["rho", "target"])
+def test_nonfinite_field_leaves_no_file(column, tmp_path, capsys,
+                                        monkeypatch):
+    study = cli.l1_convergence_study
+
+    def poisoned(*args, **kwargs):
+        rows = study(*args, **kwargs)
+        getattr(rows[0].field, column)[0] = math.nan
+        return rows
+
+    monkeypatch.setattr(cli, "l1_convergence_study", poisoned)
+    out = tmp_path / "run.csv"
+    assert main(["spectrogram", "--kernel", "sine", "--region",
+                 "interval:-1,1", "--R", "2", "--n", "40",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "error: refusing to emit a non-finite value\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_window_mask_is_built_once_per_eval_grid(tmp_path, monkeypatch):
+    calls = []
+    contains = Box.contains_points
+
+    def counted(self, points):
+        calls.append(len(points))
+        return contains(self, points)
+
+    monkeypatch.setattr(Box, "contains_points", counted)
+    assert main(["spectrogram", "--kernel", "sine", "--region",
+                 "interval:-1,1", "--R", "2,4",
+                 "--out", str(tmp_path / "run.csv")]) == 0
+    assert len(calls) == 2
 
 
 def _csv_tables(path):

@@ -12,7 +12,6 @@ from accspec.discretize import (QuadratureGrid, ResourceLimitError,
                                 spectral_decompose, window_grid)
 from accspec.geometry import Ball, Box, DisjointBallUnion, unit_ball_volume
 from accspec.kernels import GinibreKernel, PaleyWienerKernel, sine_kernel
-from accspec.spectrogram import count_n_delta
 from helpers import ginibre_ball_spectrum
 
 
@@ -344,7 +343,7 @@ def test_ginibre_disk_spectrum_matches_exact(radius, n_per_axis):
     for delta in (0.1, 0.25, 0.5):
         # the nearest exact eigenvalue is at least 0.011 from 1 - delta
         assert np.abs(exact - (1.0 - delta)).min() >= 0.011
-        assert count_n_delta(sd, delta) == int(np.sum(exact > 1.0 - delta))
+        assert sd.count_above(1.0 - delta) == int(np.sum(exact > 1.0 - delta))
 
 
 def test_ginibre_c2_ball_spectrum_matches_exact():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from accspec.discretize import (QuadratureGrid, assemble_operator,
 from accspec.geometry import Ball, Box
 from helpers import synthetic_spectral
 from accspec.kernels import GinibreKernel, PaleyWienerKernel, sine_kernel
-from accspec.spectrogram import (RankDeficiencyError,
+from accspec.spectrogram import (ConvergenceRow, DefectField,
+                                 RankDeficiencyError,
                                  accumulated_spectrogram, build_eval_grid,
-                                 c_delta, compute_psi, count_n, count_n_delta,
-                                 defect_g,
+                                 c_delta, compute_psi, count_n, defect_g,
                                  inequality_report, inner_product_direct,
                                  inner_product_spectral,
                                  l1_convergence_study)
@@ -42,11 +43,12 @@ def test_c_delta_values():
 
 
 def test_count_n_delta():
+    # N_delta is the count above 1 - delta; c_delta guards delta's range
     sd = synthetic_spectral([1.0, 0.95, 0.5, 0.01])
-    assert count_n_delta(sd, 0.1) == 2
-    assert count_n_delta(sd, 0.6) == 3
+    assert sd.count_above(1.0 - 0.1) == 2
+    assert sd.count_above(1.0 - 0.6) == 3
     with pytest.raises(ValueError):
-        count_n_delta(sd, 1.0)
+        c_delta(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +91,7 @@ def test_psi_rank_deficiency_error(sine_run):
 
 def test_rho_mass_conservation(sine_run):
     fld = sine_run.field
-    assert fld.integral() + fld.tail_mass == approx(fld.n_count, abs=1e-10)
+    assert abs(fld.n_count - fld.integral()) <= 1e-10
     assert fld.tail_mass >= -1e-8
     assert np.all(fld.rho >= 0.0)
 
@@ -282,8 +284,9 @@ def test_ginibre_box_window_integral_closed_form():
 
 def test_defect_sign_structure(sine_run):
     d = sine_run.defect
-    assert d.values[d.inside].min() >= -1e-8
-    assert d.values[~d.inside].max() <= 1e-8
+    inside = sine_run.eval_grid.inside_base()
+    assert d.values[inside].min() >= -1e-8
+    assert d.values[~inside].max() <= 1e-8
 
 
 def test_defect_l1_vs_variance_equality(sine_run):
@@ -328,11 +331,12 @@ def test_delta_half_minimizes_bounds(sine_run):
 def test_pure_projection_equality_case():
     # all eigenvalues exactly one: zero variance, delta count exact
     sd = synthetic_spectral([1.0, 1.0, 1.0, 0.0])
-    assert count_n_delta(sd, 0.3) == 3
+    n_delta = sd.count_above(1.0 - 0.3)
+    assert n_delta == 3
     mu = sd.eigenvalues_clamped
     var = float(np.sum(mu * (1 - mu)))
     assert var == 0.0
-    assert abs(count_n_delta(sd, 0.3) - sd.trace) <= c_delta(0.3) * var + 1e-12
+    assert abs(n_delta - sd.trace) <= c_delta(0.3) * var + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +351,12 @@ def test_l1_study_smoke():
     for row in rows:
         assert abs(row.tail_mass) < 1e-8
         assert not row.saturated
+        # err_raw is the L1 distance of rho from the field's own target
+        fld = row.field
+        assert row.err_raw == (float(np.sum(np.abs(fld.rho - fld.target)
+                                            * fld.eval_grid.weights))
+                               + abs(fld.tail_mass))
+        assert row.err_normalized == row.err_raw / fld.n_count
 
 
 def test_l1_study_rejects_unordered_scales():
@@ -407,3 +417,21 @@ def test_spectrogram_reuses_psi(sine_run):
 
 def test_defect_quad_estimate_positive(sine_run):
     assert sine_run.defect.quad_error_estimate > 0.0
+
+
+def test_field_target_is_the_limit_shape_on_the_grid_mask(sine_run):
+    fld, ev = sine_run.field, sine_run.eval_grid
+    assert ev.inside_base() is ev.inside_base()
+    assert np.array_equal(ev.inside_base(),
+                          sine_run.region.contains_points(ev.nodes))
+    assert np.array_equal(fld.target, sine_run.kernel.diagonal_value
+                          * ev.inside_base())
+
+
+def test_rows_and_defects_keep_no_second_copy():
+    # N, the tail mass and the window mask live on the field and the grid
+    assert [f.name for f in fields(ConvergenceRow)] == [
+        "scale", "n_per_axis", "trace", "err_raw", "saturated",
+        "trace_defect", "field"]
+    assert [f.name for f in fields(DefectField)] == [
+        "values", "window_integral", "l1_total", "quad_error_estimate"]
