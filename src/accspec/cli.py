@@ -220,14 +220,14 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path | None, header: tuple, rows, comments=()) -> None:
+    """CSV of ``rows``, whose cells ``_fmt`` has already formatted."""
     buf = io.StringIO()
     buf.write(f"# accspec {__version__}\n")
     for line in comments:
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(rows)
     text = buf.getvalue()
     if path is None:
         sys.stdout.write(text)
@@ -253,8 +253,8 @@ def fields_path(out: Path) -> Path:
 def write_tables(args, header, summary, fields=None, fit=None) -> None:
     """Summary table under ``header``, (header, rows) field table and fit
     block: one JSON document, or CSV with '# fit_*' comments and the
-    fields file. The field rows (any iterable) go through ``_cell`` before
-    any file is written."""
+    fields file. Every cell (the field rows may be any iterable) goes
+    through ``_cell`` once, before any file is written."""
     if args.format == "json":
         doc = {"summary": [dict(zip(header, map(_cell, row)))
                            for row in summary]}
@@ -269,8 +269,9 @@ def write_tables(args, header, summary, fields=None, fit=None) -> None:
         return
     comments = [f"fit_{key}: {v if isinstance(v, str) else _fmt(v)}"
                 for key, v in (fit or {}).items()]
+    summary = [list(map(_fmt, row)) for row in summary]
     if fields is not None and args.out is not None:
-        fields = (fields[0], [tuple(map(_cell, row)) for row in fields[1]])
+        fields = (fields[0], [list(map(_fmt, row)) for row in fields[1]])
     write_csv(args.out, header, summary, comments=comments)
     if fields is not None and args.out is not None:
         write_csv(fields_path(args.out), *fields)

@@ -195,8 +195,9 @@ def build_grid(region: Region, n_per_axis: int,
                node_cap: int = DEFAULT_NODE_CAP) -> QuadratureGrid:
     """Product Gauss rule on the region at ``n_per_axis`` nodes per axis:
     n^d nodes on a box, at most c_d (n/2)^d on a ball (see ``_orders``),
-    checked against ``node_cap`` before any node is built. The resolution
-    itself is checked by ``check_resolution``."""
+    checked against ``node_cap`` before any node is built, after
+    ``check_resolution`` has checked the cap and n_per_axis."""
+    check_resolution(node_cap, n_per_axis=n_per_axis)
     count = _node_count(region, n_per_axis)
     if count > node_cap:
         raise ResourceLimitError(
@@ -245,7 +246,7 @@ def window_grid(region: Region, node_cap: int,
     else ceil(nodes_per_unit * longest bounding-box side) (at least 2),
     else the finest grid within the node cap. A requested grid beyond
     the cap raises ResourceLimitError."""
-    check_resolution(node_cap, nodes_per_unit, n_per_axis)
+    check_resolution(node_cap, nodes_per_unit)
     if n_per_axis is None:
         if nodes_per_unit is None:
             n_per_axis = max_n_per_axis(region, node_cap)

@@ -106,10 +106,20 @@ def test_window_grid_resolution_rule():
     {"node_cap": 4096, "nodes_per_unit": 0.0},
     {"node_cap": 4096, "nodes_per_unit": -3.0},
     {"node_cap": 4096, "nodes_per_unit": math.nan},
+    {"node_cap": 4096, "n_per_axis": 1},
 ])
 def test_window_grid_rejects_nonpositive_resolution(kwargs):
     with pytest.raises(ValueError, match="must be"):
         window_grid(Ball(np.zeros(2), 1.0), **kwargs)
+
+
+@pytest.mark.parametrize("region, n", [
+    (Ball(np.zeros(2), 1.0), 1),
+    (Box(np.zeros(2), np.ones(2)), 0),
+])
+def test_build_grid_checks_its_resolution(region, n):
+    with pytest.raises(ValueError, match="n_per_axis must be at least 2"):
+        build_grid(region, n)
 
 
 def test_grid_determinism():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -156,6 +157,73 @@ def test_eval_dimension_mismatch():
         PaleyWienerKernel(2).eval([0.0], [1.0])
     with pytest.raises(ValueError):
         GinibreKernel(1).eval([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+
+
+def sine_block_reference(xs, ys, dps: int = 30) -> np.ndarray:
+    """sin(x - y) / (pi (x - y)) for float points xs (rows) and ys
+    (columns), exact to about 10^-dps: the sines, cosines and pi from
+    mpmath and the differences x - y exact, all as integers at
+    2^(-4 dps), with sin(x - y) by the addition theorem."""
+    bits = 4 * dps
+
+    def fixed(values, f):
+        return np.array([mp.libmp.to_fixed(f(mp.mpf(float(v)))._mpf_, bits)
+                         for v in values], dtype=object)
+
+    with mp.workdps(dps + 10):
+        pi = mp.libmp.to_fixed(mp.pi._mpf_, bits)
+        num = (np.multiply.outer(fixed(xs, mp.sin), fixed(ys, mp.cos))
+               - np.multiply.outer(fixed(xs, mp.cos), fixed(ys, mp.sin)))
+    exact = [np.array([int(Fraction(float(v)) * 2 ** bits) for v in values],
+                      dtype=object) for values in (xs, ys)]
+    den = np.subtract.outer(*exact) * pi
+    zero = den == 0
+    den[zero] = 1
+    out = (num / den).astype(float)
+    out[zero] = 1.0 / math.pi
+    return out
+
+
+def test_sine_eval_matrix_matches_high_precision_reference():
+    # rows: the R = 16 ladder's lattice (spacing 1/40, margin 80); columns:
+    # window-like nodes and lattice nodes moved by offsets on both sides
+    # of the 1/2 cutoff between the Bessel and the angle-addition forms
+    offsets = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.49, 0.5 - 1e-6, 0.5 + 1e-6,
+               0.51)
+    rng = np.random.default_rng(7)
+    xs = np.arange(-3880, 3881) / 40.0
+    anchors = xs[rng.integers(0, len(xs), len(offsets))]
+    ys = np.concatenate([rng.uniform(-16.0, 16.0, 8),
+                         anchors + np.array(offsets)])
+    kernel = PaleyWienerKernel(1)
+    reference = sine_block_reference(xs, ys)
+    # measured 1.67e-16, as with one sine per entry
+    block = kernel.eval_matrix(xs[:, None], ys[:, None])
+    assert np.abs(block - reference).max() <= 2e-16
+    # single columns, like the pivoted Cholesky's, take one sine per entry
+    columns = np.hstack([kernel.eval_matrix(xs[:, None], [[y]]) for y in ys])
+    assert np.abs(columns - reference).max() <= 2e-16
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_paley_wiener_eval_matrix_equals_summed_distance_form(dim):
+    rng = np.random.default_rng(dim)
+    kernel = PaleyWienerKernel(dim)
+    xs = rng.uniform(-6.0, 6.0, (300, dim))
+    ys = np.concatenate([rng.uniform(-2.0, 2.0, (40, dim)), xs[:3],
+                         xs[3:6] + 1e-9])
+    diff = xs[:, None, :] - ys[None, :, :]
+    expected = kernel._profile_amplitude(np.sqrt(np.sum(diff * diff, axis=2)))
+    assert np.array_equal(kernel.eval_matrix(xs, ys), expected)
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: f"{k.name}{k.ambient_dim}")
+def test_eval_matrix_empty_blocks(kernel):
+    d = kernel.ambient_dim
+    pts = np.zeros((3, d))
+    assert kernel.eval_matrix(np.empty((0, d)), pts).shape == (0, 3)
+    assert kernel.eval_matrix(pts, np.empty((0, d))).shape == (3, 0)
+    assert kernel.eval_matrix(np.empty((0, d)), np.empty((0, d))).shape == (0, 0)
 
 
 # ---------------------------------------------------------------------------
