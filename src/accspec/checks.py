@@ -56,18 +56,20 @@ def self_checks(delta: float = 0.25) -> list[InequalityCheck]:
     spectral-count threshold of the inequality lines."""
     lines = []
 
-    # lens: series agrees with the closed-form cap route on a 50-point grid
+    # lens: series agrees with the closed-form cap route on a 50-point
+    # grid; np.max, unlike max, keeps a NaN, so a NaN fails the line
     for d in (1, 2, 3):
         specs = [LensSpec(d, float(r), 1.0) for r in np.linspace(0.0, 2.0, 50)]
-        worst = max(abs(lens_volume_series(s, tol=1e-9) - lens_volume_exact(s))
-                    for s in specs)
+        worst = float(np.max([abs(lens_volume_series(s, tol=1e-9)
+                                  - lens_volume_exact(s)) for s in specs]))
         lines.append(InequalityCheck(f"lens_series_vs_exact_d{d}", worst,
                                      1e-8, 0.0))
 
     # Bessel implementation against a compensated direct series sum
     for nu in (0.5, 1.0, 1.5):
-        worst = max(abs(bessel_j(nu, x) - _bessel_series_fsum(nu, x))
-                    for x in np.linspace(0.0, 10.0, 101).tolist())
+        xs = np.linspace(0.0, 10.0, 101).tolist()
+        worst = float(np.max([abs(bessel_j(nu, x) - _bessel_series_fsum(nu, x))
+                              for x in xs]))
         lines.append(InequalityCheck(f"bessel_vs_series_nu{nu}", worst,
                                      1e-10, 0.0))
 

@@ -11,17 +11,18 @@ Subcommands:
 * ``check``: prints the fixed self-check suite of ``accspec.checks``
   (lens routes, Bessel series, kernel admissibility, inequality
   diagnostics at ``--delta``), the same lines the acceptance tests
-  assert; exit 1 on any failure.
+  assert; exit 1 on any failure, a NaN line included.
 * ``lens``: both lens-volume routes for one (dim, r, R).
 
 The module only parses arguments, calls the library and prints.
-Exit codes: 0 success, 1 check failure, 2 usage/configuration error,
-3 numerical failure (a series that misses its tolerance within the term
-cap, a resource limit, a float overflow, an expected count that
-underflows, an eigensolve that fails its residual check, a spectrum
-with fewer modes above the floor than the mode count needs, or a
-NaN or infinite value in an output table, which is refused before any
-file is written).
+Exit codes: 0 success, 1 check failure, 2 usage/configuration error
+(an ``--out`` file that cannot be written included), 3 numerical failure
+(a series that misses its tolerance within the term cap, a resource
+limit, a float overflow, an expected count that underflows, an
+eigensolve that fails its residual check, a spectrum with fewer modes
+above the floor than the mode count needs, or a NaN or infinite value
+in an output table, which is refused before any file is written; the
+field table is one float array, checked in one pass).
 A reader that closes stdout early (``accspec --schema | head -1``) ends
 the run quietly with exit 0: the rest of the output is discarded.
 Identical configurations produce byte-identical output apart from the
@@ -31,8 +32,6 @@ version header line.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -199,51 +198,51 @@ def kernel_region_scales(args, region_required: bool):
 # output formatting
 
 
-def _cell(value):
-    """A table cell as both writers take it: None, an int or a finite
-    float; anything else raises NonFiniteOutputError."""
+def _fmt(value) -> str:
+    """A summary, fit or lens cell as text, "" for None; NaN or infinity
+    raises NonFiniteOutputError."""
     if value is None:
-        return None
+        return ""
     if isinstance(value, (int, np.integer)):
-        return int(value)
+        return str(int(value))
     value = float(value)
     if not math.isfinite(value):
         raise NonFiniteOutputError("refusing to emit a non-finite value")
-    return value
+    return f"{value:.17g}"
 
 
-def _fmt(value) -> str:
-    value = _cell(value)
-    if value is None:
-        return ""
-    return str(value) if isinstance(value, int) else f"{value:.17g}"
-
-
-def write_csv(path: Path | None, header: tuple, rows, comments=()) -> None:
-    """CSV of ``rows``, whose cells ``_fmt`` has already formatted."""
-    buf = io.StringIO()
-    buf.write(f"# accspec {__version__}\n")
-    for line in comments:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    text = buf.getvalue()
+def _emit(path: Path | None, text: str) -> None:
+    """``text`` to stdout or to ``path``; an unwritable path is a
+    UsageError."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def write_csv(path: Path | None, header: tuple, lines, comments=()) -> None:
+    """CSV of ``lines``, each one row whose cells are already formatted
+    and joined by commas."""
+    _emit(path, "".join([f"# accspec {__version__}\n",
+                         *(f"# {line}\n" for line in comments),
+                         ",".join(header) + "\n",
+                         *(line + "\n" for line in lines)]))
 
 
 def write_json(path: Path | None, document: dict) -> None:
-    """``document`` after a version key, as indented JSON; its numbers
-    come through ``_cell``, so none is NaN or infinite."""
-    document = {"version": __version__, **document}
-    text = json.dumps(document, indent=2)
-    if path is None:
-        sys.stdout.write(text + "\n")
-    else:
-        path.write_text(text + "\n", encoding="utf-8")
+    """``document`` after a version key, as indented JSON; a NaN or
+    infinite number in it raises NonFiniteOutputError before anything is
+    written."""
+    try:
+        text = json.dumps({"version": __version__, **document}, indent=2,
+                          allow_nan=False)
+    except ValueError:
+        raise NonFiniteOutputError(
+            "refusing to emit a non-finite value") from None
+    _emit(path, text + "\n")
 
 
 def fields_path(out: Path) -> Path:
@@ -251,30 +250,30 @@ def fields_path(out: Path) -> Path:
 
 
 def write_tables(args, header, summary, fields=None, fit=None) -> None:
-    """Summary table under ``header``, (header, rows) field table and fit
-    block: one JSON document, or CSV with '# fit_*' comments and the
-    fields file. Every cell (the field rows may be any iterable) goes
-    through ``_cell`` once, before any file is written."""
+    """Summary table under ``header``, (header, float array) field table
+    and fit block: one JSON document, or CSV with '# fit_*' comments and
+    the fields file. One pass over the field array refuses NaN and
+    infinity, and every cell is checked before any file is written."""
+    field_header, table = fields or ((), None)
+    if table is not None and not np.isfinite(table).all():
+        raise NonFiniteOutputError("refusing to emit a non-finite value")
     if args.format == "json":
-        doc = {"summary": [dict(zip(header, map(_cell, row)))
-                           for row in summary]}
-        if fields is not None:
-            field_header, field_rows = fields
-            doc["fields"] = [dict(zip(field_header, map(_cell, row)))
-                             for row in field_rows]
+        doc = {"summary": [dict(zip(header, row)) for row in summary]}
+        if table is not None:
+            doc["fields"] = [dict(zip(field_header, row))
+                             for row in table.tolist()]
         if fit is not None:
-            doc["fit"] = {key: v if isinstance(v, str) else _cell(v)
-                          for key, v in fit.items()}
+            doc["fit"] = fit
         write_json(args.out, doc)
         return
     comments = [f"fit_{key}: {v if isinstance(v, str) else _fmt(v)}"
                 for key, v in (fit or {}).items()]
-    summary = [list(map(_fmt, row)) for row in summary]
-    if fields is not None and args.out is not None:
-        fields = (fields[0], [list(map(_fmt, row)) for row in fields[1]])
-    write_csv(args.out, header, summary, comments=comments)
-    if fields is not None and args.out is not None:
-        write_csv(fields_path(args.out), *fields)
+    write_csv(args.out, header, [",".join(map(_fmt, row)) for row in summary],
+              comments=comments)
+    if table is not None and args.out is not None:
+        template = ",".join(["%.17g"] * len(field_header))
+        write_csv(fields_path(args.out), field_header,
+                  [template % tuple(row) for row in table.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +294,10 @@ def cmd_spectrogram(args) -> int:
         field_header = ("R", *[f"x{k + 1}"
                                for k in range(kernel.ambient_dim)],
                         "rho", "target")
-        fields = (field_header, (
-            (row.scale, *node, rho, t) for row in rows for node, rho, t
-            in zip(row.field.eval_grid.nodes, row.field.rho, row.field.target)))
+        fields = (field_header, np.vstack([
+            np.column_stack((np.full(row.field.rho.size, row.scale),
+                             row.field.eval_grid.nodes, row.field.rho,
+                             row.field.target)) for row in rows]))
     write_tables(args, SPECTROGRAM_COLUMNS, summary, fields=fields)
     return 0
 
@@ -343,8 +343,8 @@ def cmd_check(args) -> int:
     lines = self_checks(args.delta)
     for line in lines:
         status = "PASS" if line.passed else "FAIL"
-        print(f"{status} {line.name} lhs={_fmt(line.lhs)} rhs={_fmt(line.rhs)} "
-              f"slack={_fmt(line.slack)}")
+        print(f"{status} {line.name} lhs={line.lhs:.17g} rhs={line.rhs:.17g} "
+              f"slack={line.slack:.17g}")
     failures = sum(not line.passed for line in lines)
     if failures:
         print(f"{failures} check(s) failed")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from accspec import checks, cli, spectrogram
 from accspec.cli import UsageError, main, parse_region, parse_scale_list
 from accspec.discretize import ResourceLimitError
 from accspec.geometry import Ball, Box, DisjointBallUnion
-from accspec.spectrogram import RankDeficiencyError
+from accspec.spectrogram import InequalityCheck, RankDeficiencyError
 from accspec.variance import CurvePoint
 
 
@@ -351,6 +352,44 @@ def test_check_subcommand_fault_injection(capsys, monkeypatch):
     assert "FAIL lens_series_vs_exact_d2" in out
 
 
+@pytest.mark.parametrize("routine_name, nan_from, failing", [
+    ("lens_volume_exact", lambda spec: spec.r > 1, "lens_series_vs_exact"),
+    ("bessel_j", lambda nu, x: x > 5, "bessel_vs_series"),
+], ids=["lens", "bessel"])
+def test_check_fails_a_nan_that_is_not_first(routine_name, nan_from, failing,
+                                             capsys, monkeypatch):
+    # the NaN sits in the middle of each line's grid, where a builtin max
+    # over the errors would drop it
+    routine = getattr(checks, routine_name)
+
+    def poisoned(*args):
+        return math.nan if nan_from(*args) else routine(*args)
+
+    monkeypatch.setattr(checks, routine_name, poisoned)
+    assert main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split()[1] for line in lines if line.startswith("FAIL ")]
+    assert failed == [name for name in CHECK_NAMES if name.startswith(failing)]
+    assert all(" lhs=nan " in line for line in lines
+               if line.startswith("FAIL "))
+    assert lines[-1] == "3 check(s) failed"
+
+
+def test_check_prints_a_nonfinite_line_as_a_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "self_checks", lambda delta: [
+        InequalityCheck("finite", 0.5, 1.0, 0.0),
+        InequalityCheck("not_a_number", math.nan, 1e-8, 0.0),
+        InequalityCheck("unbounded", math.inf, 1e-8, 0.0)])
+    assert main(["check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "PASS finite lhs=0.5 rhs=1 slack=0",
+        "FAIL not_a_number lhs=nan rhs=1e-08 slack=0",
+        "FAIL unbounded lhs=inf rhs=1e-08 slack=0",
+        "2 check(s) failed"]
+    assert captured.err == ""
+
+
 def test_rho_mass_conservation_sees_a_mass_error(sine_run, monkeypatch):
     # rho one part in 10^6 too heavy integrates to N (1 + 1e-6)
     reference = checks.reference_run
@@ -596,8 +635,9 @@ def test_nonfinite_output_is_numerical_failure(fmt, capsys, monkeypatch):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("column", ["rho", "target"])
-def test_nonfinite_field_leaves_no_file(column, tmp_path, capsys,
+def test_nonfinite_field_leaves_no_file(column, fmt, tmp_path, capsys,
                                         monkeypatch):
     study = cli.l1_convergence_study
 
@@ -607,13 +647,53 @@ def test_nonfinite_field_leaves_no_file(column, tmp_path, capsys,
         return rows
 
     monkeypatch.setattr(cli, "l1_convergence_study", poisoned)
-    out = tmp_path / "run.csv"
+    out = tmp_path / f"run.{fmt}"
     assert main(["spectrogram", "--kernel", "sine", "--region",
-                 "interval:-1,1", "--R", "2", "--n", "40",
+                 "interval:-1,1", "--R", "2", "--n", "40", "--format", fmt,
                  "--out", str(out)]) == 3
     assert capsys.readouterr().err == \
         "error: refusing to emit a non-finite value\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_field_values_are_written_exactly(tmp_path):
+    # CSV cells are 17 significant digits, JSON numbers are float repr;
+    # both read back to the same float, signed zero and subnormal included
+    values = [-0.0, 5e-324, 1e-300, 0.1, 1 / 3, 2.0 ** 53 + 2, 1e22]
+    header = ("R", "x1", "rho", "target")
+    table = np.array([[values[(i + j) % len(values)]
+                       for j in range(len(header))]
+                      for i in range(len(values))])
+    for fmt in ("csv", "json"):
+        args = SimpleNamespace(format=fmt, out=tmp_path / f"run.{fmt}")
+        cli.write_tables(args, ("R",), [(1.0,)], fields=(header, table))
+    lines = (tmp_path / "run.fields.csv").read_text().splitlines()
+    assert lines[1] == ",".join(header)
+    csv_cells = [line.split(",") for line in lines[2:]]
+    doc = json.loads((tmp_path / "run.json").read_text(),
+                     parse_float=lambda text: text)
+    json_cells = [[row[key] for key in header] for row in doc["fields"]]
+    for row, csv_row, json_row in zip(table.tolist(), csv_cells, json_cells,
+                                      strict=True):
+        for value, csv_cell, json_cell in zip(row, csv_row, json_row,
+                                              strict=True):
+            assert csv_cell == format(value, ".17g")
+            assert json_cell == json.dumps(value)
+            for text in (csv_cell, json_cell):
+                assert repr(float(text)) == repr(value)
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("missing/dir/x.csv", "No such file or directory"),
+    ("", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_unwritable_out_is_usage_error(target, reason, tmp_path, capsys):
+    out = tmp_path / target
+    assert main(["variance", "--kernel", "sine", "--R", "1,2",
+                 "--spectral", "off", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {reason}\n"
 
 
 def test_window_mask_is_built_once_per_eval_grid(tmp_path, monkeypatch):
