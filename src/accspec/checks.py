@@ -4,12 +4,16 @@ Each line is an ``InequalityCheck`` (name, lhs <= rhs + slack). The
 suite covers the two lens-volume routes, the Bessel implementation
 against a compensated power series, the two forms of the asymptotic
 variance constant, the kernels' radial normalization, and, on the
-reference sine window (-5, 5) at 400 nodes, the four spectral-count
-inequalities, the dual inner-product identity and mass conservation of
-the accumulated spectrogram. The suite is one fixed configuration:
-``accspec check`` prints its lines and the acceptance tests assert the
-same lines. ``reference_run`` builds the reference window's pipeline,
-which the tests also share.
+reference sine window (-5, 5) at 400 nodes, the paper's six identities:
+the trace identity, the spectral against the radial count variance, the
+four spectral-count inequalities at each threshold of ``DELTAS``, the
+dual inner-product identity and mass conservation of the accumulated
+spectrogram. The suite is one fixed configuration: ``accspec check``
+prints its lines and the acceptance tests assert the same lines.
+``trace_identity`` and ``variance_cross_route`` hold the formula and
+bound of their identity, so the tests apply them to other windows.
+``reference_run`` builds the reference window's pipeline, which the
+tests also share.
 """
 
 from __future__ import annotations
@@ -28,7 +32,11 @@ from .kernels import (GinibreKernel, PaleyWienerKernel, bessel_j,
 from .spectrogram import (InequalityCheck, accumulated_spectrogram,
                           build_eval_grid, compute_psi, defect_g,
                           inequality_report, inner_product_spectral)
-from .variance import asymptotic_constant, asymptotic_constant_geometric
+from .variance import (asymptotic_constant, asymptotic_constant_geometric,
+                       variance_radial, variance_spectral)
+
+# the spectral-count thresholds of the inequality lines
+DELTAS = (0.1, 0.25, 0.5)
 
 
 def reference_run() -> SimpleNamespace:
@@ -51,9 +59,23 @@ def reference_run() -> SimpleNamespace:
                            defect=defect)
 
 
-def self_checks(delta: float = 0.25) -> list[InequalityCheck]:
-    """Every check of the suite, in a fixed order; ``delta`` is the
-    spectral-count threshold of the inequality lines."""
+def trace_identity(label: str, defect: float) -> InequalityCheck:
+    """The trace of the spectrum equals the operator's diagonal sum, the
+    expected count: ``defect`` = |Tr from the eigenvalues - Tr(M)|."""
+    return InequalityCheck(f"trace_identity_{label}", defect, 1e-10, 0.0)
+
+
+def variance_cross_route(label: str, kernel, spectral,
+                         radius: float) -> InequalityCheck:
+    """Tr(M - M^2) over the discretized spectrum against the radial-route
+    count variance in the ball of ``radius``, relative to the latter."""
+    radial = variance_radial(kernel, radius).value
+    rel = abs(variance_spectral(spectral) - radial) / radial
+    return InequalityCheck(f"variance_cross_route_{label}", rel, 0.02, 0.0)
+
+
+def self_checks() -> list[InequalityCheck]:
+    """Every check of the suite, in a fixed order."""
     lines = []
 
     # lens: series agrees with the closed-form cap route on a 50-point
@@ -89,14 +111,18 @@ def self_checks(delta: float = 0.25) -> list[InequalityCheck]:
             f"radial_normalization_{kernel.name}_d{kernel.ambient_dim}",
             abs(res), bound, 0.0))
 
-    # inequality suite and identities on the reference configuration
+    # the identities on the reference configuration
     run = reference_run()
     fld, defect = run.field, run.defect
-    report = inequality_report(run.kernel, run.spectral, fld, run.psi,
-                               defect, delta)
-    for chk in report.checks:
-        lines.append(replace(chk, name=f"{chk.name}_delta{delta:g}"
-                                       f"_Cdelta{report.c_delta:g}"))
+    lines.append(trace_identity(
+        "sine", abs(run.spectral.trace - run.operator.trace)))
+    lines.append(variance_cross_route("sine", run.kernel, run.spectral, 5.0))
+    for delta in DELTAS:
+        report = inequality_report(run.kernel, run.spectral, fld, run.psi,
+                                   defect, delta)
+        for chk in report.checks:
+            lines.append(replace(chk, name=f"{chk.name}_delta{delta:g}"
+                                           f"_Cdelta{report.c_delta:g}"))
 
     ips, _ = inner_product_spectral(run.psi)
     ipd = defect.window_integral

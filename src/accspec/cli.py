@@ -9,9 +9,10 @@ Subcommands:
   ratio) in its own summary table, plus the log-asymptotic fit when the
   radii span a decade.
 * ``check``: prints the fixed self-check suite of ``accspec.checks``
-  (lens routes, Bessel series, kernel admissibility, inequality
-  diagnostics at ``--delta``), the same lines the acceptance tests
-  assert; exit 1 on any failure, a NaN line included.
+  (lens routes, Bessel series, kernel admissibility and the paper's six
+  identities on the reference sine window), the same lines the
+  acceptance tests assert; it takes no option; exit 1 on any failure, a
+  NaN line included.
 * ``lens``: both lens-volume routes for one (dim, r, R).
 
 The module only parses arguments, calls the library and prints.
@@ -340,7 +341,7 @@ def cmd_lens(args) -> int:
 
 
 def cmd_check(args) -> int:
-    lines = self_checks(args.delta)
+    lines = self_checks()
     for line in lines:
         status = "PASS" if line.passed else "FAIL"
         print(f"{status} {line.name} lhs={line.lhs:.17g} rhs={line.rhs:.17g} "
@@ -408,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="self-check suite")
     p_check.set_defaults(run=cmd_check)
-    p_check.add_argument("--delta", type=float, default=0.25)
 
     p_lens = sub.add_parser("lens", help="lens volume, both routes")
     p_lens.set_defaults(run=cmd_lens)

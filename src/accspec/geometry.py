@@ -58,6 +58,8 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lower and upper must be 1d points of equal length")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("box corners must be finite")
         if not np.all(lo < hi):
             raise ValueError("box requires lower < upper componentwise")
         object.__setattr__(self, "lower", lo)
@@ -103,6 +105,8 @@ class Ball:
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         if c.ndim != 1:
             raise ValueError("center must be a 1d point")
+        if not (np.isfinite(c).all() and math.isfinite(self.radius)):
+            raise ValueError("ball center and radius must be finite")
         if not self.radius > 0:
             raise ValueError(f"ball radius must be positive, got {self.radius}")
         object.__setattr__(self, "center", c)

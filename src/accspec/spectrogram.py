@@ -134,7 +134,8 @@ def build_eval_grid(kernel: Kernel, region: Region,
     if n_nodes > EVAL_NODE_CAP:
         raise ResourceLimitError(f"evaluation grid would need "
                                  f"{_count_text(n_nodes)} nodes, "
-                                 f"cap is {EVAL_NODE_CAP}")
+                                 f"cap is {EVAL_NODE_CAP} (margin "
+                                 f"{margin:.3g}, spacing {spacing:.3g})")
     ns = [int(c) for c in counts]
     step = (hi - lo) / ns
     axes = tuple(lo[k] + step[k] * (np.arange(n) + 0.5)

@@ -59,6 +59,29 @@ def test_parse_region_rejects_garbage():
         parse_region("interval:1")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kernel", "sine", "--region", "interval:0,inf", "--R", "1"],
+    ["--kernel", "sine", "--region", "ball:0:inf", "--R", "1"],
+    ["--kernel", "sine", "--region", "ball:nan:1", "--R", "1,2",
+     "--spectral", "off"],
+    ["--kernel", "sine", "--region", "union:0:1;nan:1", "--R", "1,2",
+     "--spectral", "off"],
+    ["--kernel", "ginibre", "--region", "ball:inf,0:1", "--R", "1",
+     "--spectral", "off"],
+    ["--kernel", "ginibre", "--region", "ball:nan,0:1", "--R", "1"],
+], ids=["interval-inf", "ball-radius-inf", "ball-center-nan",
+        "union-center-nan", "ball-center-inf-2d", "ball-center-nan-2d"])
+def test_nonfinite_window_is_usage_error(argv, capsys):
+    assert main(["variance", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    region = argv[argv.index("--region") + 1]
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: region: cannot parse '{region}': ")
+    assert lines[0].endswith("must be finite")
+
+
 def test_missing_kernel_is_usage_error(capsys):
     code = main(["spectrogram", "--region", "interval:-1,1", "--R", "2"])
     assert code == 2
@@ -327,13 +350,17 @@ CHECK_NAMES = (
     "asymptotic_constant_identity_d3",
     "radial_normalization_ginibre_d2", "radial_normalization_sine_d1",
     "radial_normalization_paley-wiener_d2",
-    "psi_approximation_delta0.25_Cdelta4", "delta_count_delta0.25_Cdelta4",
-    "defect_l1_delta0.25_Cdelta4", "variance_vs_mean_delta0.25_Cdelta4",
+    "trace_identity_sine", "variance_cross_route_sine",
+    *[f"{name}_delta{delta}_Cdelta{c}"
+      for delta, c in (("0.1", 10), ("0.25", 4), ("0.5", 2))
+      for name in ("psi_approximation", "delta_count", "defect_l1",
+                   "variance_vs_mean")],
     "inner_product_identity_max_rel", "rho_mass_conservation",
 )
 
 
 def test_check_line_names_pinned(capsys):
+    assert len(CHECK_NAMES) == 28
     assert main(["check"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == f"all {len(CHECK_NAMES)} checks passed"
@@ -376,7 +403,7 @@ def test_check_fails_a_nan_that_is_not_first(routine_name, nan_from, failing,
 
 
 def test_check_prints_a_nonfinite_line_as_a_failure(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "self_checks", lambda delta: [
+    monkeypatch.setattr(cli, "self_checks", lambda: [
         InequalityCheck("finite", 0.5, 1.0, 0.0),
         InequalityCheck("not_a_number", math.nan, 1e-8, 0.0),
         InequalityCheck("unbounded", math.inf, 1e-8, 0.0)])
@@ -407,8 +434,39 @@ def test_rho_mass_conservation_sees_a_mass_error(sine_run, monkeypatch):
 
 
 def test_check_reports_c_delta(capsys):
-    assert main(["check", "--delta", "0.5"]) == 0
-    assert "Cdelta2" in capsys.readouterr().out
+    # one line set per threshold: C_delta is 10, 4 and 2 at 0.1, 0.25, 0.5
+    assert main(["check"]) == 0
+    out = capsys.readouterr().out
+    for c_delta in ("Cdelta10", "Cdelta4", "Cdelta2"):
+        assert c_delta in out
+
+
+def test_check_fails_an_operator_trace_off_by_1e_9(capsys, monkeypatch):
+    reference = checks.reference_run
+
+    def shifted_run():
+        run = reference()
+        run.operator = SimpleNamespace(trace=run.operator.trace + 1e-9)
+        return run
+
+    monkeypatch.setattr(checks, "reference_run", shifted_run)
+    assert main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("FAIL ")] \
+        == ["trace_identity_sine"]
+    assert lines[-1] == "1 check(s) failed"
+
+
+def test_check_fails_a_radial_variance_5_percent_high(capsys, monkeypatch):
+    radial = checks.variance_radial
+    monkeypatch.setattr(checks, "variance_radial", lambda kernel, radius:
+                        SimpleNamespace(value=1.05 * radial(kernel,
+                                                            radius).value))
+    assert main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("FAIL ")] \
+        == ["variance_cross_route_sine"]
+    assert lines[-1] == "1 check(s) failed"
 
 
 def test_union_region_variance_columns(tmp_path):
@@ -426,6 +484,7 @@ def test_union_region_variance_columns(tmp_path):
     ["variance", "--kernel", "sine", "--R", "1,2", "--eval-spacing", "-1"],
     ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
      "--R", "2", "--delta", "0.3"],
+    ["check", "--delta", "0.5"],
     ["check", "--margin", "5"],
     ["check", "--lens-tol", "1e-9"],
     ["check", "--debug-max-series-terms", "2"],
@@ -569,21 +628,24 @@ def test_eval_grid_beyond_cap_is_numerical_failure(capsys):
             "--R", "2", "--eval-spacing", "1e-4"]
     assert main(argv) == 3
     assert capsys.readouterr().err == (
-        "error: evaluation grid would need 1640000 nodes, cap is 400000\n")
+        "error: evaluation grid would need 1640000 nodes, cap is 400000 "
+        "(margin 80, spacing 0.0001)\n")
 
 
-@pytest.mark.parametrize("argv, need", [
+@pytest.mark.parametrize("argv, need, grid", [
     (["--kernel", "sine", "--region", "interval:-1,1", "--R", "1e-200"],
-     "1.6e+202"),
+     "1.6e+202", "margin 80, spacing 1e-200"),
     (["--kernel", "ginibre", "--region", "box:0,0:1,1", "--R", "1e-170",
-      "--n", "4"], "more than 1.8e+308"),
+      "--n", "4"], "more than 1.8e+308", "margin 6.85, spacing 2.5e-171"),
 ], ids=["1d", "2d-beyond-float-range"])
-def test_tiny_window_gets_the_eval_grid_cap_message(argv, need, capsys):
+def test_tiny_window_gets_the_eval_grid_cap_message(argv, need, grid, capsys):
     # the margin dwarfs the window: the node count must not overflow
-    # before it is compared with the cap
+    # before it is compared with the cap, and the message names the
+    # margin and spacing that set it
     assert main(["spectrogram", *argv]) == 3
     assert capsys.readouterr().err == (
-        f"error: evaluation grid would need {need} nodes, cap is 400000\n")
+        f"error: evaluation grid would need {need} nodes, cap is 400000 "
+        f"({grid})\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -85,6 +85,22 @@ def test_invalid_region_construction():
         Box(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Box(np.array([0.0]), np.array([math.inf])),
+    lambda: Box(np.array([-math.inf, 0.0]), np.array([1.0, 1.0])),
+    lambda: Box(np.array([math.nan]), np.array([1.0])),
+    lambda: Ball(np.array([math.nan]), 1.0),
+    lambda: Ball(np.array([math.inf, 0.0]), 1.0),
+    lambda: Ball(np.zeros(2), math.inf),
+    lambda: Ball(np.zeros(1), math.nan),
+], ids=["box-upper-inf", "box-lower-minus-inf", "box-lower-nan",
+        "ball-center-nan", "ball-center-inf", "ball-radius-inf",
+        "ball-radius-nan"])
+def test_nonfinite_region_is_refused(make):
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
+
+
 def test_bounding_boxes():
     ball = Ball(np.array([1.0, -1.0]), 2.0)
     bbox = ball.bounding_box()
