@@ -59,10 +59,12 @@ def reference_run() -> SimpleNamespace:
                            defect=defect)
 
 
-def trace_identity(label: str, defect: float) -> InequalityCheck:
+def trace_identity(label: str, spectral) -> InequalityCheck:
     """The trace of the spectrum equals the operator's diagonal sum, the
-    expected count: ``defect`` = |Tr from the eigenvalues - Tr(M)|."""
-    return InequalityCheck(f"trace_identity_{label}", defect, 1e-10, 0.0)
+    expected count: reads the ``trace_defect`` of ``spectral``, a
+    SpectralData or a dilation ladder's ConvergenceRow."""
+    return InequalityCheck(f"trace_identity_{label}", spectral.trace_defect,
+                           1e-10, 0.0)
 
 
 def variance_cross_route(label: str, kernel, spectral,
@@ -114,8 +116,7 @@ def self_checks() -> list[InequalityCheck]:
     # the identities on the reference configuration
     run = reference_run()
     fld, defect = run.field, run.defect
-    lines.append(trace_identity(
-        "sine", abs(run.spectral.trace - run.operator.trace)))
+    lines.append(trace_identity("sine", run.spectral))
     lines.append(variance_cross_route("sine", run.kernel, run.spectral, 5.0))
     for delta in DELTAS:
         report = inequality_report(run.kernel, run.spectral, fld, run.psi,

@@ -298,20 +298,27 @@ class SpectralData:
     for the variance and count formulas, which are sign-sensitive to the
     overshoot. ``vectors`` is n x k, orthonormal columns matching the
     leading k eigenvalues; the eigenfunctions at the nodes are
-    Phi_j(x_i) = vectors[i, j] / sqrt(w_i). ``residual_trace`` is the
-    trace the factor left out, so that ``trace`` = sum(eigenvalues) +
-    residual_trace reproduces the operator's trace.
+    Phi_j(x_i) = vectors[i, j] / sqrt(w_i). ``operator_trace`` is the
+    operator's diagonal sum and ``residual_trace`` the trace the factor
+    left out, so that ``trace`` = sum(eigenvalues) + residual_trace
+    reproduces ``operator_trace`` up to the ``trace_defect``.
     """
 
     eigenvalues: np.ndarray
     eigenvalues_clamped: np.ndarray
     vectors: np.ndarray
     grid: QuadratureGrid
+    operator_trace: float
     residual_trace: float = 0.0
 
     @property
     def trace(self) -> float:
         return float(self.eigenvalues.sum()) + self.residual_trace
+
+    @property
+    def trace_defect(self) -> float:
+        """|trace - operator_trace|, the trace identity's defect."""
+        return abs(self.trace - self.operator_trace)
 
     def count_above(self, threshold: float) -> int:
         return int(np.sum(self.eigenvalues_clamped > threshold))
@@ -405,4 +412,5 @@ def spectral_decompose(operator: OperatorMatrix) -> SpectralData:
                         eigenvalues_clamped=np.clip(vals, 0.0, 1.0),
                         vectors=vecs,
                         grid=operator.grid,
+                        operator_trace=operator.trace,
                         residual_trace=residual_trace)

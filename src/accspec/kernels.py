@@ -87,13 +87,18 @@ def bessel_j(nu: float, x) -> np.ndarray | float:
 
 
 def _j_series(nu: float, x: np.ndarray, n_terms: int) -> np.ndarray:
-    """Ascending power series sum_k (-1)^k (x/2)^{2k+nu} / (k! G(1+nu+k))."""
+    """Ascending power series sum_k (-1)^k (x/2)^{2k+nu} / (k! G(1+nu+k)).
+
+    Each term is the previous one times -(x/2)^2 over (k+1)(k+1+nu),
+    updated in place: two arrays of x's size live through the loop.
+    """
     half = 0.5 * x
     term = half ** nu / math.gamma(1.0 + nu)
     total = term.copy()
-    h2 = half * half
+    neg_h2 = np.negative(half * half, out=half)
     for k in range(n_terms):
-        term = term * (-h2) / ((k + 1.0) * (k + 1.0 + nu))
+        np.multiply(term, neg_h2, out=term)
+        np.divide(term, (k + 1.0) * (k + 1.0 + nu), out=term)
         total += term
     return total
 

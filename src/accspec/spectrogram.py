@@ -15,20 +15,23 @@ run is resolved enough to trust.
 
 Psi and G both read the kernel between the evaluation grid and the
 window: Psi through the image sum above, G through the window integral
-int_Lambda |K(x,y)|^2 dy. Each evaluation-grid kernel block is
-built once and feeds both; ``compute_psi`` leaves the window integral
-on the EvalGrid for ``defect_g``. The evaluation grid is a uniform
-product lattice, and a kernel that factors exactly over the real axes
-(``Kernel.axis_factors``: the Ginibre kernel) builds each block from
-per-axis tables, with no ``exp`` per entry; other kernels call
-``eval_matrix``. ``inner_product_direct`` always calls ``eval_matrix``
-and is the independent reference for the lattice route.
+int_Lambda |K(x,y)|^2 dy. One pass over the kernel gives both;
+``compute_psi`` leaves the window integral on the EvalGrid for
+``defect_g``. The evaluation grid is a uniform product lattice. For a
+kernel that factors exactly over the real axes (``Kernel.axis_factors``:
+the Ginibre kernel) the pass forms no kernel block: the images are one
+GEMM of a trailing-axis table per index of the leading axes, and the
+window integral a matrix-vector product of its squared modulus. Other
+kernels evaluate M x n blocks with ``eval_matrix``, a few rows at a
+time. ``inner_product_direct`` always calls ``eval_matrix`` and is the
+independent reference for the lattice route.
 The window mask 1_Lambda is evaluated once per evaluation grid and the
 limit shape K(x,x) 1_Lambda of rho once per field; their readers share them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +50,8 @@ MU_FLOOR = 1e-12
 EVAL_NODE_CAP = 400_000
 # entries per evaluation-grid kernel block: a complex block of 2^16
 # entries (1 MB) and eval_matrix's temporaries stay in cache, where a
-# fixed row count would stream every elementwise pass through memory
+# fixed row count would stream every elementwise pass through memory;
+# the lattice route folds axes into its trailing table up to this size
 _BLOCK_ENTRIES = 1 << 16
 _COUNT_TIE_TOL = 1e-9
 
@@ -172,34 +176,27 @@ class PsiSet:
 def _kernel_pass(kernel: Kernel, lambda_grid: QuadratureGrid,
                  points: np.ndarray, scaled_vecs: np.ndarray | None = None,
                  axes: tuple | None = None):
-    """One pass over the kernel block between ``points`` and the window.
+    """One pass over the kernel between ``points`` and the window.
 
-    The M x n block is built ``_BLOCK_ENTRIES // n`` rows at a time (at
-    least one), and each block gives the window integral int_Lambda
-    |K(x,y)|^2 dy of its rows and, if ``scaled_vecs`` is given, the
-    images ``block @ scaled_vecs``.
-    When ``points`` are the product lattice of ``axes`` and the kernel
-    gives ``axis_factors`` for them, each block is the product of the
-    factor rows of its nodes: one complex multiply per entry and axis
-    beyond the first, and no ``exp``. Otherwise each block comes from
-    ``eval_matrix``. Returns (images or None, window integral).
+    Gives the window integral int_Lambda |K(x,y)|^2 dy at each point and,
+    if ``scaled_vecs`` is given, the images ``K @ scaled_vecs``. When
+    ``points`` are the product lattice of ``axes`` and the kernel gives
+    ``axis_factors`` for them, ``_lattice_pass`` contracts the factor
+    tables axis by axis and no M x n block is formed. Otherwise the
+    M x n block comes from ``eval_matrix``, ``_BLOCK_ENTRIES // n`` rows
+    at a time (at least one). Returns (images or None, window integral).
     """
+    factors = (None if axes is None
+               else kernel.axis_factors(axes, lambda_grid.nodes))
+    if factors is not None:
+        return _lattice_pass(factors, lambda_grid.weights, scaled_vecs)
     m = points.shape[0]
     window = np.empty(m)
     images = None
     rows = max(1, _BLOCK_ENTRIES // max(1, lambda_grid.n_nodes))
-    factors = (None if axes is None
-               else kernel.axis_factors(axes, lambda_grid.nodes))
     for start in range(0, m, rows):
         stop = min(start + rows, m)
-        if factors is None:
-            block = kernel.eval_matrix(points[start:stop], lambda_grid.nodes)
-        else:
-            index = np.unravel_index(np.arange(start, stop),
-                                     [len(axis) for axis in axes])
-            block = factors[0][index[0]]
-            for table, i in zip(factors[1:], index[1:]):
-                block *= table[i]
+        block = kernel.eval_matrix(points[start:stop], lambda_grid.nodes)
         if scaled_vecs is not None:
             if images is None:
                 images = np.empty((m, scaled_vecs.shape[1]),
@@ -209,19 +206,63 @@ def _kernel_pass(kernel: Kernel, lambda_grid: QuadratureGrid,
     return images, window
 
 
+def _lattice_pass(factors: list, weights: np.ndarray,
+                  scaled_vecs: np.ndarray | None):
+    """``_kernel_pass`` on a product lattice, from the tables F_k with
+    K(x, y) = prod_k F_k[i_k(x), y] and n window ``weights``.
+
+    The trailing table T starts as the last axis's F. While T holds fewer
+    than ``_BLOCK_ENTRIES`` entries and more than one axis precedes it,
+    the axis just before it is folded in, T becoming the table of their
+    product lattice; so a 4-axis lattice runs no GEMM too thin to pay
+    for its call, and the 2 axes of C^1 never form an M x n table. For
+    each index of the remaining leading axes, r = prod F_k[i_k] over
+    those axes is one row of n entries, and the lattice rows under that
+    index get the images ``T @ (r[:, None] * scaled_vecs)``, one GEMM,
+    and the window integral ``|T|^2 @ (w |r|^2)``, where |T|^2 and
+    |r|^2 come from the squared moduli |F_k|^2, built once.
+    """
+    n = weights.shape[0]
+    squares = [np.abs(table) ** 2 for table in factors]
+    lead = len(factors) - 1
+    trailing, trailing_sq = factors[lead], squares[lead]
+    while lead > 1 and trailing.size < _BLOCK_ENTRIES:
+        lead -= 1
+        trailing = (factors[lead][:, None] * trailing).reshape(-1, n)
+        trailing_sq = (squares[lead][:, None] * trailing_sq).reshape(-1, n)
+    rows = trailing.shape[0]
+    leading = [range(len(table)) for table in factors[:lead]]
+    m = rows * math.prod(len(axis) for axis in leading)
+    window = np.empty(m)
+    images = (None if scaled_vecs is None else
+              np.empty((m, scaled_vecs.shape[1]),
+                       np.result_type(trailing, scaled_vecs)))
+    for block, index in enumerate(itertools.product(*leading)):
+        span = slice(block * rows, (block + 1) * rows)
+        if images is not None:
+            r = math.prod(table[i] for table, i in zip(factors, index))
+            np.matmul(trailing, r[:, None] * scaled_vecs, out=images[span])
+        r_sq = math.prod(table[i] for table, i in zip(squares, index))
+        window[span] = trailing_sq @ (weights * r_sq)
+    return images, window
+
+
 def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
                 j_max: int | None = None) -> PsiSet:
     """Quadrature images of the leading eigenfunctions, unit-normalized on E.
 
-    The M x n kernel block between the M evaluation nodes and the n window
-    nodes is built a few rows at a time, at most ``_BLOCK_ENTRIES``
-    entries per block, from the kernel's factor tables on the grid's axes
-    when it has them and from ``eval_matrix`` otherwise. The working
-    memory is O(_BLOCK_ENTRIES + M k) for k = ``j_max`` modes, plus
-    O((M_1 + ... + M_d) n) for the factor tables, M_i being the number of
-    nodes on axis i. Each block also gives its rows' window integral,
-    which is left on ``eval_grid`` with the kernel and window grid it
-    came from, so that ``defect_g`` need not build the block again.
+    The images come from one ``_kernel_pass`` between the M evaluation
+    nodes and the n window nodes. With the kernel's factor tables F_i on
+    the grid's axes, M_i being the number of nodes on axis i, the working
+    memory is O(M k) for k = ``j_max`` modes, plus O((M_1 + ... + M_d) n)
+    for the tables and their squared moduli, plus, for 4 axes, a folded
+    trailing table and its squared modulus of fewer than
+    M_i ``_BLOCK_ENTRIES`` entries each. Without factor tables the
+    M x n kernel block is built a few rows at a time, at most
+    ``_BLOCK_ENTRIES`` entries each, in O(_BLOCK_ENTRIES + M k). The pass
+    also gives the window integral, which is left on ``eval_grid`` with
+    the kernel and window grid it came from, so that ``defect_g`` need
+    not run the pass again.
     """
     n_above = spectral.count_above(MU_FLOOR)
     if j_max is None:
@@ -349,7 +390,9 @@ def defect_g(kernel: Kernel, lambda_grid: QuadratureGrid,
     this very kernel and window grid (compared by identity); otherwise
     it is built here by the same pass on the grid's axes, so it has the
     same bits either way: O(_BLOCK_ENTRIES + M) working memory on M
-    evaluation nodes, plus the kernel's factor tables.
+    evaluation nodes without factor tables, and with them the tables,
+    their squared moduli and a folded trailing table as in
+    ``compute_psi``.
     """
     memo = eval_grid._window_integral
     if memo is not None and memo[0] is kernel and memo[1] is lambda_grid:
@@ -493,7 +536,7 @@ def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
     return ConvergenceRow(scale=float(scale), n_per_axis=n_axis,
                           trace=spectral.trace, err_raw=err_raw,
                           saturated=saturated,
-                          trace_defect=abs(spectral.trace - operator.trace),
+                          trace_defect=spectral.trace_defect,
                           field=fld)
 
 

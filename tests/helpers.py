@@ -15,7 +15,8 @@ def synthetic_spectral(mu):
                           weights=np.full(n, 1.0 / n),
                           spacing=np.array([1.0 / n]))
     return SpectralData(eigenvalues=mu, eigenvalues_clamped=np.clip(mu, 0, 1),
-                        vectors=np.eye(n), grid=grid)
+                        vectors=np.eye(n), grid=grid,
+                        operator_trace=float(mu.sum()))
 
 
 def poisson_term(j, x):

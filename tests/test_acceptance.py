@@ -59,10 +59,8 @@ def ginibre_disk_spectrum():
     kernel = GinibreKernel(1)
     grid = build_grid(Ball(np.zeros(2), 1.0), 64)
     assert grid.n_nodes <= 4096
-    op = assemble_operator(kernel, grid)
-    spectral = spectral_decompose(op)
-    trace_line = trace_identity("ginibre_disk_n64",
-                                abs(spectral.trace - op.trace))
+    spectral = spectral_decompose(assemble_operator(kernel, grid))
+    trace_line = trace_identity("ginibre_disk_n64", spectral)
     return kernel, spectral, trace_line, time.perf_counter() - t0
 
 
@@ -127,10 +125,8 @@ def random_window_runs():
     prepared = []
     for label, kernel, region, n, spacing in runs:
         grid = build_grid(region, n)
-        op = assemble_operator(kernel, grid)
-        spectral = spectral_decompose(op)
-        trace_line = trace_identity(f"{label}_n{n}",
-                                    abs(spectral.trace - op.trace))
+        spectral = spectral_decompose(assemble_operator(kernel, grid))
+        trace_line = trace_identity(f"{label}_n{n}", spectral)
         eval_grid = build_eval_grid(kernel, region, spacing=spacing,
                                     reference_grid=grid)
         psi = compute_psi(kernel, spectral, eval_grid)
@@ -216,7 +212,7 @@ def test_criterion_8_trace_identity(check_lines, ginibre_disk_spectrum,
     trace_lines.extend(window[-1] for window in windows)
     for label, rows in rows_by_label.items():
         trace_lines.extend(
-            trace_identity(f"{label}_ladder_R{row.scale:g}", row.trace_defect)
+            trace_identity(f"{label}_ladder_R{row.scale:g}", row)
             for row in rows)
     # reference + disk + ten random windows + seven ladder rungs
     assert len(trace_lines) == 19

@@ -446,7 +446,7 @@ def test_check_fails_an_operator_trace_off_by_1e_9(capsys, monkeypatch):
 
     def shifted_run():
         run = reference()
-        run.operator = SimpleNamespace(trace=run.operator.trace + 1e-9)
+        run.spectral.operator_trace += 1e-9
         return run
 
     monkeypatch.setattr(checks, "reference_run", shifted_run)

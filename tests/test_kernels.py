@@ -9,6 +9,7 @@ from pytest import approx
 
 from accspec.discretize import build_grid
 from accspec.geometry import Ball, Box, unit_ball_volume
+from accspec import kernels
 from accspec.kernels import (GinibreKernel, PaleyWienerKernel, bessel_j,
                              radial_normalization_check, sine_kernel)
 from accspec.spectrogram import build_eval_grid
@@ -71,6 +72,30 @@ def test_bessel_large_arguments_envelope_accuracy(nu):
             exact = float(mp.besselj(nu, mp.mpf(float(x))))
             envelope = math.sqrt(2.0 / (math.pi * x))
             assert abs(v - exact) <= 1e-10 * envelope
+
+
+def allocating_j1_series(x):
+    """The J_1 power series as a fresh array per operation, the form the
+    in-place recurrence of ``bessel_j`` must reproduce bit for bit."""
+    half = 0.5 * x
+    term = half ** 1.0 / math.gamma(2.0)
+    total = term.copy()
+    h2 = half * half
+    for k in range(40):
+        term = term * (-h2) / ((k + 1.0) * (k + 2.0))
+        total += term
+    return total
+
+
+def test_bessel_j1_bits_match_the_allocating_series():
+    xs = np.linspace(0.0, 20.0, 100_000)
+    before = xs.copy()
+    lo = xs < kernels._J1_CROSSOVER
+    expected = np.empty_like(xs)
+    expected[lo] = allocating_j1_series(xs[lo])
+    expected[~lo] = kernels._j1_hankel(xs[~lo])
+    assert np.array_equal(bessel_j(1.0, xs), expected)
+    assert np.array_equal(xs, before)
 
 
 def test_bessel_unsupported_order():
