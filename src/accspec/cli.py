@@ -55,6 +55,7 @@ from .variance import FitRangeError, fit_asymptotics, hyperuniformity_curve
 SPECTROGRAM_COLUMNS = ("R", "trace", "N", "err_raw", "err_normalized",
                        "tail_mass")
 VARIANCE_COLUMNS = ("R", "E_count", "var_spectral", "var_radial", "ratio")
+MAX_LOG_COUNT = 10_000  # most scales a 'lo:hi:logN' list may ask for
 
 SCHEMA_TEXT = f"""accspec output schemas (version {__version__})
 
@@ -114,10 +115,13 @@ def parse_scale_list(text: str) -> tuple:
         parts = text.split(":")
         if len(parts) != 3 or not parts[2].startswith("log"):
             raise UsageError(f"R: cannot parse '{text}' (want a,b,c or lo:hi:logN)")
-        lo, hi = float(parts[0]), float(parts[1])
-        n = int(parts[2][3:])
-        if lo <= 0 or hi <= lo or n < 2:
-            raise UsageError("R: log range needs 0 < lo < hi and N >= 2")
+        try:
+            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2][3:])
+        except ValueError as exc:
+            raise UsageError(f"R: cannot parse '{text}': {exc}") from None
+        if not 0 < lo < hi < math.inf or not 2 <= n <= MAX_LOG_COUNT:
+            raise UsageError(f"R: log range needs 0 < lo < hi < inf and "
+                             f"2 <= N <= {MAX_LOG_COUNT}")
         vals = np.logspace(math.log10(lo), math.log10(hi), n)
         return tuple(float(v) for v in vals)
     try:

@@ -294,18 +294,17 @@ class SpectralData:
 
     ``eigenvalues`` has one entry per node: the solver's k eigenvalues
     (which may overshoot [0, 1] by the discretization slack) followed by
-    zeros past the rank k. ``eigenvalues_clamped`` clips them to [0, 1]
-    for the variance and count formulas, which are sign-sensitive to the
-    overshoot. ``vectors`` is n x k, orthonormal columns matching the
-    leading k eigenvalues; the eigenfunctions at the nodes are
-    Phi_j(x_i) = vectors[i, j] / sqrt(w_i). ``operator_trace`` is the
-    operator's diagonal sum and ``residual_trace`` the trace the factor
-    left out, so that ``trace`` = sum(eigenvalues) + residual_trace
+    zeros past the rank k. The variance formula, which is sign-sensitive
+    to the overshoot, clips them to [0, 1] itself; ``count_above`` needs
+    no clip for thresholds in [0, 1). ``vectors`` is n x k, orthonormal
+    columns matching the leading k eigenvalues; the eigenfunctions at the
+    nodes are Phi_j(x_i) = vectors[i, j] / sqrt(w_i). ``operator_trace``
+    is the operator's diagonal sum and ``residual_trace`` the trace the
+    factor left out, so that ``trace`` = sum(eigenvalues) + residual_trace
     reproduces ``operator_trace`` up to the ``trace_defect``.
     """
 
     eigenvalues: np.ndarray
-    eigenvalues_clamped: np.ndarray
     vectors: np.ndarray
     grid: QuadratureGrid
     operator_trace: float
@@ -321,7 +320,7 @@ class SpectralData:
         return abs(self.trace - self.operator_trace)
 
     def count_above(self, threshold: float) -> int:
-        return int(np.sum(self.eigenvalues_clamped > threshold))
+        return int(np.sum(self.eigenvalues > threshold))
 
 
 def _pivoted_cholesky(operator: OperatorMatrix) -> tuple[np.ndarray, float]:
@@ -408,9 +407,6 @@ def spectral_decompose(operator: OperatorMatrix) -> SpectralData:
             raise SpectralSolverError(
                 f"eigenpair residual {resid:.3e} exceeds 1e-9 * {norm:.3e}"
             )
-    return SpectralData(eigenvalues=vals,
-                        eigenvalues_clamped=np.clip(vals, 0.0, 1.0),
-                        vectors=vecs,
-                        grid=operator.grid,
+    return SpectralData(eigenvalues=vals, vectors=vecs, grid=operator.grid,
                         operator_trace=operator.trace,
                         residual_trace=residual_trace)

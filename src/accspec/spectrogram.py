@@ -158,18 +158,19 @@ def build_eval_grid(kernel: Kernel, region: Region,
 
 @dataclass(eq=False)
 class PsiSet:
-    """Normalized mode images on the evaluation grid.
+    """Mode images on the evaluation grid, stored once, unnormalized.
 
-    ``values[:, j]`` is the image (K P Phi_j) scaled to unit discrete L2
-    norm over E. ``raw_norms_sq[j]`` is the pre-normalization squared
-    norm; in exact arithmetic over the whole space it equals mu_j, so
-    its deviation from mu_j measures window truncation plus
-    discretization error. ``dropped_trace`` is the trace of the modes
-    beyond the last image.
+    ``images[:, j]`` is the quadrature image (K P Phi_j) at the nodes of
+    E and ``norms_sq[j]`` its squared discrete L2 norm over E; the
+    unit-norm Psi_j = images[:, j] / sqrt(norms_sq[j]) is formed by its
+    readers. In exact arithmetic over the whole space ``norms_sq[j]``
+    equals mu_j, so its deviation from mu_j measures window truncation
+    plus discretization error. ``dropped_trace`` is the trace of the
+    modes beyond the last image.
     """
 
-    values: np.ndarray
-    raw_norms_sq: np.ndarray
+    images: np.ndarray
+    norms_sq: np.ndarray
     dropped_trace: float
 
 
@@ -249,7 +250,7 @@ def _lattice_pass(factors: list, weights: np.ndarray,
 
 def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
                 j_max: int | None = None) -> PsiSet:
-    """Quadrature images of the leading eigenfunctions, unit-normalized on E.
+    """Quadrature images of the leading eigenfunctions and their norms on E.
 
     The images come from one ``_kernel_pass`` between the M evaluation
     nodes and the n window nodes. With the kernel's factor tables F_i on
@@ -262,7 +263,8 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
     ``_BLOCK_ENTRIES`` entries each, in O(_BLOCK_ENTRIES + M k). The pass
     also gives the window integral, which is left on ``eval_grid`` with
     the kernel and window grid it came from, so that ``defect_g`` need
-    not run the pass again.
+    not run the pass again. The squared norms take one M x k real
+    temporary, and no normalized copy of the images is made.
     """
     n_above = spectral.count_above(MU_FLOOR)
     if j_max is None:
@@ -277,16 +279,14 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
 
     lam = spectral.grid
     scaled_vecs = np.sqrt(lam.weights)[:, None] * spectral.vectors[:, :j_max]
-    raw, window = _kernel_pass(kernel, lam, eval_grid.nodes, scaled_vecs,
-                               eval_grid.axes)
+    images, window = _kernel_pass(kernel, lam, eval_grid.nodes, scaled_vecs,
+                                  eval_grid.axes)
     eval_grid._window_integral = (kernel, lam, window)
-    norms_sq = np.real(np.sum(np.abs(raw) ** 2 * eval_grid.weights[:, None],
-                              axis=0))
+    norms_sq = eval_grid.weights @ np.abs(images) ** 2
     if np.any(norms_sq <= 0):
         raise RankDeficiencyError("a mode image vanished on the evaluation grid")
-    values = raw / np.sqrt(norms_sq)[None, :]
     dropped = float(max(spectral.trace - float(spectral.eigenvalues[:j_max].sum()), 0.0))
-    return PsiSet(values=values, raw_norms_sq=norms_sq, dropped_trace=dropped)
+    return PsiSet(images=images, norms_sq=norms_sq, dropped_trace=dropped)
 
 
 @dataclass(eq=False)
@@ -314,17 +314,18 @@ def accumulated_spectrogram(kernel: Kernel, spectral: SpectralData,
                             psi: PsiSet | None = None) -> SpectrogramField:
     """Sum of |Psi_j|^2 over the first N modes, N = upper integer trace.
 
-    Each Psi_j carries unit discrete norm on E, so the integral of rho
-    over E equals N up to rounding; tail_mass records the (tiny)
-    difference so that mass conservation is explicit in the output.
+    rho = |images[:, :N]|^2 @ (1 / norms_sq[:N]). Each Psi_j carries
+    unit discrete norm on E, so the integral of rho over E equals N up
+    to rounding; tail_mass records the (tiny) difference so that mass
+    conservation is explicit in the output.
     """
     n_count = count_n(spectral.trace)
     if psi is None:
         psi = compute_psi(kernel, spectral, eval_grid, j_max=n_count)
-    elif psi.values.shape[1] < n_count:
+    elif psi.images.shape[1] < n_count:
         raise RankDeficiencyError(
-            f"psi set holds {psi.values.shape[1]} modes but N = {n_count}")
-    rho = np.sum(np.abs(psi.values[:, :n_count]) ** 2, axis=1)
+            f"psi set holds {psi.images.shape[1]} modes but N = {n_count}")
+    rho = np.abs(psi.images[:, :n_count]) ** 2 @ (1.0 / psi.norms_sq[:n_count])
     target = kernel.diagonal_value * eval_grid.inside_base()
     return SpectrogramField(eval_grid=eval_grid, rho=rho, target=target,
                             n_count=n_count)
@@ -334,14 +335,13 @@ def inner_product_spectral(psi: PsiSet):
     """The mu-weighted mode sum sum_j mu_j |Psi_j(x)|^2.
 
     For the true unit-norm Psi_j the weight mu_j exactly cancels their
-    1/sqrt(mu_j) normalization, so the sum is evaluated from the raw
-    mode images; this stays stable arbitrarily deep into the spectrum
-    and is unaffected by window truncation of the norms. The neglected
+    1/sqrt(mu_j) normalization, so the sum is sum_j |images[:, j]|^2;
+    this stays stable arbitrarily deep into the spectrum and is
+    unaffected by window truncation of the norms. The neglected
     modes below the floor contribute at most ``psi.dropped_trace`` in
     integral, which is returned alongside.
     """
-    weighted = np.sum(np.abs(psi.values) ** 2 * psi.raw_norms_sq[None, :], axis=1)
-    return weighted, psi.dropped_trace
+    return np.sum(np.abs(psi.images) ** 2, axis=1), psi.dropped_trace
 
 
 def inner_product_direct(kernel: Kernel, lambda_grid: QuadratureGrid,

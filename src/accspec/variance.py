@@ -55,7 +55,7 @@ def expected_count(kernel: Kernel, region: Region) -> float:
 
 def variance_spectral(spectral: SpectralData) -> float:
     """sum mu_j (1 - mu_j) over clamped eigenvalues; nonnegative."""
-    mu = spectral.eigenvalues_clamped
+    mu = np.clip(spectral.eigenvalues, 0.0, 1.0)
     return float(np.sum(mu * (1.0 - mu)))
 
 
@@ -94,8 +94,8 @@ def variance_radial(kernel: Kernel, radius: float) -> RadialVariance:
     eps * E since sigma int r^{d-1} phi = K(x, x); and the subtraction
     from E adds eps * E. With N >= 64, N * eps * E covers them together.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:  # a NaN radius fails as well
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     d = kernel.ambient_dim
     ball = unit_ball_volume(d) * radius ** d
     e_count = kernel.diagonal_value * ball

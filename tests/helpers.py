@@ -14,8 +14,7 @@ def synthetic_spectral(mu):
                           nodes=np.linspace(0, 1, n)[:, None],
                           weights=np.full(n, 1.0 / n),
                           spacing=np.array([1.0 / n]))
-    return SpectralData(eigenvalues=mu, eigenvalues_clamped=np.clip(mu, 0, 1),
-                        vectors=np.eye(n), grid=grid,
+    return SpectralData(eigenvalues=mu, vectors=np.eye(n), grid=grid,
                         operator_trace=float(mu.sum()))
 
 
@@ -49,3 +48,8 @@ def ginibre_ball_variance(m, radius):
     """sum mult * mu (1 - mu) over the exact ginibre ball spectrum."""
     return math.fsum(mult * mu * rest
                      for mu, rest, mult in ginibre_ball_spectrum(m, radius))
+
+
+def unit_psi(psi):
+    """The unit-norm modes Psi_j = images[:, j] / sqrt(norms_sq[j])."""
+    return psi.images / np.sqrt(psi.norms_sq)

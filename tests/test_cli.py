@@ -37,6 +37,18 @@ def test_parse_scale_list_rejects(bad):
         parse_scale_list(bad)
 
 
+@pytest.mark.parametrize("scales", ["1:2:log", "1:x:log5", "1:inf:log5",
+                                    "1:2:log1000000000"])
+def test_bad_log_range_is_one_line_usage_error(scales, capsys):
+    # the last asks for 7.45 GiB of scales unless refused before logspace
+    assert main(["variance", "--kernel", "sine", "--R", scales,
+                 "--spectral", "off"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: R: ")
+
+
 def test_parse_region_kinds():
     assert isinstance(parse_region("interval:-1,1"), Box)
     box = parse_region("box:0,0:1,2")

@@ -12,6 +12,7 @@ from accspec.discretize import (QuadratureGrid, ResourceLimitError,
                                 spectral_decompose, window_grid)
 from accspec.geometry import Ball, Box, DisjointBallUnion, unit_ball_volume
 from accspec.kernels import GinibreKernel, PaleyWienerKernel, sine_kernel
+from accspec.variance import variance_spectral
 from helpers import ginibre_ball_spectrum
 
 
@@ -258,8 +259,13 @@ def test_identity_matrix_spectrum():
 def test_eigenvalues_descending_and_clamped(sine_run):
     mu = sine_run.spectral.eigenvalues
     assert np.all(np.diff(mu) <= 1e-14)
-    clamped = sine_run.spectral.eigenvalues_clamped
-    assert clamped.min() >= 0.0 and clamped.max() <= 1.0
+    # the variance and count formulas read the spectrum clipped to [0, 1]
+    clamped = np.clip(mu, 0.0, 1.0)
+    assert variance_spectral(sine_run.spectral) == float(
+        np.sum(clamped * (1.0 - clamped)))
+    for threshold in (0.0, 1e-12, 0.5, 1.0 - 1e-12):
+        assert sine_run.spectral.count_above(threshold) == int(
+            np.sum(clamped > threshold))
 
 
 def test_sine_reference_spectrum(sine_run):

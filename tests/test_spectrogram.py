@@ -10,7 +10,7 @@ from accspec import spectrogram
 from accspec.discretize import (QuadratureGrid, assemble_operator,
                                 build_grid, spectral_decompose)
 from accspec.geometry import Ball, Box
-from helpers import synthetic_spectral
+from helpers import synthetic_spectral, unit_psi
 from accspec.kernels import GinibreKernel, PaleyWienerKernel, sine_kernel
 from accspec.spectrogram import (ConvergenceRow, DefectField,
                                  RankDeficiencyError,
@@ -57,8 +57,8 @@ def test_count_n_delta():
 
 def test_psi_norms_approach_eigenvalues(sine_run):
     n = sine_run.field.n_count
-    mu = sine_run.spectral.eigenvalues_clamped
-    ratios = sine_run.psi.raw_norms_sq[:n] / mu[:n]
+    mu = np.clip(sine_run.spectral.eigenvalues, 0.0, 1.0)
+    ratios = sine_run.psi.norms_sq[:n] / mu[:n]
     # window truncation removes a little of each mode's mass; the slow
     # 1/x^2 kernel tail keeps the plunge mode a percent or two short
     assert np.all(ratios <= 1.0 + 1e-9)
@@ -67,7 +67,7 @@ def test_psi_norms_approach_eigenvalues(sine_run):
 
 def test_psi_orthonormal_on_eval_window(sine_run):
     n = sine_run.field.n_count
-    psi = sine_run.psi.values[:, :n]
+    psi = unit_psi(sine_run.psi)[:, :n]
     w = sine_run.eval_grid.weights
     gram = (psi.T * w) @ psi
     assert np.abs(gram - np.eye(n)).max() < 0.02
@@ -78,7 +78,7 @@ def test_top_mode_reproduces_eigenfunction(sine_run):
     w = sine_run.grid.weights
     phi1 = sine_run.spectral.vectors[:, 0] / np.sqrt(w)
     inside = sine_run.eval_grid.inside_base()
-    psi1 = sine_run.psi.values[inside, 0]
+    psi1 = unit_psi(sine_run.psi)[inside, 0]
     overlap = float(np.abs(np.sum(psi1 * phi1 * w)))
     assert overlap == approx(1.0, abs=0.01)
 
@@ -173,6 +173,23 @@ def test_field_memory_is_bounded_by_the_block_budget(ginibre_disk_fields):
     assert peak < 16 * 2 ** 20
 
 
+def test_psi_memory_is_one_and_a_half_images():
+    # the spectral-2d Ginibre disk: the images are stored once, and the
+    # norms take one real M x k temporary, half the complex images' bytes
+    kernel = GinibreKernel(1)
+    region = Ball(np.zeros(2), 2.0)
+    grid = build_grid(region, 40)
+    spectral = spectral_decompose(assemble_operator(kernel, grid))
+    eval_grid = build_eval_grid(kernel, region, reference_grid=grid)
+    tracemalloc.start()
+    try:
+        psi = compute_psi(kernel, spectral, eval_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * psi.images.nbytes
+
+
 def factor_route(kernel, grid, eval_grid):
     """A fresh window-integral pass on the evaluation lattice's axes."""
     return spectrogram._kernel_pass(kernel, grid, eval_grid.nodes,
@@ -189,13 +206,13 @@ def test_fields_do_not_depend_on_the_block_size(ginibre_disk_fields,
                                                 monkeypatch, budget):
     kernel, grid, spectral, eval_grid = ginibre_disk_fields
     n_modes = count_n(spectral.trace)
-    psi = compute_psi(kernel, spectral, eval_grid, j_max=n_modes).values
+    psi = unit_psi(compute_psi(kernel, spectral, eval_grid, j_max=n_modes))
     fused = defect_g(kernel, grid, eval_grid).window_integral
     ipd = inner_product_direct(kernel, grid, eval_grid.nodes)
     entries = grid.n_nodes * (1 if budget == "one-row"
                               else eval_grid.nodes.shape[0])
     monkeypatch.setattr(spectrogram, "_BLOCK_ENTRIES", entries)
-    psi_b = compute_psi(kernel, spectral, eval_grid, j_max=n_modes).values
+    psi_b = unit_psi(compute_psi(kernel, spectral, eval_grid, j_max=n_modes))
     fused_b = defect_g(kernel, grid, eval_grid).window_integral
     ipd_b = inner_product_direct(kernel, grid, eval_grid.nodes)
     assert np.abs(psi_b - psi).max() <= 1e-13 * np.abs(psi).max()
@@ -319,7 +336,7 @@ def test_defect_sign_structure(sine_run):
 def test_defect_l1_vs_variance_equality(sine_run):
     # for projection kernels the defect bound is attained: both sides
     # compute the window/complement cross mass of |K|^2
-    mu = sine_run.spectral.eigenvalues_clamped
+    mu = np.clip(sine_run.spectral.eigenvalues, 0.0, 1.0)
     var = float(np.sum(mu * (1 - mu)))
     assert sine_run.defect.l1_total == approx(2.0 * var, rel=0.02)
     assert sine_run.defect.l1_total <= 2.0 * var + sine_run.defect.quad_error_estimate
@@ -360,7 +377,7 @@ def test_pure_projection_equality_case():
     sd = synthetic_spectral([1.0, 1.0, 1.0, 0.0])
     n_delta = sd.count_above(1.0 - 0.3)
     assert n_delta == 3
-    mu = sd.eigenvalues_clamped
+    mu = np.clip(sd.eigenvalues, 0.0, 1.0)
     var = float(np.sum(mu * (1 - mu)))
     assert var == 0.0
     assert abs(n_delta - sd.trace) <= c_delta(0.3) * var + 1e-12

@@ -62,6 +62,17 @@ def test_variance_radial_rejects_bad_radius():
         variance_radial(sine_kernel(), 0.0)
 
 
+@pytest.mark.parametrize("kernel", [GinibreKernel(1), PaleyWienerKernel(2)],
+                         ids=["ginibre", "pw2"])
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_variance_radial_rejects_nonfinite_radius(kernel, radius):
+    with pytest.raises(ValueError, match="positive and finite"):
+        variance_radial(kernel, radius)
+    union = DisjointBallUnion((Ball(np.zeros(2), 1.0),))
+    with pytest.raises(ValueError, match="positive and finite"):
+        variance_subadditive_upper(kernel, union, radius)
+
+
 def test_variance_radial_error_budget():
     # two-resolution difference plus N * eps * E for the rounding
     kernel = sine_kernel()
