@@ -35,7 +35,7 @@ import numpy as np
 
 from .geometry import Box, DisjointBallUnion, Region, unit_ball_volume
 from .kernels import Kernel
-from .quadrature import ResourceLimitError, panel_nodes
+from .quadrature import ResourceLimitError, panel_nodes, trapezoid_circle
 
 DEFAULT_NODE_CAP = 4096
 # default window grid nodes per unit length of ladders and 1-D curves
@@ -92,11 +92,6 @@ def _gauss_line(a: float, b: float, n: int):
     edges = a + (b - a) / n * np.cumsum([0] + sizes)
     rules = [panel_nodes(edges[i:i + 2], m) for i, m in enumerate(sizes)]
     return tuple(np.concatenate(part) for part in zip(*rules))
-
-
-def _trapezoid(m: int):
-    """The m-point trapezoid rule on the circle [0, 2 pi)."""
-    return 2.0 * math.pi / m * np.arange(m), np.full(m, 2.0 * math.pi / m)
 
 
 def _pieces(region: Region, n: int) -> list:
@@ -172,11 +167,11 @@ def _piece_rule(piece, n: int):
     r, wr = _gauss_line(0.0, piece.radius, orders[0])
     radial = (r, wr * r ** (d - 1))
     if d == 2:
-        (r, phi), w = _product([radial, _trapezoid(orders[1])])
+        (r, phi), w = _product([radial, trapezoid_circle(orders[1])])
         unit = [np.cos(phi), np.sin(phi)]
     elif d == 3:
         (r, t, phi), w = _product([radial, _gauss_line(-1.0, 1.0, orders[1]),
-                                   _trapezoid(orders[2])])
+                                   trapezoid_circle(orders[2])])
         st = np.sqrt((1.0 - t) * (1.0 + t))
         unit = [st * np.cos(phi), st * np.sin(phi), t]
     else:
@@ -184,8 +179,8 @@ def _piece_rule(piece, n: int):
         # which the S^3 measure is ds dphi1 dphi2 / 2
         s, ws = _gauss_line(0.0, 1.0, orders[1])
         (r, s, p1, p2), w = _product([radial, (s, 0.5 * ws),
-                                      _trapezoid(orders[2]),
-                                      _trapezoid(orders[3])])
+                                      trapezoid_circle(orders[2]),
+                                      trapezoid_circle(orders[3])])
         a, b = np.sqrt(1.0 - s), np.sqrt(s)
         unit = [a * np.cos(p1), a * np.sin(p1), b * np.cos(p2), b * np.sin(p2)]
     return piece.center + r[:, None] * np.column_stack(unit), w

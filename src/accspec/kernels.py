@@ -20,8 +20,17 @@ whose numerator is the rank-2 product of the 2(M + n) sines and cosines
 of the points, with an absolute error of a few 1e-16 for any x and y.
 Dividing by pi |x - y| >= pi/2 keeps that below 2e-16; entries with
 |x - y| < 1/2 take the Bessel form instead, whose error is relative, and
-so do blocks too thin for the 2(M + n) values to save work. Distances in
-d >= 2 are accumulated one axis at a time, with no M x n x d temporary.
+so do blocks too thin for the 2(M + n) values to save work; the n
+window sines and cosines are taken once per pass (``window_blocks``).
+Distances in d >= 2 are accumulated one axis at a time, with no
+M x n x d temporary.
+
+On a product lattice both families also give per-axis tables
+(``axis_factors``, ``LatticeFactors``): the Ginibre kernel factors
+exactly over the real axes, and the Paley-Wiener kernel in d = 2 and 3
+is a sum of plane waves over the unit Fourier ball, which a polar Gauss
+rule reproduces to rounding; |K|^2 is one over the ball of radius 2,
+weighted by the unit ball's covariogram.
 """
 
 from __future__ import annotations
@@ -32,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import unit_ball_volume, unit_sphere_area
-from .quadrature import geometric_edges, panel_nodes, uniform_edges
+from .quadrature import (geometric_edges, panel_nodes, trapezoid_circle,
+                         uniform_edges)
 
 _SUPPORTED_BESSEL_ORDERS = (0.5, 1.0, 1.5)
 _J1_CROSSOVER = 13.0
@@ -43,6 +53,12 @@ _CORRELATION_LENGTH_CAP = 20.0
 # sine-kernel entries with |x - y| below this keep the Bessel form, so
 # the angle-addition numerator's absolute error is never divided by less
 _SINE_ADDITION_MIN_DIST = 0.5
+# truncation tolerance of the plane-wave rules of the Paley-Wiener
+# lattice factors (see _fourier_order). Entry by entry, the d = 2 rule
+# for |K|^2 errs by 9.4e-15 of its maximum at 1e-13; from 1e-14 on, every
+# rule in d = 2 and 3, and the fields of d = 2 disks and a box and of a
+# d = 3 ball against scipy's j1 and spherical_jn, err by at most 4.6e-15
+_PLANE_WAVE_TOL = 1e-15
 
 
 def bessel_j(nu: float, x) -> np.ndarray | float:
@@ -127,6 +143,78 @@ def _j1_hankel(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# lattice factors
+
+
+@dataclass(frozen=True, eq=False)
+class LatticeFactors:
+    """One kernel sum on a product lattice as a contraction over a rank r:
+
+        sum_y L(x, y) v(y) = sum_r prod_k tables[k][i_k(x), r] b[r],
+
+    where i_k(x) indexes x's k-th coordinate in the lattice's k-th axis
+    and L is K or |K|^2. With ``waves`` None the rank is the window node
+    and b = v. Otherwise rank r is the plane wave exp(i waves[r] . x) of
+    a rule symmetric under waves -> -waves that keeps one wave of each
+    such pair, b[r] = scale[r] sum_y exp(-i waves[r] . (y - origin)) v(y)
+    (the tables hold exp(i waves[r, k] (x_k - origin_k))), and for real
+    v the sum is the real part of the contraction, ``scale`` carrying the
+    factor 2 of each pair.
+    """
+
+    tables: tuple
+    waves: np.ndarray | None = None
+    scale: np.ndarray | None = None
+    origin: np.ndarray | None = None
+
+
+def _fourier_order(x: float) -> int:
+    """Smallest N with (x/2)^N / N! <= _PLANE_WAVE_TOL.
+
+    J_N(x) <= (x/2)^N / N!, and J_N(x) is the error term of an N-point
+    trapezoid rule for exp(i x cos theta) on the circle, and of an
+    N/2-point Gauss rule for exp(i x t) on [-1, 1].
+    """
+    n, term = 0, 1.0
+    while term > _PLANE_WAVE_TOL:
+        n += 1
+        term *= 0.5 * x / n
+    return n
+
+
+def _plane_waves(axes, origin, radii, w_radii, dirs, w_dirs, norm):
+    """``LatticeFactors`` of the waves radii x dirs about ``origin``,
+    weighted norm * w_radii * w_dirs and doubled for the dropped half of
+    each antipodal pair."""
+    waves = (radii[:, None, None] * dirs[None]).reshape(-1, len(axes))
+    scale = (2.0 * norm) * np.multiply.outer(w_radii, w_dirs).ravel()
+    tables = tuple(np.exp(1j * np.multiply.outer(axis - o, waves[:, k]))
+                   for k, (axis, o) in enumerate(zip(axes, origin)))
+    return LatticeFactors(tables, waves, scale, origin)
+
+
+def _half_sphere(d: int, x: float):
+    """Directions and weights of a rule on the unit sphere S^{d-1} that
+    integrates exp(i x u . theta) to the truncation tolerance for every
+    unit u, keeping one direction of each antipodal pair. With
+    N = _fourier_order(x) rounded up to an even m: the m/2 angles in
+    [0, pi) of the m-point trapezoid rule, times ceil(N/2) Gauss nodes in
+    cos(polar angle) for d = 3."""
+    n = _fourier_order(x)
+    m = 2 * -(-n // 2)
+    phi, w = trapezoid_circle(m)
+    phi, w = phi[:m // 2], w[:m // 2]
+    if d == 2:
+        return np.column_stack([np.cos(phi), np.sin(phi)]), w
+    t, wt = panel_nodes([-1.0, 1.0], -(-n // 2))
+    st = np.sqrt((1.0 - t) * (1.0 + t))
+    dirs = np.stack([np.multiply.outer(st, np.cos(phi)),
+                     np.multiply.outer(st, np.sin(phi)),
+                     np.repeat(t[:, None], len(phi), axis=1)], axis=-1)
+    return dirs.reshape(-1, 3), np.multiply.outer(wt, w).ravel()
+
+
+# ---------------------------------------------------------------------------
 # kernels
 
 
@@ -145,15 +233,23 @@ class Kernel:
     def eval_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def axis_factors(self, axes, ys: np.ndarray) -> list[np.ndarray] | None:
-        """Per-axis tables F_k of shape (len(axes[k]), n) for n points ys.
+    def axis_factors(self, axes, ys: np.ndarray):
+        """Lattice factors (images, window) of K and |K|^2 for n points ys.
 
         On the product lattice of ``axes`` (one coordinate array per real
-        axis), K(x, y) = prod_k F_k[i_k(x), y], where i_k(x) indexes x's
-        k-th coordinate in ``axes[k]``. None when the kernel does not
-        factor over the axes; callers then use ``eval_matrix``.
+        axis), ``images`` gives sum_y K(x, y) v(y) and ``window`` gives
+        sum_y |K(x, y)|^2 w(y) for any v and w on ys, each as one
+        ``LatticeFactors`` contraction. None when the kernel has no such
+        factors; callers then use ``window_blocks``.
         """
         return None
+
+    def window_blocks(self, ys: np.ndarray):
+        """The map xs -> K(xs, ys) for the fixed points ys, as blocks of
+        ``eval_matrix``; whatever depends on ys alone is computed once,
+        here, for all the blocks of a pass."""
+        ys = self._points(ys)
+        return lambda xs: self.eval_matrix(xs, ys)
 
     def radial_profile(self, r) -> np.ndarray | float:
         """phi(r) = |K(x,y)|^2 for any pair with |x-y| = r."""
@@ -217,14 +313,16 @@ class GinibreKernel(Kernel):
         wn = 0.5 * np.sum(np.abs(w) ** 2, axis=1)
         return np.exp(math.pi * (cross - zn[:, None] - wn[None, :]))
 
-    def axis_factors(self, axes, ys: np.ndarray) -> list[np.ndarray]:
-        """Exact per-axis factors: with z = s + it and w = u + iv,
+    def axis_factors(self, axes, ys: np.ndarray):
+        """Exact per-axis factors F_k, ranked by the window node: with
+        z = s + it and w = u + iv,
 
             K(z, w) = exp(-pi (s-u)^2/2 - i pi s v)
                       * exp(-pi (t-v)^2/2 + i pi t u),
 
         and for complex_dim 2 the product of one such pair per complex
         coordinate. Axis k pairs with axis k ^ 1, its complex partner.
+        The window factors are the squared moduli |F_k|^2.
         """
         ys = self._points(ys)
         if len(axes) != self.ambient_dim:
@@ -237,7 +335,8 @@ class GinibreKernel(Kernel):
             phase = (math.pi if k % 2 else -math.pi) * (a * ys[:, k ^ 1])
             tables.append(np.exp(-0.5 * math.pi * (a - ys[:, k]) ** 2
                                  + 1j * phase))
-        return tables
+        return (LatticeFactors(tuple(tables)),
+                LatticeFactors(tuple(np.abs(t) ** 2 for t in tables)))
 
     def radial_profile(self, r):
         r = np.asarray(r, dtype=float)
@@ -300,10 +399,28 @@ class PaleyWienerKernel(Kernel):
         square is accumulated axis by axis in one M x n array (in the
         order of a sum over the axes) and rooted in place.
         """
-        xs, ys = self._points(xs), self._points(ys)
-        m, n = len(xs), len(ys)
-        if self.dim == 1 and m * n > 2 * (m + n):
-            return self._sine_matrix(xs[:, 0], ys[:, 0])
+        if self.dim == 1:
+            return self.window_blocks(ys)(xs)
+        return self._distance_matrix(self._points(xs), self._points(ys))
+
+    def window_blocks(self, ys: np.ndarray):
+        """For d = 1 the sines and cosines of ys are taken once, and every
+        block wide enough for the angle-addition form reuses them."""
+        if self.dim != 1:
+            return super().window_blocks(ys)
+        ys = self._points(ys)
+        y = ys[:, 0]
+        trig = np.stack([np.cos(y), np.sin(y)])
+
+        def block(xs):
+            xs = self._points(xs)
+            if len(xs) * len(y) > 2 * (len(xs) + len(y)):
+                return self._sine_matrix(xs[:, 0], y, trig)
+            return self._distance_matrix(xs, ys)
+        return block
+
+    def _distance_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The block as ``_profile_amplitude`` of the distances."""
         dist = np.subtract.outer(xs[:, 0], ys[:, 0])
         dist *= dist
         for k in range(1, self.dim):
@@ -312,20 +429,84 @@ class PaleyWienerKernel(Kernel):
             dist += diff
         return self._profile_amplitude(np.sqrt(dist, out=dist))
 
-    def _sine_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The d = 1 block by angle addition, for points x and y."""
+    def _sine_matrix(self, x: np.ndarray, y: np.ndarray,
+                     trig: np.ndarray) -> np.ndarray:
+        """The d = 1 block by angle addition, for points x and y with
+        ``trig`` = [cos y; sin y]."""
         r = np.subtract.outer(x, y)
         out = np.abs(r)
         near = np.nonzero(out < _SINE_ADDITION_MIN_DIST)
         near_dist = out[near]
-        np.matmul(np.stack([np.sin(x), -np.cos(x)], axis=1),
-                  np.stack([np.cos(y), np.sin(y)]), out=out)
+        np.matmul(np.stack([np.sin(x), -np.cos(x)], axis=1), trig, out=out)
         r *= math.pi
         # r = 0 only on entries that the Bessel form overwrites
         with np.errstate(divide="ignore", invalid="ignore"):
             out /= r
         out[near] = self._profile_amplitude(near_dist)
         return out
+
+    def axis_factors(self, axes, ys: np.ndarray):
+        """Plane-wave factors for d = 2 and 3 (None for d = 1).
+
+        K(x, y) = (2 pi)^{-d} int_{|xi| <= 1} exp(i xi . (x - y)) dxi is
+        taken by a polar rule on the unit ball: Gauss-Legendre radii with
+        weight rho^{d-1} times ``_half_sphere`` directions. |K|^2 has
+        Fourier transform (2 pi)^{-2d} g(eta), g the covariogram of the
+        unit ball (zero beyond |eta| = 2), whose radius is substituted as
+        |eta| = 2 cos(phi), phi in [0, pi/2], so that the radial integrand
+        is analytic: g = 2 phi - sin(2 phi) (d = 2) and (8 pi / 3)
+        (2 + cos phi) sin^4(phi/2) (d = 3). Each rule is sized from the
+        largest phase it must integrate: the diameter D of the bounding
+        box of the lattice and ys times the bandwidth, 1 for K and 2 for
+        |K|^2. Phases are taken about the box's centre. None as well when
+        the image rule has more waves than ys has points: the pass then
+        costs more than the kernel blocks it replaces (d = 3: 1.9 s
+        against 0.46 s for 4536 waves and 864 points, 0.45 s for both at
+        1859 waves and 2112 points).
+        """
+        if self.dim == 1:
+            return None
+        ys = self._points(ys)
+        if len(axes) != self.dim:
+            raise ValueError(f"need {self.dim} axes, got {len(axes)}")
+        axes = [np.asarray(axis, dtype=float) for axis in axes]
+        lo = np.minimum([axis.min() for axis in axes],
+                        ys.min(axis=0, initial=np.inf))
+        hi = np.maximum([axis.max() for axis in axes],
+                        ys.max(axis=0, initial=-np.inf))
+        origin = 0.5 * (lo + hi)
+        diameter = float(np.linalg.norm(hi - lo))
+        d = self.dim
+        # _fourier_order(x) > x / 2, so the image rule has more than
+        # (diameter / 8) (diameter / 4)^(d-1) waves: no rule is sized,
+        # let alone built, for a lattice far wider than the window
+        if diameter / 8.0 * (diameter / 4.0) ** (d - 1) >= len(ys):
+            return None
+        # images: rho in [0, 1], phases up to diameter * rho
+        rho, w_rho = panel_nodes([0.0, 1.0], -(-(
+            _fourier_order(0.5 * diameter) + d - 1) // 2))
+        dirs, w_dirs = _half_sphere(d, diameter)
+        if len(rho) * len(dirs) > len(ys):
+            return None
+        images = _plane_waves(axes, origin, rho, w_rho * rho ** (d - 1),
+                              dirs, w_dirs, (2.0 * math.pi) ** -d)
+        # window integral: |eta| = 2 cos(phi), phases up to 2 diameter
+        # cos(phi), whose frequency in phi, 2 diameter at most, the
+        # weight's sin(phi), cos(phi)^(d-1) and sin(2 phi) raise by d + 2
+        # and its linear term in phi by one degree
+        phi, w_phi = panel_nodes([0.0, 0.5 * math.pi], -(-(_fourier_order(
+            0.25 * math.pi * (2.0 * diameter + d + 2)) + 1) // 2))
+        s = 2.0 * np.cos(phi)
+        if d == 2:
+            g = 2.0 * phi - np.sin(2.0 * phi)
+        else:
+            g = 8.0 * math.pi / 3.0 * (2.0 + np.cos(phi)) \
+                * np.sin(0.5 * phi) ** 4
+        window = _plane_waves(axes, origin, s,
+                              w_phi * s ** (d - 1) * 2.0 * np.sin(phi) * g,
+                              *_half_sphere(d, 2.0 * diameter),
+                              (2.0 * math.pi) ** (-2 * d))
+        return images, window
 
     def radial_profile(self, r):
         out = np.asarray(self._profile_amplitude(r)) ** 2

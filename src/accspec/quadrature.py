@@ -6,6 +6,7 @@ edges.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -43,6 +44,11 @@ def panel_nodes(edges: np.ndarray, n_nodes: int = DEFAULT_NODES_PER_PANEL):
     nodes = (a + half)[:, None] + half[:, None] * base_x[None, :]
     weights = half[:, None] * base_w[None, :]
     return nodes.ravel(), weights.ravel()
+
+
+def trapezoid_circle(m: int):
+    """The m-point trapezoid rule on the circle [0, 2 pi)."""
+    return 2.0 * math.pi / m * np.arange(m), np.full(m, 2.0 * math.pi / m)
 
 
 def uniform_edges(a: float, b: float, max_width: float) -> np.ndarray:

@@ -17,14 +17,19 @@ Psi and G both read the kernel between the evaluation grid and the
 window: Psi through the image sum above, G through the window integral
 int_Lambda |K(x,y)|^2 dy. One pass over the kernel gives both;
 ``compute_psi`` leaves the window integral on the EvalGrid for
-``defect_g``. The evaluation grid is a uniform product lattice. For a
-kernel that factors exactly over the real axes (``Kernel.axis_factors``:
-the Ginibre kernel) the pass forms no kernel block: the images are one
-GEMM of a trailing-axis table per index of the leading axes, and the
-window integral a matrix-vector product of its squared modulus. Other
-kernels evaluate M x n blocks with ``eval_matrix``, a few rows at a
-time. ``inner_product_direct`` always calls ``eval_matrix`` and is the
-independent reference for the lattice route.
+``defect_g``. The evaluation grid is a uniform product lattice. A kernel
+with lattice factors (``Kernel.axis_factors``) gives, for the images and
+for the window integral, per-axis tables over a rank together with what
+the rank contracts against. For the Ginibre kernel, which factors
+exactly over the real axes, the rank is the window node. For the
+Paley-Wiener kernel in d = 2 and 3 it is a plane wave of a polar Fourier
+rule, contracted against the window's phase sums, which are built a few
+rows at a time. Either way the pass forms no kernel block: the images
+are one GEMM of a trailing-axis table per index of the leading axes, and
+the window integral one matrix-vector product. Other kernels evaluate
+M x n blocks (``Kernel.window_blocks``) a few rows at a time.
+``inner_product_direct`` always evaluates blocks and is the independent
+reference for the lattice route.
 The window mask 1_Lambda is evaluated once per evaluation grid and the
 limit shape K(x,x) 1_Lambda of rho once per field; their readers share them.
 """
@@ -43,7 +48,7 @@ from .discretize import (DEFAULT_NODE_CAP, NODES_PER_UNIT,  # noqa: F401
                          _count_text, assemble_operator, build_grid,
                          spectral_decompose, window_grid)
 from .geometry import Box, Region
-from .kernels import Kernel
+from .kernels import Kernel, LatticeFactors
 from .variance import variance_spectral
 
 MU_FLOOR = 1e-12
@@ -52,6 +57,7 @@ EVAL_NODE_CAP = 400_000
 # entries (1 MB) and eval_matrix's temporaries stay in cache, where a
 # fixed row count would stream every elementwise pass through memory;
 # the lattice route folds axes into its trailing table up to this size
+# and builds its plane-wave window phases in blocks of this size
 _BLOCK_ENTRIES = 1 << 16
 _COUNT_TIE_TOL = 1e-9
 
@@ -182,70 +188,110 @@ def _kernel_pass(kernel: Kernel, lambda_grid: QuadratureGrid,
     Gives the window integral int_Lambda |K(x,y)|^2 dy at each point and,
     if ``scaled_vecs`` is given, the images ``K @ scaled_vecs``. When
     ``points`` are the product lattice of ``axes`` and the kernel gives
-    ``axis_factors`` for them, ``_lattice_pass`` contracts the factor
-    tables axis by axis and no M x n block is formed. Otherwise the
-    M x n block comes from ``eval_matrix``, ``_BLOCK_ENTRIES // n`` rows
-    at a time (at least one). Returns (images or None, window integral).
+    ``axis_factors`` for them, each is one ``_lattice_sum`` and no M x n
+    block is formed. Otherwise the M x n block comes from the kernel's
+    ``window_blocks``, ``_BLOCK_ENTRIES // n`` rows at a time (at least
+    one). Returns (images or None, window integral).
     """
-    factors = (None if axes is None
-               else kernel.axis_factors(axes, lambda_grid.nodes))
+    ys, weights = lambda_grid.nodes, lambda_grid.weights
+    factors = None if axes is None else kernel.axis_factors(axes, ys)
     if factors is not None:
-        return _lattice_pass(factors, lambda_grid.weights, scaled_vecs)
+        # each set of tables is dropped once its sum is taken
+        image_factors, window_factors = factors
+        del factors
+        window = _lattice_sum(window_factors, ys, weights)
+        del window_factors
+        images = (None if scaled_vecs is None
+                  else _lattice_sum(image_factors, ys, scaled_vecs))
+        return images, window
     m = points.shape[0]
     window = np.empty(m)
     images = None
     rows = max(1, _BLOCK_ENTRIES // max(1, lambda_grid.n_nodes))
+    blocks = kernel.window_blocks(ys)
     for start in range(0, m, rows):
         stop = min(start + rows, m)
-        block = kernel.eval_matrix(points[start:stop], lambda_grid.nodes)
+        block = blocks(points[start:stop])
         if scaled_vecs is not None:
             if images is None:
                 images = np.empty((m, scaled_vecs.shape[1]),
                                   np.result_type(block, scaled_vecs))
             np.matmul(block, scaled_vecs, out=images[start:stop])
-        window[start:stop] = np.abs(block) ** 2 @ lambda_grid.weights
+        window[start:stop] = np.abs(block) ** 2 @ weights
     return images, window
 
 
-def _lattice_pass(factors: list, weights: np.ndarray,
-                  scaled_vecs: np.ndarray | None):
-    """``_kernel_pass`` on a product lattice, from the tables F_k with
-    K(x, y) = prod_k F_k[i_k(x), y] and n window ``weights``.
+def _lattice_sum(factors: LatticeFactors, ys: np.ndarray,
+                 vecs: np.ndarray) -> np.ndarray:
+    """sum_y L(x, y) vecs[y] on the lattice, for the ``LatticeFactors``
+    of L on window points ys: the rank side b, then ``_contract``. The
+    plane-wave rules take the real part, so complex vecs go through as
+    their real and imaginary parts."""
+    if factors.waves is not None and np.iscomplexobj(vecs):
+        return (_lattice_sum(factors, ys, vecs.real)
+                + 1j * _lattice_sum(factors, ys, vecs.imag))
+    return _contract(factors, _rank_side(factors, ys, vecs))
 
-    The trailing table T starts as the last axis's F. While T holds fewer
-    than ``_BLOCK_ENTRIES`` entries and more than one axis precedes it,
-    the axis just before it is folded in, T becoming the table of their
-    product lattice; so a 4-axis lattice runs no GEMM too thin to pay
-    for its call, and the 2 axes of C^1 never form an M x n table. For
-    each index of the remaining leading axes, r = prod F_k[i_k] over
-    those axes is one row of n entries, and the lattice rows under that
-    index get the images ``T @ (r[:, None] * scaled_vecs)``, one GEMM,
-    and the window integral ``|T|^2 @ (w |r|^2)``, where |T|^2 and
-    |r|^2 come from the squared moduli |F_k|^2, built once.
+
+def _rank_side(factors: LatticeFactors, ys: np.ndarray,
+               vecs: np.ndarray) -> np.ndarray:
+    """b = scale * (E^* vecs) for the rank x n phase table E[r, y] =
+    exp(i waves[r] . (y - origin)), built ``_BLOCK_ENTRIES // n`` rows at
+    a time (at least one); b = vecs when the rank is the window node."""
+    if factors.waves is None:
+        return vecs
+    shifted = ys - factors.origin
+    rank = len(factors.waves)
+    side = np.empty((rank,) + vecs.shape[1:], complex)
+    rows = max(1, _BLOCK_ENTRIES // max(1, len(ys)))
+    for start in range(0, rank, rows):
+        stop = min(start + rows, rank)
+        phase = factors.waves[start:stop] @ shifted.T
+        side[start:stop].real = np.cos(phase) @ vecs
+        np.sin(phase, out=phase)
+        side[start:stop].imag = -(phase @ vecs)
+    scale = factors.scale
+    side *= scale if vecs.ndim == 1 else scale[:, None]
+    return side
+
+
+def _contract(factors: LatticeFactors, side: np.ndarray) -> np.ndarray:
+    """sum_r prod_k tables[k][i_k(x), r] side[r] at every lattice point x,
+    in C order; the real part for plane-wave factors.
+
+    The trailing table T starts as the last axis's table. While T holds
+    fewer than ``_BLOCK_ENTRIES`` entries and more than one axis precedes
+    it, the axis just before it is folded in, T becoming the table of
+    their product lattice; so a 4-axis lattice runs no GEMM too thin to
+    pay for its call, and the 2 axes of C^1 never form an M x rank
+    table. For each index of the remaining leading axes, r = prod
+    tables[k][i_k] over those axes is one row of the rank, and the
+    lattice rows under that index get ``T @ (r * side)``, one GEMM (or
+    matrix-vector product). The real part of a complex product is one
+    real product of [Re T, -Im T] with the stacked [Re; Im] of r * side.
     """
-    n = weights.shape[0]
-    squares = [np.abs(table) ** 2 for table in factors]
-    lead = len(factors) - 1
-    trailing, trailing_sq = factors[lead], squares[lead]
+    tables = factors.tables
+    rank = side.shape[0]
+    lead = len(tables) - 1
+    trailing = tables[lead]
     while lead > 1 and trailing.size < _BLOCK_ENTRIES:
         lead -= 1
-        trailing = (factors[lead][:, None] * trailing).reshape(-1, n)
-        trailing_sq = (squares[lead][:, None] * trailing_sq).reshape(-1, n)
+        trailing = (tables[lead][:, None] * trailing).reshape(-1, rank)
+    real = factors.waves is not None
+    if real:
+        trailing = np.concatenate([trailing.real, -trailing.imag], axis=1)
     rows = trailing.shape[0]
-    leading = [range(len(table)) for table in factors[:lead]]
+    leading = [range(len(table)) for table in tables[:lead]]
     m = rows * math.prod(len(axis) for axis in leading)
-    window = np.empty(m)
-    images = (None if scaled_vecs is None else
-              np.empty((m, scaled_vecs.shape[1]),
-                       np.result_type(trailing, scaled_vecs)))
+    out = np.empty((m,) + side.shape[1:],
+                   float if real else np.result_type(trailing, side))
     for block, index in enumerate(itertools.product(*leading)):
-        span = slice(block * rows, (block + 1) * rows)
-        if images is not None:
-            r = math.prod(table[i] for table, i in zip(factors, index))
-            np.matmul(trailing, r[:, None] * scaled_vecs, out=images[span])
-        r_sq = math.prod(table[i] for table, i in zip(squares, index))
-        window[span] = trailing_sq @ (weights * r_sq)
-    return images, window
+        r = math.prod(table[i] for table, i in zip(tables, index))
+        scaled = r[:, None] * side if side.ndim == 2 else r * side
+        if real:
+            scaled = np.concatenate([scaled.real, scaled.imag])
+        np.matmul(trailing, scaled, out=out[block * rows:(block + 1) * rows])
+    return out
 
 
 def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
@@ -253,10 +299,13 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
     """Quadrature images of the leading eigenfunctions and their norms on E.
 
     The images come from one ``_kernel_pass`` between the M evaluation
-    nodes and the n window nodes. With the kernel's factor tables F_i on
+    nodes and the n window nodes. With the kernel's lattice factors on
     the grid's axes, M_i being the number of nodes on axis i, the working
-    memory is O(M k) for k = ``j_max`` modes, plus O((M_1 + ... + M_d) n)
-    for the tables and their squared moduli, plus, for 4 axes, a folded
+    memory is O(M k) for k = ``j_max`` modes, plus O((M_1 + ... + M_d) R)
+    for tables of rank R: the factors and their squared moduli (R = n,
+    Ginibre), or the image and window rules' plane waves (R = Q + P,
+    Paley-Wiener), whose Q x n and P x n window phases are built at most
+    ``_BLOCK_ENTRIES`` entries at a time; plus, for 4 axes, a folded
     trailing table and its squared modulus of fewer than
     M_i ``_BLOCK_ENTRIES`` entries each. Without factor tables the
     M x n kernel block is built a few rows at a time, at most
@@ -348,13 +397,16 @@ def inner_product_direct(kernel: Kernel, lambda_grid: QuadratureGrid,
                          points: np.ndarray) -> np.ndarray:
     """Window integral of |K(x, .)|^2 by quadrature on the window grid.
 
-    The kernel block is evaluated by ``eval_matrix`` in row blocks of at
-    most ``_BLOCK_ENTRIES`` entries, so the working memory is
+    The kernel block is evaluated by the kernel's ``window_blocks`` (the
+    blocks of ``eval_matrix``) in row blocks of at most
+    ``_BLOCK_ENTRIES`` entries, so the working memory is
     O(_BLOCK_ENTRIES + M) for M points, whatever the window size. The
-    points need not form a lattice, and the factor tables are never used:
-    this is the independent reference for the window integral that
+    points need not form a lattice, and the lattice factors are never
+    used: this is the independent reference for the window integral that
     ``compute_psi`` and ``defect_g`` build on the evaluation lattice,
-    which it matches to rounding (bitwise for kernels without factors).
+    which it matches to rounding, and bitwise where the kernel gives no
+    factors on that lattice (the sine kernel, and Paley-Wiener windows
+    with fewer nodes than the image rule has waves).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     return _kernel_pass(kernel, lambda_grid, points)[1]
@@ -390,9 +442,8 @@ def defect_g(kernel: Kernel, lambda_grid: QuadratureGrid,
     this very kernel and window grid (compared by identity); otherwise
     it is built here by the same pass on the grid's axes, so it has the
     same bits either way: O(_BLOCK_ENTRIES + M) working memory on M
-    evaluation nodes without factor tables, and with them the tables,
-    their squared moduli and a folded trailing table as in
-    ``compute_psi``.
+    evaluation nodes without lattice factors, and with them the tables,
+    phase blocks and folded trailing table of ``compute_psi``.
     """
     memo = eval_grid._window_integral
     if memo is not None and memo[0] is kernel and memo[1] is lambda_grid:

@@ -9,7 +9,7 @@ from pytest import approx
 from accspec import spectrogram
 from accspec.discretize import (QuadratureGrid, assemble_operator,
                                 build_grid, spectral_decompose)
-from accspec.geometry import Ball, Box
+from accspec.geometry import Ball, Box, DisjointBallUnion
 from helpers import synthetic_spectral, unit_psi
 from accspec.kernels import GinibreKernel, PaleyWienerKernel, sine_kernel
 from accspec.spectrogram import (ConvergenceRow, DefectField,
@@ -160,6 +160,19 @@ def ginibre_disk_fields():
     return kernel, grid, spectral, eval_grid
 
 
+@pytest.fixture(scope="module")
+def pw2_disk_fields():
+    """spectral-2d's Paley-Wiener disk: n = 1240 window nodes, M = 6400
+    evaluation nodes, 78 modes above the floor."""
+    kernel = PaleyWienerKernel(2)
+    region = Ball(np.array([0.3, -0.2]), 5.0)
+    grid = build_grid(region, 40)
+    spectral = spectral_decompose(assemble_operator(kernel, grid))
+    eval_grid = build_eval_grid(kernel, region, margin=5.0, spacing=0.25)
+    assert (grid.n_nodes, eval_grid.nodes.shape[0]) == (1240, 6400)
+    return kernel, grid, spectral, eval_grid
+
+
 def test_field_memory_is_bounded_by_the_block_budget(ginibre_disk_fields):
     # one whole M x n complex block would take 32 MB, its temporaries more
     kernel, grid, spectral, eval_grid = ginibre_disk_fields
@@ -190,6 +203,19 @@ def test_psi_memory_is_one_and_a_half_images():
     assert peak <= 1.6 * psi.images.nbytes
 
 
+def test_pw2_psi_memory_is_bounded_by_the_block_budget(pw2_disk_fields):
+    # measured 12.8 MiB, with 3.8 MiB of images; built whole, the
+    # 704 x 1240 and 2392 x 1240 phase tables take it to 53.7 MiB
+    kernel, grid, spectral, eval_grid = pw2_disk_fields
+    tracemalloc.start()
+    try:
+        compute_psi(kernel, spectral, eval_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def factor_route(kernel, grid, eval_grid):
     """A fresh window-integral pass on the evaluation lattice's axes."""
     return spectrogram._kernel_pass(kernel, grid, eval_grid.nodes,
@@ -201,10 +227,13 @@ def factor_route(kernel, grid, eval_grid):
 CROSS_ROUTE_REL = 1e-14
 
 
-@pytest.mark.parametrize("budget", ["one-row", "whole-grid"])
-def test_fields_do_not_depend_on_the_block_size(ginibre_disk_fields,
-                                                monkeypatch, budget):
-    kernel, grid, spectral, eval_grid = ginibre_disk_fields
+@pytest.mark.parametrize("fields, budget", [
+    ("ginibre_disk_fields", "one-row"), ("ginibre_disk_fields", "whole-grid"),
+    ("pw2_disk_fields", "one-row"), ("pw2_disk_fields", "whole-grid")],
+    ids=["one-row", "whole-grid", "pw2-one-row", "pw2-whole-grid"])
+def test_fields_do_not_depend_on_the_block_size(fields, budget, request,
+                                                monkeypatch):
+    kernel, grid, spectral, eval_grid = request.getfixturevalue(fields)
     n_modes = count_n(spectral.trace)
     psi = unit_psi(compute_psi(kernel, spectral, eval_grid, j_max=n_modes))
     fused = defect_g(kernel, grid, eval_grid).window_integral
@@ -255,6 +284,95 @@ def test_psi_and_defect_share_one_kernel_pass(ginibre_disk_fields,
     ipd = inner_product_direct(kernel, grid, eval_grid.nodes)
     assert (np.abs(defect.window_integral - ipd).max()
             <= CROSS_ROUTE_REL * ipd.max())
+
+
+def test_pw2_fields_form_no_kernel_block(pw2_disk_fields, monkeypatch):
+    kernel, grid, spectral, eval_grid = pw2_disk_fields
+    entries, factor_calls = [], []
+    eval_matrix = PaleyWienerKernel.eval_matrix
+    axis_factors = PaleyWienerKernel.axis_factors
+
+    def counted(self, xs, ys):
+        block = eval_matrix(self, xs, ys)
+        entries.append(block.size)
+        return block
+
+    def counted_factors(self, axes, ys):
+        factor_calls.append(len(axes))
+        return axis_factors(self, axes, ys)
+
+    monkeypatch.setattr(PaleyWienerKernel, "eval_matrix", counted)
+    monkeypatch.setattr(PaleyWienerKernel, "axis_factors", counted_factors)
+    compute_psi(kernel, spectral, eval_grid)
+    defect = defect_g(kernel, grid, eval_grid)
+    assert (sum(entries), len(factor_calls)) == (0, 1)
+    monkeypatch.undo()
+    assert np.array_equal(defect.window_integral,
+                          factor_route(kernel, grid, eval_grid))
+
+
+def _pw_case(case):
+    """(kernel, window grid, spectral data, evaluation grid) of a
+    Paley-Wiener window with plane-wave factors on its lattice."""
+    dim, region, n_axis, margin, spacing = {
+        "pw2-box": (2, Box(np.array([0.0, 0.0]), np.array([3.0, 2.0])),
+                    32, 3.0, 0.2),
+        "pw2-union": (2, DisjointBallUnion((Ball(np.array([0.0, 0.0]), 1.0),
+                                            Ball(np.array([3.0, 1.0]), 1.5))),
+                      40, 2.0, 0.2),
+        "pw3-ball": (3, Ball(np.zeros(3), 1.0), 16, 0.5, 0.2),
+    }[case]
+    kernel = PaleyWienerKernel(dim)
+    grid = build_grid(region, n_axis)
+    spectral = spectral_decompose(assemble_operator(kernel, grid))
+    eval_grid = build_eval_grid(kernel, region, margin=margin,
+                                spacing=spacing)
+    return kernel, grid, spectral, eval_grid
+
+
+# the plane-wave factors against eval_matrix's Bessel forms, whose J_1
+# series errs by up to 2.3e-12 of J_1 on [10, 13); measured at most
+# 2.2e-14 of the maximum (images of the pw2 disk), 4.7e-15 elsewhere
+PLANE_WAVE_CROSS_ROUTE_REL = 1e-13
+
+
+@pytest.mark.parametrize("case", ["pw2-disk", "pw2-box", "pw2-union",
+                                  "pw3-ball"])
+def test_plane_wave_pass_matches_eval_matrix(case, request):
+    kernel, grid, spectral, eval_grid = (
+        request.getfixturevalue("pw2_disk_fields") if case == "pw2-disk"
+        else _pw_case(case))
+    assert kernel.axis_factors(eval_grid.axes, grid.nodes) is not None
+    modes = spectral.count_above(spectrogram.MU_FLOOR)
+    scaled_vecs = (np.sqrt(grid.weights)[:, None]
+                   * spectral.vectors[:, :modes])
+    images, window = spectrogram._kernel_pass(
+        kernel, grid, eval_grid.nodes, scaled_vecs, eval_grid.axes)
+    reference, ipd = spectrogram._kernel_pass(kernel, grid, eval_grid.nodes,
+                                              scaled_vecs)
+    assert (np.abs(images - reference).max()
+            <= PLANE_WAVE_CROSS_ROUTE_REL * np.abs(reference).max())
+    assert np.abs(window - ipd).max() <= PLANE_WAVE_CROSS_ROUTE_REL * ipd.max()
+    # complex vectors go through as their real and imaginary parts
+    complex_images, _ = spectrogram._kernel_pass(
+        kernel, grid, eval_grid.nodes, (1 - 2j) * scaled_vecs, eval_grid.axes)
+    assert np.array_equal(complex_images, (1 - 2j) * images)
+
+
+def test_sine_pass_takes_the_window_sines_once(sine_run, monkeypatch):
+    kernel, grid = sine_run.kernel, sine_run.grid
+    tables = []
+    sine_matrix = PaleyWienerKernel._sine_matrix
+
+    def spy(self, x, y, trig):
+        tables.append(trig)
+        return sine_matrix(self, x, y, trig)
+
+    monkeypatch.setattr(PaleyWienerKernel, "_sine_matrix", spy)
+    window = inner_product_direct(kernel, grid, sine_run.eval_grid.nodes)
+    monkeypatch.undo()
+    assert len(tables) > 1 and all(t is tables[0] for t in tables)
+    assert np.array_equal(window, sine_run.defect.window_integral)
 
 
 def test_defect_does_not_reuse_another_window_or_kernel():
