@@ -130,8 +130,8 @@ def _orders(piece, n: int) -> tuple:
 
 
 def _count_text(count) -> str:
-    """A node count for a cap message: 12 significant digits, or a bound
-    once the count is past the float range."""
+    """A node or mode count for a limit message: 12 significant digits,
+    or a bound once the count is past the float range."""
     try:
         count = float(count)
     except OverflowError:  # an integer count beyond the float range
@@ -191,12 +191,19 @@ def build_grid(region: Region, n_per_axis: int,
     """Product Gauss rule on the region at ``n_per_axis`` nodes per axis:
     n^d nodes on a box, at most c_d (n/2)^d on a ball (see ``_orders``),
     checked against ``node_cap`` before any node is built, after
-    ``check_resolution`` has checked the cap and n_per_axis."""
+    ``check_resolution`` has checked the cap and n_per_axis. So is the
+    first row buffer of ``_pivoted_cholesky``, 64 complex rows of one
+    entry per node, against ``_FACTOR_BYTE_BUDGET``: a grid that no
+    factor could hold raises ResourceLimitError as well."""
     check_resolution(node_cap, n_per_axis=n_per_axis)
     count = _node_count(region, n_per_axis)
     if count > node_cap:
         raise ResourceLimitError(
             f"grid has {_count_text(count)} nodes, cap is {node_cap}")
+    if 64 * count * np.dtype(complex).itemsize > _FACTOR_BYTE_BUDGET:
+        raise ResourceLimitError(
+            f"grid has {_count_text(count)} nodes, more than a low-rank "
+            f"factor within {_FACTOR_BYTE_BUDGET / 2 ** 30:.2f} GiB holds")
     # past the float range the weights would overflow with a warning only
     if not math.isfinite(region.volume()):
         raise OverflowError("window volume exceeds the float range")

@@ -20,10 +20,9 @@ whose numerator is the rank-2 product of the 2(M + n) sines and cosines
 of the points, with an absolute error of a few 1e-16 for any x and y.
 Dividing by pi |x - y| >= pi/2 keeps that below 2e-16; entries with
 |x - y| < 1/2 take the Bessel form instead, whose error is relative, and
-so do blocks too thin for the 2(M + n) values to save work; the n
-window sines and cosines are taken once per pass (``window_blocks``).
-Distances in d >= 2 are accumulated one axis at a time, with no
-M x n x d temporary.
+so do blocks too thin for the 2(M + n) values to save work. Distances
+in d >= 2 are accumulated one axis at a time, with no M x n x d
+temporary.
 
 On a product lattice both families also give per-axis tables
 (``axis_factors``, ``LatticeFactors``): the Ginibre kernel factors
@@ -240,16 +239,9 @@ class Kernel:
         axis), ``images`` gives sum_y K(x, y) v(y) and ``window`` gives
         sum_y |K(x, y)|^2 w(y) for any v and w on ys, each as one
         ``LatticeFactors`` contraction. None when the kernel has no such
-        factors; callers then use ``window_blocks``.
+        factors; callers then evaluate blocks of ``eval_matrix``.
         """
         return None
-
-    def window_blocks(self, ys: np.ndarray):
-        """The map xs -> K(xs, ys) for the fixed points ys, as blocks of
-        ``eval_matrix``; whatever depends on ys alone is computed once,
-        here, for all the blocks of a pass."""
-        ys = self._points(ys)
-        return lambda xs: self.eval_matrix(xs, ys)
 
     def radial_profile(self, r) -> np.ndarray | float:
         """phi(r) = |K(x,y)|^2 for any pair with |x-y| = r."""
@@ -399,25 +391,10 @@ class PaleyWienerKernel(Kernel):
         square is accumulated axis by axis in one M x n array (in the
         order of a sum over the axes) and rooted in place.
         """
-        if self.dim == 1:
-            return self.window_blocks(ys)(xs)
-        return self._distance_matrix(self._points(xs), self._points(ys))
-
-    def window_blocks(self, ys: np.ndarray):
-        """For d = 1 the sines and cosines of ys are taken once, and every
-        block wide enough for the angle-addition form reuses them."""
-        if self.dim != 1:
-            return super().window_blocks(ys)
-        ys = self._points(ys)
-        y = ys[:, 0]
-        trig = np.stack([np.cos(y), np.sin(y)])
-
-        def block(xs):
-            xs = self._points(xs)
-            if len(xs) * len(y) > 2 * (len(xs) + len(y)):
-                return self._sine_matrix(xs[:, 0], y, trig)
-            return self._distance_matrix(xs, ys)
-        return block
+        xs, ys = self._points(xs), self._points(ys)
+        if self.dim == 1 and len(xs) * len(ys) > 2 * (len(xs) + len(ys)):
+            return self._sine_matrix(xs[:, 0], ys[:, 0])
+        return self._distance_matrix(xs, ys)
 
     def _distance_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The block as ``_profile_amplitude`` of the distances."""
@@ -429,15 +406,14 @@ class PaleyWienerKernel(Kernel):
             dist += diff
         return self._profile_amplitude(np.sqrt(dist, out=dist))
 
-    def _sine_matrix(self, x: np.ndarray, y: np.ndarray,
-                     trig: np.ndarray) -> np.ndarray:
-        """The d = 1 block by angle addition, for points x and y with
-        ``trig`` = [cos y; sin y]."""
+    def _sine_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The d = 1 block by angle addition, for points x and y."""
         r = np.subtract.outer(x, y)
         out = np.abs(r)
         near = np.nonzero(out < _SINE_ADDITION_MIN_DIST)
         near_dist = out[near]
-        np.matmul(np.stack([np.sin(x), -np.cos(x)], axis=1), trig, out=out)
+        np.matmul(np.stack([np.sin(x), -np.cos(x)], axis=1),
+                  np.stack([np.cos(y), np.sin(y)]), out=out)
         r *= math.pi
         # r = 0 only on entries that the Bessel form overwrites
         with np.errstate(divide="ignore", invalid="ignore"):

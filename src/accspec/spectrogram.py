@@ -27,7 +27,7 @@ rule, contracted against the window's phase sums, which are built a few
 rows at a time. Either way the pass forms no kernel block: the images
 are one GEMM of a trailing-axis table per index of the leading axes, and
 the window integral one matrix-vector product. Other kernels evaluate
-M x n blocks (``Kernel.window_blocks``) a few rows at a time.
+M x n blocks of ``Kernel.eval_matrix`` a few rows at a time.
 ``inner_product_direct`` always evaluates blocks and is the independent
 reference for the lattice route.
 The window mask 1_Lambda is evaluated once per evaluation grid and the
@@ -190,7 +190,7 @@ def _kernel_pass(kernel: Kernel, lambda_grid: QuadratureGrid,
     ``points`` are the product lattice of ``axes`` and the kernel gives
     ``axis_factors`` for them, each is one ``_lattice_sum`` and no M x n
     block is formed. Otherwise the M x n block comes from the kernel's
-    ``window_blocks``, ``_BLOCK_ENTRIES // n`` rows at a time (at least
+    ``eval_matrix``, ``_BLOCK_ENTRIES // n`` rows at a time (at least
     one). Returns (images or None, window integral).
     """
     ys, weights = lambda_grid.nodes, lambda_grid.weights
@@ -208,10 +208,9 @@ def _kernel_pass(kernel: Kernel, lambda_grid: QuadratureGrid,
     window = np.empty(m)
     images = None
     rows = max(1, _BLOCK_ENTRIES // max(1, lambda_grid.n_nodes))
-    blocks = kernel.window_blocks(ys)
     for start in range(0, m, rows):
         stop = min(start + rows, m)
-        block = blocks(points[start:stop])
+        block = kernel.eval_matrix(points[start:stop], ys)
         if scaled_vecs is not None:
             if images is None:
                 images = np.empty((m, scaled_vecs.shape[1]),
@@ -321,7 +320,7 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
     if j_max > n_above:
         raise RankDeficiencyError(
             f"mode j={n_above + 1} has eigenvalue <= mu_floor ({MU_FLOOR:g}); "
-            f"cannot supply {j_max} modes"
+            f"cannot supply {_count_text(j_max)} modes"
         )
     if j_max < 1:
         raise RankDeficiencyError("at least one mode is required")
@@ -373,7 +372,8 @@ def accumulated_spectrogram(kernel: Kernel, spectral: SpectralData,
         psi = compute_psi(kernel, spectral, eval_grid, j_max=n_count)
     elif psi.images.shape[1] < n_count:
         raise RankDeficiencyError(
-            f"psi set holds {psi.images.shape[1]} modes but N = {n_count}")
+            f"psi set holds {psi.images.shape[1]} modes but "
+            f"N = {_count_text(n_count)}")
     rho = np.abs(psi.images[:, :n_count]) ** 2 @ (1.0 / psi.norms_sq[:n_count])
     target = kernel.diagonal_value * eval_grid.inside_base()
     return SpectrogramField(eval_grid=eval_grid, rho=rho, target=target,
@@ -397,9 +397,8 @@ def inner_product_direct(kernel: Kernel, lambda_grid: QuadratureGrid,
                          points: np.ndarray) -> np.ndarray:
     """Window integral of |K(x, .)|^2 by quadrature on the window grid.
 
-    The kernel block is evaluated by the kernel's ``window_blocks`` (the
-    blocks of ``eval_matrix``) in row blocks of at most
-    ``_BLOCK_ENTRIES`` entries, so the working memory is
+    The kernel block is evaluated by the kernel's ``eval_matrix`` in row
+    blocks of at most ``_BLOCK_ENTRIES`` entries, so the working memory is
     O(_BLOCK_ENTRIES + M) for M points, whatever the window size. The
     points need not form a lattice, and the lattice factors are never
     used: this is the independent reference for the window integral that

@@ -695,6 +695,43 @@ def test_window_grid_cap_message_is_one_short_line(argv, need, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["variance", "--kernel", "ginibre", "--R", "1"], 0),
+    (["variance", "--kernel", "ginibre", "--R", "1", "--spectral", "on"], 3),
+    (["spectrogram", "--kernel", "ginibre", "--region", "ball:0,0:1",
+      "--R", "1", "--nodes-per-unit", "100000"], 3),
+], ids=["auto", "on", "spectrogram"])
+def test_grid_beyond_the_factor_budget_is_refused(argv, code, tmp_path,
+                                                  capsys):
+    # a 10^9 node cap admits a 1e9-node disk, whose nodes alone would
+    # take 7.45 GiB and which no low-rank factor within 1 GiB can hold:
+    # auto drops the spectral column, the others end in one error line
+    out = tmp_path / "v.csv"
+    assert main(argv + ["--node-cap", "1000000000", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        row, = _read_summary(out)
+        assert row["var_spectral"] == "" and float(row["var_radial"]) > 0
+    else:
+        assert err == ("error: grid has 999970209 nodes, more than a "
+                       "low-rank factor within 1.00 GiB holds\n")
+        assert not out.exists()
+
+
+def test_mode_count_message_is_one_short_line(capsys):
+    # the count is 2e150 / pi: printed to 12 significant digits, not as
+    # a 150-digit integer
+    assert main(["spectrogram", "--kernel", "sine", "--region",
+                 "interval:-1,1", "--R", "1e150", "--node-cap", "64"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("error: mode j=65 has eigenvalue <= mu_floor "
+                            "(1e-12); cannot supply 6.36619772368e+149 "
+                            "modes\n")
+    assert len(captured.err.encode()) < 200
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_nonfinite_output_is_numerical_failure(fmt, capsys, monkeypatch):
     def nan_ratio(kernel, region, scales, **kwargs):

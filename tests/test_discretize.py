@@ -70,6 +70,28 @@ def test_node_cap_checked_before_allocation():
     assert peak < 2 ** 20
 
 
+def test_grid_beyond_the_factor_budget_is_refused_before_allocation():
+    # within a 10^9 node cap, but 3.1e6 nodes: the first 64-row complex
+    # buffer of the pivoted Cholesky would take 3 GiB of its 1 GiB budget
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="low-rank factor"):
+            build_grid(Ball(np.zeros(2), 1.0), 2000, node_cap=10 ** 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_grid_bound_follows_the_factor_budget(monkeypatch):
+    # 64 complex rows of 100 nodes fill the budget exactly
+    monkeypatch.setattr(discretize, "_FACTOR_BYTE_BUDGET", 64 * 16 * 100)
+    interval = Box(np.array([0.0]), np.array([1.0]))
+    assert build_grid(interval, 100).n_nodes == 100
+    with pytest.raises(ResourceLimitError, match="grid has 101 nodes"):
+        build_grid(interval, 101)
+
+
 def test_interval_as_ball_exact_weight_sum():
     grid = build_grid(Ball(np.array([0.0]), 1.0), 10)
     assert grid.weight_sum == approx(2.0, abs=1e-14)

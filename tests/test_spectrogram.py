@@ -359,20 +359,24 @@ def test_plane_wave_pass_matches_eval_matrix(case, request):
     assert np.array_equal(complex_images, (1 - 2j) * images)
 
 
-def test_sine_pass_takes_the_window_sines_once(sine_run, monkeypatch):
-    kernel, grid = sine_run.kernel, sine_run.grid
-    tables = []
-    sine_matrix = PaleyWienerKernel._sine_matrix
+def test_sine_fields_are_eval_matrix_blocks(sine_run, monkeypatch):
+    # the sine kernel has no lattice factors: its field pass is blocks
+    # of eval_matrix, M x n entries in all
+    kernel, eval_grid = sine_run.kernel, sine_run.eval_grid
+    entries = []
+    eval_matrix = PaleyWienerKernel.eval_matrix
 
-    def spy(self, x, y, trig):
-        tables.append(trig)
-        return sine_matrix(self, x, y, trig)
+    def counted(self, xs, ys):
+        block = eval_matrix(self, xs, ys)
+        entries.append(block.size)
+        return block
 
-    monkeypatch.setattr(PaleyWienerKernel, "_sine_matrix", spy)
-    window = inner_product_direct(kernel, grid, sine_run.eval_grid.nodes)
+    monkeypatch.setattr(PaleyWienerKernel, "eval_matrix", counted)
+    psi = compute_psi(kernel, sine_run.spectral, eval_grid)
     monkeypatch.undo()
-    assert len(tables) > 1 and all(t is tables[0] for t in tables)
-    assert np.array_equal(window, sine_run.defect.window_integral)
+    assert len(entries) > 1
+    assert sum(entries) == eval_grid.n_nodes * sine_run.grid.n_nodes
+    assert np.array_equal(psi.images, sine_run.psi.images)
 
 
 def test_defect_does_not_reuse_another_window_or_kernel():
