@@ -20,7 +20,7 @@ def run(out_dir: Path) -> int:
         "sine": ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
                  "--R", "2,4,8,16", "--nodes-per-unit", "40",
                  "--out", str(out_dir / "convergence_sine.csv")],
-        "ginibre": ["spectrogram", "--kernel", "ginibre", "--cdim", "1",
+        "ginibre": ["spectrogram", "--kernel", "ginibre",
                     "--region", "box:0,0:1,1", "--R", "1,2,3",
                     "--nodes-per-unit", "16", "--eval-spacing", "0.1",
                     "--out", str(out_dir / "convergence_ginibre.csv")],

@@ -15,13 +15,17 @@ Subcommands:
   NaN line included.
 * ``lens``: both lens-volume routes for one (dim, r, R).
 
+The window fixes the dimension d, which picks the kernel: sine needs
+d = 1, Paley-Wiener takes 1 to 3 and Ginibre 2 or 4 (C^(d/2)); without
+``--region``, ``variance --dim`` (default 1, 2 for Ginibre) sets it.
+
 The module only parses arguments, calls the library and prints.
 Exit codes: 0 success, 1 check failure, 2 usage/configuration error
 (an ``--out`` file that cannot be written included), 3 numerical failure
 (a series that misses its tolerance within the term cap, a resource
 limit, a float overflow, an expected count that underflows, an
-eigensolve that fails its residual check, a spectrum with fewer modes
-above the floor than the mode count needs, or a NaN or infinite value
+eigensolve that fails its residual check, a mode count above the grid's
+nodes or its modes above the floor, or a NaN or infinite value
 in an output table, which is refused before any file is written; the
 field table is one float array, checked in one pass).
 A reader that closes stdout early (``accspec --schema | head -1``) ends
@@ -174,13 +178,10 @@ def kernel_region_scales(args, region_required: bool):
     if args.kernel is None:
         raise UsageError("kernel: required")
     name = args.kernel.lower()
-    if name == "sine":
-        kernel = sine_kernel()
-    elif name in ("paley-wiener", "paleywiener", "pw"):
-        kernel = PaleyWienerKernel(args.dim)
-    elif name == "ginibre":
-        kernel = GinibreKernel(args.cdim)
-    else:
+    pw = {d: PaleyWienerKernel(d) for d in (1, 2, 3)}
+    by_dim = {"sine": {1: sine_kernel()}, "paley-wiener": pw, "pw": pw,
+              "ginibre": {2: GinibreKernel(1), 4: GinibreKernel(2)}}.get(name)
+    if by_dim is None:
         raise UsageError(f"kernel: unknown '{args.kernel}' "
                          "(want sine, paley-wiener or ginibre)")
     if args.region is not None:
@@ -188,15 +189,13 @@ def kernel_region_scales(args, region_required: bool):
     elif region_required:
         raise UsageError("region: required")
     else:
-        region = Ball(np.zeros(kernel.ambient_dim), 1.0)
-    if region.dim != kernel.ambient_dim:
-        raise UsageError(
-            f"region dimension {region.dim} does not match kernel dimension "
-            f"{kernel.ambient_dim}"
-        )
+        region = Ball(np.zeros(args.dim or min(by_dim)), 1.0)
+    if region.dim not in by_dim:
+        raise UsageError(f"kernel: {name} takes windows of dimension "
+                         f"{', '.join(map(str, by_dim))}, not {region.dim}")
     if not scales:
         raise UsageError("R: required")
-    return kernel, region, scales
+    return by_dim[region.dim], region, scales
 
 
 # ---------------------------------------------------------------------------
@@ -371,45 +370,43 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the output column documentation and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, run):
+    def add_common(p, run, nodes_per_unit):
         p.set_defaults(run=run)
         p.add_argument("--kernel", help="sine, paley-wiener or ginibre")
-        p.add_argument("--dim", type=int, default=1,
-                       help="dimension for paley-wiener")
-        p.add_argument("--cdim", type=int, default=1,
-                       help="complex dimension for ginibre")
-        p.add_argument("--region", help="interval:a,b | box:lo..:hi.. | "
-                                        "ball:c..:r | union:c..:r;c..:r")
+        window = p.add_mutually_exclusive_group()
+        window.add_argument("--region", help="interval:a,b | box:lo..:hi.. | "
+                                             "ball:c..:r | union:c..:r;c..:r")
         p.add_argument("--R", help="dilation scales: a,b,c or lo:hi:logN")
-        p.add_argument("--n", type=int, default=None,
-                       help="fixed window grid nodes per axis")
+        resolution = p.add_mutually_exclusive_group()
+        resolution.add_argument("--n", type=int, default=None,
+                                help="fixed window grid nodes per axis")
+        resolution.add_argument(
+            "--nodes-per-unit", type=float, default=nodes_per_unit,
+            help="window grid resolution per unit length (default: "
+                 f"{NODES_PER_UNIT:g}; variance above 1-D: the finest "
+                 "within --node-cap)")
         p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", type=Path, default=None)
-        return p
+        return window  # variance adds --dim to the --region group
 
-    p_spec = add_common(sub.add_parser("spectrogram",
-                                       help="dilation convergence study"),
-                        cmd_spectrogram)
-    p_spec.add_argument("--nodes-per-unit", type=float, default=NODES_PER_UNIT,
-                        help="window grid resolution per unit length")
+    p_spec = sub.add_parser("spectrogram", help="dilation convergence study")
+    add_common(p_spec, cmd_spectrogram, NODES_PER_UNIT)
     p_spec.add_argument("--margin", type=float, default=None,
                         help="evaluation margin (default: 4 correlation lengths)")
     p_spec.add_argument("--eval-spacing", type=float, default=None,
                         help="evaluation grid spacing (default: the window "
                              "grid's)")
 
-    p_var = add_common(sub.add_parser("variance",
-                                      help="hyperuniformity curve and fit"),
-                       cmd_variance)
+    p_var = sub.add_parser("variance", help="hyperuniformity curve and fit")
+    window = add_common(p_var, cmd_variance, None)
+    window.add_argument("--dim", type=int, choices=(1, 2, 3, 4),
+                        help="dimension of the default window, the unit "
+                             "ball (default: 1, 2 for ginibre)")
     p_var.add_argument("--spectral", choices=("auto", "on", "off"),
                        default="auto",
                        help="also compute the discretized-spectrum "
                             "variance (auto: at every scale or at none)")
-    p_var.add_argument("--nodes-per-unit", type=float, default=None,
-                       help="window grid resolution per unit length (default: "
-                            f"{NODES_PER_UNIT:g} in 1-D, else the finest "
-                            "within --node-cap)")
 
     p_check = sub.add_parser("check", help="self-check suite")
     p_check.set_defaults(run=cmd_check)

@@ -576,10 +576,13 @@ def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
             raise
         grid, n_axis = window_grid(region, node_cap)
         saturated = True
-    operator = assemble_operator(kernel, grid)
-    spectral = spectral_decompose(operator)
     eval_grid = build_eval_grid(kernel, region, margin=margin,
                                 spacing=eval_spacing, reference_grid=grid)
+    n_count = count_n(kernel.diagonal_value * grid.weight_sum)
+    if n_count > grid.n_nodes:  # the trace is known before the factor
+        raise RankDeficiencyError(f"{grid.n_nodes} window nodes cannot "
+                                  f"supply N = {_count_text(n_count)} modes")
+    spectral = spectral_decompose(assemble_operator(kernel, grid))
     fld = accumulated_spectrogram(kernel, spectral, eval_grid)
     err_raw = float(np.sum(np.abs(fld.rho - fld.target) * eval_grid.weights))
     err_raw += abs(fld.tail_mass)

@@ -112,6 +112,83 @@ def test_unknown_kernel(capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["variance", "--kernel", "sine", "--dim", "3", "--R", "1"],
+     "error: kernel: sine takes windows of dimension 1, not 3"),
+    (["variance", "--kernel", "ginibre", "--dim", "3", "--R", "1"],
+     "error: kernel: ginibre takes windows of dimension 2, 4, not 3"),
+    (["variance", "--kernel", "pw", "--dim", "4", "--R", "1"],
+     "error: kernel: pw takes windows of dimension 1, 2, 3, not 4"),
+    (["variance", "--kernel", "pw", "--dim", "0", "--R", "1"],
+     "error: argument --dim: invalid choice: 0"),
+    (["spectrogram", "--kernel", "sine", "--region", "ball:0,0:1",
+      "--R", "1"], "error: kernel: sine takes windows of dimension 1, not 2"),
+    (["variance", "--kernel", "pw", "--dim", "2", "--cdim", "2", "--R", "1"],
+     "error: unrecognized arguments: --cdim 2"),
+    (["variance", "--kernel", "ginibre", "--cdim", "1", "--R", "1,2"],
+     "error: unrecognized arguments: --cdim 1"),
+    (["spectrogram", "--kernel", "paley-wiener", "--dim", "2", "--region",
+      "ball:0,0:1", "--R", "1"], "error: unrecognized arguments: --dim 2"),
+    (["variance", "--kernel", "pw", "--dim", "2", "--region", "ball:0,0:1",
+      "--R", "1"], "error: argument --region: not allowed with argument "
+                   "--dim"),
+    (["variance", "--kernel", "sine", "--R", "2", "--n", "50",
+      "--nodes-per-unit", "1000", "--spectral", "on"],
+     "error: argument --nodes-per-unit: not allowed with argument --n"),
+    (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+      "--R", "2", "--n", "50", "--nodes-per-unit", "10"],
+     "error: argument --nodes-per-unit: not allowed with argument --n"),
+    (["variance", "--kernel", "paleywiener", "--R", "1"],
+     "error: kernel: unknown 'paleywiener'"),
+], ids=["sine-d3", "ginibre-d3", "pw-d4", "pw-d0", "sine-on-a-disk",
+        "variance-cdim", "variance-cdim-1", "spectrogram-dim", "dim-and-region",
+        "variance-n-and-nodes-per-unit", "spectrogram-n-and-nodes-per-unit",
+        "paleywiener-alias"])
+def test_the_window_is_read_from_one_option(argv, message, capsys):
+    # each spelling once ran with an option silently dropped, or needed a
+    # dimension that the region already gives
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error: " in line]
+    assert len(errors) == 1 and message in errors[0], captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, same", [
+    (["variance", "--kernel", "ginibre", "--dim", "4", "--R", "1"],
+     ["variance", "--kernel", "ginibre", "--region", "ball:0,0,0,0:1",
+      "--R", "1"]),
+    (["variance", "--kernel", "ginibre", "--R", "1,2"],
+     ["variance", "--kernel", "ginibre", "--region", "ball:0,0:1",
+      "--R", "1,2"]),
+    (["variance", "--kernel", "pw", "--dim", "2", "--R", "1,2",
+      "--spectral", "off"],
+     ["variance", "--kernel", "pw", "--region", "ball:0,0:1", "--R", "1,2",
+      "--spectral", "off"]),
+], ids=["ginibre-d4", "ginibre-default", "pw-d2"])
+def test_dim_spells_the_unit_ball(argv, same, capsys):
+    # --dim, or by default the kernel's least dimension, gives the unit
+    # ball of that dimension, byte for byte
+    outputs = []
+    for args in (argv, same):
+        assert main(args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_spectrogram_reads_the_dimension_from_the_region(capsys):
+    assert main(["spectrogram", "--kernel", "paley-wiener", "--region",
+                 "ball:0,0:1", "--R", "1", "--margin", "5",
+                 "--eval-spacing", "0.25", "--format", "json"]) == 0
+    node = json.loads(capsys.readouterr().out)["fields"][0]
+    assert set(node) == {"R", "x1", "x2", "rho", "target"}
+
+
 def test_lens_command(capsys):
     assert main(["lens", "--dim", "2", "--r", "1", "--R", "1"]) == 0
     out = capsys.readouterr().out
@@ -157,7 +234,7 @@ def test_series_divergence_is_numerical_failure(capsys):
     (["variance", "--kernel", "ginibre", "--R", "1e-200"], 3),
     (["variance", "--kernel", "ginibre", "--R", "1e154", "--spectral", "off"],
      3),
-    (["variance", "--kernel", "ginibre", "--cdim", "2", "--R", "1e77",
+    (["variance", "--kernel", "ginibre", "--dim", "4", "--R", "1e77",
       "--spectral", "off"], 3),
     (["variance", "--kernel", "ginibre", "--region", "union:0,0:1;5,5:1",
       "--R", "1e154", "--spectral", "off"], 3),
@@ -330,7 +407,7 @@ def test_variance_fit_warning_for_short_span(tmp_path):
 
 def test_variance_spectral_column_ginibre(tmp_path):
     out = tmp_path / "gin.json"
-    args = ["variance", "--kernel", "ginibre", "--cdim", "1", "--R", "1",
+    args = ["variance", "--kernel", "ginibre", "--R", "1",
             "--n", "40", "--format", "json", "--out", str(out)]
     assert main(args) == 0
     row = json.loads(out.read_text())["summary"][0]
@@ -551,7 +628,7 @@ def test_spectral_auto_keeps_the_column_at_a_large_node_cap(tmp_path):
 
 @pytest.mark.parametrize("argv, rel", [
     (["--kernel", "pw", "--dim", "3", "--R", "1,2", "--spectral", "on"], 1e-10),
-    (["--kernel", "ginibre", "--cdim", "2", "--R", "1"], 1e-4),
+    (["--kernel", "ginibre", "--dim", "4", "--R", "1"], 1e-4),
 ], ids=["pw-d3", "ginibre-c2"])
 def test_spectral_route_matches_radial_in_three_and_four_dimensions(
         argv, rel, tmp_path):
@@ -719,15 +796,18 @@ def test_grid_beyond_the_factor_budget_is_refused(argv, code, tmp_path,
         assert not out.exists()
 
 
-def test_mode_count_message_is_one_short_line(capsys):
+def test_mode_count_message_is_one_short_line(capsys, monkeypatch):
     # the count is 2e150 / pi: printed to 12 significant digits, not as
-    # a 150-digit integer
+    # a 150-digit integer, and refused before any factor of the grid
+    def no_factor(operator):
+        raise AssertionError("spectral_decompose called")
+
+    monkeypatch.setattr(spectrogram, "spectral_decompose", no_factor)
     assert main(["spectrogram", "--kernel", "sine", "--region",
-                 "interval:-1,1", "--R", "1e150", "--node-cap", "64"]) == 3
+                 "interval:-1,1", "--R", "1e150"]) == 3
     captured = capsys.readouterr()
-    assert captured.err == ("error: mode j=65 has eigenvalue <= mu_floor "
-                            "(1e-12); cannot supply 6.36619772368e+149 "
-                            "modes\n")
+    assert captured.err == ("error: 4096 window nodes cannot supply "
+                            "N = 6.36619772368e+149 modes\n")
     assert len(captured.err.encode()) < 200
     assert captured.out == ""
 
