@@ -239,13 +239,26 @@ def write_csv(path: Path | None, header: tuple, lines, comments=()) -> None:
 def write_json(path: Path | None, document: dict) -> None:
     """``document`` after a version key, as indented JSON; a NaN or
     infinite number in it raises NonFiniteOutputError before anything is
-    written."""
+    written. A "fields" entry is a (header, float array) pair, written as
+    one object per row keyed by the header: one template of float reprs
+    (what ``json`` prints for a float) formats the rows, which are
+    spliced into the text of the rest. The array's cells must be finite
+    (``write_tables`` checks them)."""
+    doc = {"version": __version__, **document}
+    header, table = doc.get("fields", ((), None))
+    if table is not None:
+        doc["fields"] = []
     try:
-        text = json.dumps({"version": __version__, **document}, indent=2,
-                          allow_nan=False)
+        text = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError:
         raise NonFiniteOutputError(
             "refusing to emit a non-finite value") from None
+    if table is not None and len(table):
+        row = "    {\n%s\n    }" % ",\n".join(
+            f"      {json.dumps(key)}: %r" for key in header)
+        rows = ",\n".join([row] * len(table)) % tuple(table.ravel().tolist())
+        text = text.replace('\n  "fields": []',
+                            '\n  "fields": [\n' + rows + '\n  ]', 1)
     _emit(path, text + "\n")
 
 
@@ -264,8 +277,7 @@ def write_tables(args, header, summary, fields=None, fit=None) -> None:
     if args.format == "json":
         doc = {"summary": [dict(zip(header, row)) for row in summary]}
         if table is not None:
-            doc["fields"] = [dict(zip(field_header, row))
-                             for row in table.tolist()]
+            doc["fields"] = (field_header, table)
         if fit is not None:
             doc["fit"] = fit
         write_json(args.out, doc)

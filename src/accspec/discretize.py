@@ -190,17 +190,16 @@ def build_grid(region: Region, n_per_axis: int,
                node_cap: int = DEFAULT_NODE_CAP) -> QuadratureGrid:
     """Product Gauss rule on the region at ``n_per_axis`` nodes per axis:
     n^d nodes on a box, at most c_d (n/2)^d on a ball (see ``_orders``),
-    checked against ``node_cap`` before any node is built, after
-    ``check_resolution`` has checked the cap and n_per_axis. So is the
-    first row buffer of ``_pivoted_cholesky``, 64 complex rows of one
-    entry per node, against ``_FACTOR_BYTE_BUDGET``: a grid that no
-    factor could hold raises ResourceLimitError as well."""
+    checked against ``node_cap`` and ``factor_node_limit`` (the most
+    nodes a factor can hold) before any node is built, after
+    ``check_resolution`` has checked the cap and n_per_axis; a count
+    beyond either raises ResourceLimitError."""
     check_resolution(node_cap, n_per_axis=n_per_axis)
     count = _node_count(region, n_per_axis)
     if count > node_cap:
         raise ResourceLimitError(
             f"grid has {_count_text(count)} nodes, cap is {node_cap}")
-    if 64 * count * np.dtype(complex).itemsize > _FACTOR_BYTE_BUDGET:
+    if count > factor_node_limit():
         raise ResourceLimitError(
             f"grid has {_count_text(count)} nodes, more than a low-rank "
             f"factor within {_FACTOR_BYTE_BUDGET / 2 ** 30:.2f} GiB holds")
@@ -213,6 +212,12 @@ def build_grid(region: Region, n_per_axis: int,
                           nodes=np.concatenate([x for x, _ in rules]),
                           weights=np.concatenate([w for _, w in rules]),
                           spacing=(bbox.upper - bbox.lower) / n_per_axis)
+
+
+def factor_node_limit() -> int:
+    """Most grid nodes whose first ``_pivoted_cholesky`` row buffer, 64
+    complex rows of one entry per node, fits ``_FACTOR_BYTE_BUDGET``."""
+    return _FACTOR_BYTE_BUDGET // (64 * np.dtype(complex).itemsize)
 
 
 def max_n_per_axis(region: Region, node_cap: int = DEFAULT_NODE_CAP) -> int:
@@ -247,15 +252,25 @@ def window_grid(region: Region, node_cap: int,
     """The window grid and its nodes per axis: ``n_per_axis`` if given,
     else ceil(nodes_per_unit * longest bounding-box side) (at least 2),
     else the finest grid within the node cap. A requested grid beyond
-    the cap raises ResourceLimitError."""
+    the cap, and a window side or nodes per axis past the float range,
+    raise ResourceLimitError."""
     check_resolution(node_cap, nodes_per_unit)
+    # in Python floats: a side past the float range reaches inf with no
+    # overflow warning
+    bbox = region.bounding_box()
+    side = max(float(hi) - float(lo) for lo, hi in zip(bbox.lower, bbox.upper))
+    if not math.isfinite(side):
+        raise ResourceLimitError("window side exceeds the float range")
     if n_per_axis is None:
         if nodes_per_unit is None:
             n_per_axis = max_n_per_axis(region, node_cap)
         else:
-            bbox = region.bounding_box()
-            side = float((bbox.upper - bbox.lower).max())
-            n_per_axis = max(2, math.ceil(nodes_per_unit * side))
+            per_axis = nodes_per_unit * side
+            if not math.isfinite(per_axis):
+                raise ResourceLimitError(
+                    f"window side {side:.3g} at {nodes_per_unit:g} nodes per "
+                    f"unit needs {_count_text(per_axis)} nodes per axis")
+            n_per_axis = max(2, math.ceil(per_axis))
     return build_grid(region, n_per_axis, node_cap=node_cap), n_per_axis
 
 

@@ -410,7 +410,7 @@ class PaleyWienerKernel(Kernel):
         """The d = 1 block by angle addition, for points x and y."""
         r = np.subtract.outer(x, y)
         out = np.abs(r)
-        near = np.nonzero(out < _SINE_ADDITION_MIN_DIST)
+        near = out < _SINE_ADDITION_MIN_DIST
         near_dist = out[near]
         np.matmul(np.stack([np.sin(x), -np.cos(x)], axis=1),
                   np.stack([np.cos(y), np.sin(y)]), out=out)

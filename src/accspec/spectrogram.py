@@ -46,7 +46,7 @@ import numpy as np
 from .discretize import (DEFAULT_NODE_CAP, NODES_PER_UNIT,  # noqa: F401
                          QuadratureGrid, ResourceLimitError, SpectralData,
                          _count_text, assemble_operator, build_grid,
-                         spectral_decompose, window_grid)
+                         factor_node_limit, spectral_decompose, window_grid)
 from .geometry import Box, Region
 from .kernels import Kernel, LatticeFactors
 from .variance import variance_spectral
@@ -562,8 +562,9 @@ def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
 
     Returns the scale's ConvergenceRow, whose ``field`` holds rho. The
     window grid aims at ``nodes_per_unit`` per unit length until
-    ``node_cap`` forces the finest grid within it (``saturated``); a fixed
-    ``n_per_axis`` raises ResourceLimitError beyond the cap instead.
+    ``node_cap`` or ``factor_node_limit`` forces the finest grid within
+    both (``saturated``); a fixed ``n_per_axis`` raises
+    ResourceLimitError beyond either instead.
     ``margin`` and ``eval_spacing`` go to ``build_eval_grid``.
     """
     region = base_region.dilate(float(scale))
@@ -574,7 +575,7 @@ def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
     except ResourceLimitError:
         if n_per_axis is not None:
             raise
-        grid, n_axis = window_grid(region, node_cap)
+        grid, n_axis = window_grid(region, min(node_cap, factor_node_limit()))
         saturated = True
     eval_grid = build_eval_grid(kernel, region, margin=margin,
                                 spacing=eval_spacing, reference_grid=grid)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -244,13 +245,16 @@ def test_series_divergence_is_numerical_failure(capsys):
       "--R", "1e-170", "--n", "4"], 3),
     (["spectrogram", "--kernel", "ginibre", "--region", "ball:0,0:1",
       "--R", "1e200"], 3),
+    (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+      "--R", "1e308"], 3),
 ], ids=["ball-volume-overflow", "radius-power-overflow",
         "window-volume-overflow", "nan-offset", "infinite-scale",
         "radial-panels-beyond-cap", "radial-panels-overflow",
         "box-volume-overflow", "expected-count-underflow",
         "expected-count-overflow", "expected-count-overflow-c2",
         "union-expected-count-overflow", "eval-grid-count-1d",
-        "eval-grid-count-2d", "spectrogram-window-volume-overflow"])
+        "eval-grid-count-2d", "spectrogram-window-volume-overflow",
+        "spectrogram-window-side-overflow"])
 def test_overflow_and_nonfinite_inputs_end_in_one_error_line(argv, code):
     # a subprocess, so that warnings reach stderr as a user would see them
     proc = subprocess.run([sys.executable, "-m", "accspec.cli", *argv],
@@ -752,6 +756,26 @@ def test_window_volume_overflow_names_the_window_volume(argv, capsys):
         "error: float overflow: window volume exceeds the float range\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+      "--R", "1e308"], "window side exceeds the float range"),
+    (["variance", "--kernel", "sine", "--R", "1e308", "--spectral", "on"],
+     "window side exceeds the float range"),
+    (["variance", "--kernel", "sine", "--R", "1e307", "--spectral", "on"],
+     "window side 2e+307 at 40 nodes per unit needs more than 1.8e+308 "
+     "nodes per axis"),
+], ids=["spectrogram", "variance", "nodes-per-axis"])
+def test_window_side_overflow_names_the_window_side(argv, message, capsys):
+    # the side is taken in Python floats: no numpy overflow warning, and
+    # one line that names the quantity, not an int(inf) conversion
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv, need", [
     (["--kernel", "sine", "--R", "1,2", "--nodes-per-unit", "1e300"],
      "2e+300"),
@@ -776,13 +800,16 @@ def test_window_grid_cap_message_is_one_short_line(argv, need, capsys):
     (["variance", "--kernel", "ginibre", "--R", "1"], 0),
     (["variance", "--kernel", "ginibre", "--R", "1", "--spectral", "on"], 3),
     (["spectrogram", "--kernel", "ginibre", "--region", "ball:0,0:1",
-      "--R", "1", "--nodes-per-unit", "100000"], 3),
+      "--R", "1", "--n", "35682"], 3),
 ], ids=["auto", "on", "spectrogram"])
 def test_grid_beyond_the_factor_budget_is_refused(argv, code, tmp_path,
                                                   capsys):
-    # a 10^9 node cap admits a 1e9-node disk, whose nodes alone would
-    # take 7.45 GiB and which no low-rank factor within 1 GiB can hold:
-    # auto drops the spectral column, the others end in one error line
+    # a 10^9 node cap admits a 1e9-node disk (35682 nodes per axis, the
+    # finest within the cap), whose nodes alone would take 7.45 GiB and
+    # which no low-rank factor within 1 GiB can hold: auto drops the
+    # spectral column, the others end in one error line (a ladder given
+    # --nodes-per-unit instead coarsens to a grid a factor can hold,
+    # test_spectrogram.test_ladder_coarsens_to_the_factor_budget)
     out = tmp_path / "v.csv"
     assert main(argv + ["--node-cap", "1000000000", "--out", str(out)]) == code
     err = capsys.readouterr().err
@@ -844,6 +871,50 @@ def test_nonfinite_field_leaves_no_file(column, fmt, tmp_path, capsys,
                  "--out", str(out)]) == 3
     assert capsys.readouterr().err == \
         "error: refusing to emit a non-finite value\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+FIELD_HEADER = ("R", "x1", "rho", "target")
+FIELD_TABLE = np.array([[-0.0, 5e-324, 1e22, 2.0],
+                        [1.0, 0.1, 1 / 3, 1e-300],
+                        [3.0, -7.0, 2.0 ** 53 + 2, 0.0]])
+
+
+@pytest.mark.parametrize("doc", [
+    {"summary": [{"R": 1.0, "N": 3, "err_raw": None}],
+     "fields": (FIELD_HEADER, FIELD_TABLE)},
+    {"summary": [], "fields": (FIELD_HEADER, np.empty((0, 4)))},
+    {"summary": [{"R": 2.0, "var_spectral": None, "ratio": 0.5}],
+     "fit": {"slope": 1.5, "window_low": 10.0}},
+    {"summary": [{"R": 2.0}], "fields": (FIELD_HEADER, FIELD_TABLE[:1]),
+     "fit": {"warning": "radii span less than a decade"}},
+], ids=["fields", "empty-fields", "fit", "fields-and-fit"])
+def test_json_text_is_the_json_module_text(doc, tmp_path):
+    # the spliced field rows read exactly as json.dumps writes row objects
+    expected = dict(doc)
+    if "fields" in doc:
+        header, table = doc["fields"]
+        expected["fields"] = [dict(zip(header, row))
+                              for row in table.tolist()]
+    out = tmp_path / "doc.json"
+    cli.write_json(out, doc)
+    assert out.read_text(encoding="utf-8") == json.dumps(
+        {"version": cli.__version__, **expected}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("where", ["summary", "fields", "fit"])
+def test_nan_in_a_json_document_leaves_no_file(where, tmp_path):
+    summary, table, fit = [(1.0,)], FIELD_TABLE.copy(), {"slope": 1.5}
+    if where == "summary":
+        summary = [(math.nan,)]
+    elif where == "fields":
+        table[-1, -1] = math.nan
+    else:
+        fit = {"slope": math.nan}
+    args = SimpleNamespace(format="json", out=tmp_path / "run.json")
+    with pytest.raises(cli.NonFiniteOutputError):
+        cli.write_tables(args, ("R",), summary, fields=(FIELD_HEADER, table),
+                         fit=fit)
     assert list(tmp_path.iterdir()) == []
 
 

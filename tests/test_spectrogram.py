@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from accspec import spectrogram
+from accspec import discretize, spectrogram
 from accspec.discretize import (QuadratureGrid, assemble_operator,
-                                build_grid, spectral_decompose)
+                                build_grid, max_n_per_axis,
+                                spectral_decompose)
 from accspec.geometry import Ball, Box, DisjointBallUnion
 from helpers import synthetic_spectral, unit_psi
 from accspec.kernels import GinibreKernel, PaleyWienerKernel, sine_kernel
@@ -537,6 +538,19 @@ def test_l1_study_reports_saturation():
                                 [8.0], nodes_per_unit=40.0, node_cap=128)
     assert rows[0].saturated
     assert rows[0].n_per_axis <= 128
+
+
+def test_ladder_coarsens_to_the_factor_budget(monkeypatch):
+    # 64 complex rows of 1000 nodes fill the budget: the requested grid
+    # (200000 per axis) and the one that fills the cap (999970209 nodes)
+    # are both beyond it, so the rung takes the finest grid within both
+    monkeypatch.setattr(discretize, "_FACTOR_BYTE_BUDGET", 64 * 16 * 1000)
+    disk = Ball(np.zeros(2), 1.0)
+    n = max_n_per_axis(disk, 1000)  # 35 per axis, 952 nodes
+    row, = l1_convergence_study(GinibreKernel(1), disk, [1.0],
+                                nodes_per_unit=1e5, node_cap=10 ** 9,
+                                eval_spacing=0.25)
+    assert row.saturated and row.n_per_axis == n
 
 
 def test_ginibre_disk_bulk_density():
