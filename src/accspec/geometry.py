@@ -87,8 +87,7 @@ class Box:
         return np.where(outside > 0, outside, inside)
 
     def dilate(self, scale: float) -> "Box":
-        _check_dilation(scale)
-        return Box(scale * self.lower, scale * self.upper)
+        return Box(*_dilated(scale, self.lower, self.upper))
 
     def bounding_box(self) -> "Box":
         return self
@@ -133,8 +132,8 @@ class Ball:
         return np.abs(np.linalg.norm(pts - self.center, axis=1) - self.radius)
 
     def dilate(self, scale: float) -> "Ball":
-        _check_dilation(scale)
-        return Ball(scale * self.center, scale * self.radius)
+        center, radius = _dilated(scale, self.center, self.radius)
+        return Ball(center, float(radius))
 
     def bounding_box(self) -> Box:
         return Box(self.center - self.radius, self.center + self.radius)
@@ -201,6 +200,19 @@ Region = Ball | Box | DisjointBallUnion
 def _check_dilation(scale: float) -> None:
     if not 0 < scale < math.inf:
         raise ValueError(f"dilation factor must be positive and finite, got {scale}")
+
+
+def _dilated(scale: float, *values) -> list[np.ndarray]:
+    """scale * each of ``values`` for a valid scale; a product past the
+    float range raises OverflowError instead of a numpy warning and an
+    infinite corner, center or radius."""
+    _check_dilation(scale)
+    with np.errstate(over="ignore"):
+        out = [scale * np.asarray(v, dtype=float) for v in values]
+    if not all(np.isfinite(v).all() for v in out):
+        raise OverflowError(f"window dilated by {scale:g} exceeds the "
+                            "float range")
+    return out
 
 
 # ---------------------------------------------------------------------------

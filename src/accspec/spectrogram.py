@@ -388,7 +388,10 @@ def inner_product_spectral(psi: PsiSet):
     this stays stable arbitrarily deep into the spectrum and is
     unaffected by window truncation of the norms. The neglected
     modes below the floor contribute at most ``psi.dropped_trace`` in
-    integral, which is returned alongside.
+    integral, which is returned alongside. By the dual identity the sum
+    is the window integral of ``defect_g``, which ``inequality_report``
+    reads instead; the sum itself is formed only where that identity is
+    checked (``accspec.checks.inner_product_identity``).
     """
     return np.sum(np.abs(psi.images) ** 2, axis=1), psi.dropped_trace
 
@@ -497,6 +500,10 @@ def inequality_report(kernel: Kernel, spectral: SpectralData,
     an under-resolved grid, so the slack is one millionth of each right
     hand side plus 1e-12. The window rule's weights sum to its volume up
     to rounding, so its volume defect needs no share of the slack.
+    The psi-approximation check needs the mode sum sum_j mu_j |Psi_j|^2,
+    which the dual identity equals to the window integral; it reads
+    ``defect.window_integral``, so no mode is summed again. ``kernel``
+    and ``psi`` are unread, kept for callers that pass them by position.
     """
     cdel = c_delta(delta)
     e_count = spectral.trace
@@ -504,7 +511,7 @@ def inequality_report(kernel: Kernel, spectral: SpectralData,
     n_delta = spectral.count_above(1.0 - delta)
     abs_slack = 1e-12
 
-    ips, _ = inner_product_spectral(psi)
+    ips = defect.window_integral
     w_e = spectrogram.eval_grid.weights
     lhs_a = float(np.sum(np.abs(spectrogram.rho - ips) * w_e))
     lhs_a += abs(spectrogram.tail_mass)

@@ -247,6 +247,12 @@ def test_series_divergence_is_numerical_failure(capsys):
       "--R", "1e200"], 3),
     (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
       "--R", "1e308"], 3),
+    (["spectrogram", "--kernel", "sine", "--region", "interval:1e308,1.5e308",
+      "--R", "2"], 3),
+    (["spectrogram", "--kernel", "sine", "--region", "ball:1e308:1",
+      "--R", "2"], 3),
+    (["variance", "--kernel", "sine", "--region", "interval:1e308,1.5e308",
+      "--R", "2"], 3),
 ], ids=["ball-volume-overflow", "radius-power-overflow",
         "window-volume-overflow", "nan-offset", "infinite-scale",
         "radial-panels-beyond-cap", "radial-panels-overflow",
@@ -254,7 +260,8 @@ def test_series_divergence_is_numerical_failure(capsys):
         "expected-count-overflow", "expected-count-overflow-c2",
         "union-expected-count-overflow", "eval-grid-count-1d",
         "eval-grid-count-2d", "spectrogram-window-volume-overflow",
-        "spectrogram-window-side-overflow"])
+        "spectrogram-window-side-overflow", "box-dilation-overflow",
+        "ball-dilation-overflow", "variance-dilation-overflow"])
 def test_overflow_and_nonfinite_inputs_end_in_one_error_line(argv, code):
     # a subprocess, so that warnings reach stderr as a user would see them
     proc = subprocess.run([sys.executable, "-m", "accspec.cli", *argv],

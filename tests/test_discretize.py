@@ -6,6 +6,7 @@ import pytest
 from pytest import approx
 
 from accspec import discretize
+from accspec.checks import trace_identity
 from accspec.discretize import (QuadratureGrid, ResourceLimitError,
                                 SpectralSolverError, assemble_operator,
                                 build_grid, max_n_per_axis,
@@ -299,11 +300,6 @@ def test_sine_reference_spectrum(sine_run):
     assert abs(n_half - sd.trace) <= 1.0
 
 
-def test_trace_identity(sine_run):
-    assert sine_run.spectral.trace == approx(sine_run.operator.trace,
-                                             abs=1e-10)
-
-
 def test_eigenvector_orthonormality(sine_run):
     v = sine_run.spectral.vectors
     gram = v.T @ v
@@ -343,7 +339,9 @@ def test_low_rank_solver_matches_dense_oracle(make_operator):
     norm = max(abs(dense[0]), abs(dense[-1]), 1e-300)
     resid = np.abs(a @ v - v * mu[None, :]).max(initial=0.0)
     assert resid <= 1e-9 * norm
-    assert sd.trace == approx(op.trace, abs=1e-10)
+    assert sd.operator_trace == op.trace
+    line = trace_identity("solver", sd)
+    assert line.lhs < line.rhs, line
 
 
 def test_perturbed_eigenvector_fails_residual_check(sine_run, monkeypatch):

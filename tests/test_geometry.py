@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -76,6 +77,20 @@ def test_invalid_dilation():
             region.dilate(0.0)
         with pytest.raises(ValueError):
             region.dilate(-2.0)
+
+
+@pytest.mark.parametrize("region", [
+    Box(np.array([1e308]), np.array([1.5e308])),
+    Ball(np.array([1e308, 0.0]), 1.0),
+    Ball(np.zeros(2), 1e308),
+    DisjointBallUnion((Ball(np.array([0.0]), 1.0),
+                       Ball(np.array([1e308]), 1.0))),
+], ids=["box-corner", "ball-center", "ball-radius", "union"])
+def test_dilation_past_the_float_range_is_an_overflow(region):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="dilated by 2 exceeds"):
+            region.dilate(2.0)
 
 
 def test_invalid_region_construction():

@@ -7,6 +7,7 @@ import pytest
 from pytest import approx
 
 from accspec import discretize, spectrogram
+from accspec.checks import inner_product_identity
 from accspec.discretize import (QuadratureGrid, assemble_operator,
                                 build_grid, max_n_per_axis,
                                 spectral_decompose)
@@ -107,11 +108,11 @@ def test_rho_bulk_and_decay(sine_run):
 
 
 def test_inner_product_identity(sine_run):
-    ips, dropped = inner_product_spectral(sine_run.psi)
+    _, dropped = inner_product_spectral(sine_run.psi)
     ipd = inner_product_direct(sine_run.kernel, sine_run.grid,
                                sine_run.eval_grid.nodes)
-    rel = np.abs(ips - ipd) / ipd
-    assert rel.max() < 0.02
+    line = inner_product_identity(sine_run.psi, ipd)
+    assert line.lhs < line.rhs, line
     assert dropped < 1e-10
     # the defect field keeps the same window integral, bit for bit
     np.testing.assert_array_equal(sine_run.defect.window_integral, ipd)
@@ -483,6 +484,23 @@ def test_inequalities_hold(sine_run, delta):
                                delta)
     for check in report.checks:
         assert check.passed, (check.name, check.lhs, check.rhs, check.slack)
+
+
+def test_inequality_report_reads_the_window_integral(sine_run, monkeypatch):
+    # the dual identity gives the mode sum as the defect field's window
+    # integral, so the report sums no mode image
+    calls = []
+    mode_sum = spectrogram.inner_product_spectral
+
+    def spy(psi):
+        calls.append(psi)
+        return mode_sum(psi)
+
+    monkeypatch.setattr(spectrogram, "inner_product_spectral", spy)
+    for delta in (0.1, 0.25, 0.5):
+        inequality_report(sine_run.kernel, sine_run.spectral, sine_run.field,
+                          sine_run.psi, sine_run.defect, delta)
+    assert calls == []
 
 
 def test_delta_half_minimizes_bounds(sine_run):

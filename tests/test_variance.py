@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from accspec.checks import variance_cross_route
 from accspec.discretize import (assemble_operator, build_grid,
                                 spectral_decompose)
 from accspec.geometry import Ball, Box, DisjointBallUnion
@@ -109,12 +110,6 @@ def test_variance_radial_ginibre_exact_spectrum(m, radius):
     assert abs(rv.value - exact) <= rv.error_estimate, (rv, exact)
 
 
-def test_cross_route_sine(sine_run):
-    vs = variance_spectral(sine_run.spectral)
-    vr = variance_radial(sine_run.kernel, 5.0)
-    assert abs(vs - vr.value) / vr.value < 0.02
-
-
 def test_criterion_3_gaps_at_rounding_level(sine_run):
     # the acceptance suite's two cross-route configurations: measured
     # gaps are 1.4e-15 (sine) and 9.1e-16 (ginibre)
@@ -128,28 +123,20 @@ def test_criterion_3_gaps_at_rounding_level(sine_run):
     assert abs(vs - vr) <= 1e-10 * vr
 
 
-def test_cross_route_sine_r2():
-    grid = build_grid(Box(np.array([-2.0]), np.array([2.0])), 400)
-    sd = spectral_decompose(assemble_operator(sine_kernel(), grid))
-    vr = variance_radial(sine_kernel(), 2.0)
-    assert abs(variance_spectral(sd) - vr.value) / vr.value < 0.02
-
-
-def test_cross_route_ginibre_disk():
-    k = GinibreKernel(1)
-    grid = build_grid(Ball(np.zeros(2), 1.0), 50)
-    sd = spectral_decompose(assemble_operator(k, grid))
-    vr = variance_radial(k, 1.0)
-    assert abs(variance_spectral(sd) - vr.value) / vr.value < 0.02
-
-
-def test_cross_route_ginibre_disk_radius_two():
-    k = GinibreKernel(1)
-    grid = build_grid(Ball(np.zeros(2), 2.0), 64)
+@pytest.mark.parametrize("kernel, region, radius, n_per_axis", [
+    (sine_kernel(), Box(np.array([-2.0]), np.array([2.0])), 2.0, 400),
+    (GinibreKernel(1), Ball(np.zeros(2), 1.0), 1.0, 50),
+    (GinibreKernel(1), Ball(np.zeros(2), 2.0), 2.0, 64),
+], ids=["sine-r2", "ginibre-disk", "ginibre-disk-radius-two"])
+def test_cross_route_within_the_suite_bound(kernel, region, radius,
+                                            n_per_axis):
+    # the window is the ball of ``radius``, whose radial-route variance
+    # the suite's line compares against
+    grid = build_grid(region, n_per_axis)
     assert grid.n_nodes <= 4096
-    sd = spectral_decompose(assemble_operator(k, grid))
-    vr = variance_radial(k, 2.0)
-    assert abs(variance_spectral(sd) - vr.value) / vr.value < 0.02
+    sd = spectral_decompose(assemble_operator(kernel, grid))
+    line = variance_cross_route("window", kernel, sd, radius)
+    assert line.lhs < line.rhs, line
 
 
 def test_subadditive_single_ball_is_radial():
@@ -205,12 +192,14 @@ def test_hyperuniformity_curve_sine():
 
 
 def test_hyperuniformity_curve_spectral_column():
-    points = hyperuniformity_curve(GinibreKernel(1), Ball(np.zeros(2), 1.0),
-                                   [1.0], spectral="on",
-                                   n_per_axis=50)
-    p = points[0]
-    assert p.var_spectral is not None
-    assert abs(p.var_spectral - p.var_radial) / p.var_radial < 0.02
+    k = GinibreKernel(1)
+    disk = Ball(np.zeros(2), 1.0)
+    p, = hyperuniformity_curve(k, disk, [1.0], spectral="on", n_per_axis=50)
+    # the columns of the same disk at 50 nodes per axis, which
+    # test_cross_route_within_the_suite_bound holds to the suite's bound
+    sd = spectral_decompose(assemble_operator(k, build_grid(disk, 50)))
+    assert p.var_spectral == variance_spectral(sd)
+    assert p.var_radial == variance_radial(k, 1.0).value
 
 
 def test_variance_below_mean_along_radii():
