@@ -57,7 +57,7 @@ from .spectrogram import RankDeficiencyError, l1_convergence_study
 from .variance import FitRangeError, fit_asymptotics, hyperuniformity_curve
 
 SPECTROGRAM_COLUMNS = ("R", "trace", "N", "err_raw", "err_normalized",
-                       "tail_mass")
+                       "tail_mass", "saturated")
 VARIANCE_COLUMNS = ("R", "E_count", "var_spectral", "var_radial", "ratio")
 MAX_LOG_COUNT = 10_000  # most scales a 'lo:hi:logN' list may ask for
 
@@ -73,6 +73,9 @@ spectrogram summary table, columns:
                   mass-accounting remainder
   err_normalized  err_raw / N
   tail_mass       N - integral of rho over the evaluation box
+  saturated       1 if the window grid was coarsened to the finest grid
+                  within --node-cap (or the factor's memory limit), short
+                  of --nodes-per-unit; else 0
 
 variance summary table, columns:
   {",".join(VARIANCE_COLUMNS)}
@@ -306,7 +309,8 @@ def cmd_spectrogram(args) -> int:
                                 n_per_axis=args.n, margin=args.margin,
                                 eval_spacing=args.eval_spacing)
     summary = [(row.scale, row.trace, row.field.n_count, row.err_raw,
-                row.err_normalized, row.tail_mass) for row in rows]
+                row.err_normalized, row.tail_mass, int(row.saturated))
+               for row in rows]
     fields = None
     # the per-node rows go only to JSON and to the --out fields file
     if args.format == "json" or args.out is not None:

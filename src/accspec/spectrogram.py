@@ -14,22 +14,24 @@ the near-1 eigenvalue counts, and the inequality suite that certifies a
 run is resolved enough to trust.
 
 Psi and G both read the kernel between the evaluation grid and the
-window: Psi through the image sum above, G through the window integral
-int_Lambda |K(x,y)|^2 dy. One pass over the kernel gives both;
-``compute_psi`` leaves the window integral on the EvalGrid for
-``defect_g``. The evaluation grid is a uniform product lattice. A kernel
-with lattice factors (``Kernel.axis_factors``) gives, for the images and
-for the window integral, per-axis tables over a rank together with what
-the rank contracts against. For the Ginibre kernel, which factors
+window through one kernel sum, sum_y L(x,y) v(y): Psi with L = K and v
+the weighted eigenvectors, G with L = |K|^2 and v the window weights,
+which gives the window integral int_Lambda |K(x,y)|^2 dy. Each field
+forms only its own sum, so a dilation ladder, which reads rho alone,
+never forms the window integral. The evaluation grid is a uniform
+product lattice. A kernel with lattice factors (``Kernel.axis_factors``)
+gives, for K or for |K|^2, per-axis tables over a rank together with
+what the rank contracts against. For the Ginibre kernel, which factors
 exactly over the real axes, the rank is the window node. For the
 Paley-Wiener kernel in d = 2 and 3 it is a plane wave of a polar Fourier
 rule, contracted against the window's phase sums, which are built a few
-rows at a time. Either way the pass forms no kernel block: the images
+rows at a time. Either way the sum forms no kernel block: the images
 are one GEMM of a trailing-axis table per index of the leading axes, and
 the window integral one matrix-vector product. Other kernels evaluate
 M x n blocks of ``Kernel.eval_matrix`` a few rows at a time.
-``inner_product_direct`` always evaluates blocks and is the independent
-reference for the lattice route.
+``inner_product_direct`` is the same sum without the lattice, so it
+always evaluates blocks and is the independent reference for the
+lattice route.
 The window mask 1_Lambda is evaluated once per evaluation grid and the
 limit shape K(x,x) 1_Lambda of rho once per field; their readers share them.
 """
@@ -99,9 +101,6 @@ class EvalGrid(QuadratureGrid):
     # per-axis coordinates; the nodes are their product in C order
     axes: tuple
     _inside: np.ndarray = field(init=False, repr=False)
-    # (kernel, window grid, window integral) of the last compute_psi
-    _window_integral: tuple | None = field(default=None, init=False,
-                                           repr=False)
 
     def __post_init__(self):
         self._inside = self.base_region.contains_points(self.nodes)
@@ -180,44 +179,34 @@ class PsiSet:
     dropped_trace: float
 
 
-def _kernel_pass(kernel: Kernel, lambda_grid: QuadratureGrid,
-                 points: np.ndarray, scaled_vecs: np.ndarray | None = None,
-                 axes: tuple | None = None):
-    """One pass over the kernel between ``points`` and the window.
+def _kernel_sum(kernel: Kernel, ys: np.ndarray, vecs: np.ndarray,
+                points: np.ndarray, axes: tuple | None = None,
+                square: bool = False) -> np.ndarray:
+    """sum_y L(x, y) vecs[y] at each of ``points``, for window points ys
+    and L = K, or L = |K|^2 with ``square``.
 
-    Gives the window integral int_Lambda |K(x,y)|^2 dy at each point and,
-    if ``scaled_vecs`` is given, the images ``K @ scaled_vecs``. When
-    ``points`` are the product lattice of ``axes`` and the kernel gives
-    ``axis_factors`` for them, each is one ``_lattice_sum`` and no M x n
-    block is formed. Otherwise the M x n block comes from the kernel's
-    ``eval_matrix``, ``_BLOCK_ENTRIES // n`` rows at a time (at least
-    one). Returns (images or None, window integral).
+    When ``points`` are the product lattice of ``axes`` and the kernel
+    gives ``axis_factors`` for them, this is one ``_lattice_sum`` and no
+    M x n block is formed. Otherwise the M x n block of L comes from the
+    kernel's ``eval_matrix``, ``_BLOCK_ENTRIES // n`` rows at a time (at
+    least one; with no points, one empty block gives the dtype).
     """
-    ys, weights = lambda_grid.nodes, lambda_grid.weights
-    factors = None if axes is None else kernel.axis_factors(axes, ys)
+    factors = (None if axes is None
+               else kernel.axis_factors(axes, ys, square=square))
     if factors is not None:
-        # each set of tables is dropped once its sum is taken
-        image_factors, window_factors = factors
-        del factors
-        window = _lattice_sum(window_factors, ys, weights)
-        del window_factors
-        images = (None if scaled_vecs is None
-                  else _lattice_sum(image_factors, ys, scaled_vecs))
-        return images, window
+        return _lattice_sum(factors, ys, vecs)
     m = points.shape[0]
-    window = np.empty(m)
-    images = None
-    rows = max(1, _BLOCK_ENTRIES // max(1, lambda_grid.n_nodes))
-    for start in range(0, m, rows):
+    out = None
+    rows = max(1, _BLOCK_ENTRIES // max(1, len(ys)))
+    for start in range(0, max(m, 1), rows):
         stop = min(start + rows, m)
         block = kernel.eval_matrix(points[start:stop], ys)
-        if scaled_vecs is not None:
-            if images is None:
-                images = np.empty((m, scaled_vecs.shape[1]),
-                                  np.result_type(block, scaled_vecs))
-            np.matmul(block, scaled_vecs, out=images[start:stop])
-        window[start:stop] = np.abs(block) ** 2 @ weights
-    return images, window
+        if square:
+            block = np.abs(block) ** 2
+        if out is None:
+            out = np.empty((m,) + vecs.shape[1:], np.result_type(block, vecs))
+        np.matmul(block, vecs, out=out[start:stop])
+    return out
 
 
 def _lattice_sum(factors: LatticeFactors, ys: np.ndarray,
@@ -297,21 +286,18 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
                 j_max: int | None = None) -> PsiSet:
     """Quadrature images of the leading eigenfunctions and their norms on E.
 
-    The images come from one ``_kernel_pass`` between the M evaluation
-    nodes and the n window nodes. With the kernel's lattice factors on
-    the grid's axes, M_i being the number of nodes on axis i, the working
+    The images are one ``_kernel_sum`` of K between the M evaluation
+    nodes and the n window nodes; no window integral is formed, and no
+    argument is written to. With the kernel's lattice factors on the
+    grid's axes, M_i being the number of nodes on axis i, the working
     memory is O(M k) for k = ``j_max`` modes, plus O((M_1 + ... + M_d) R)
-    for tables of rank R: the factors and their squared moduli (R = n,
-    Ginibre), or the image and window rules' plane waves (R = Q + P,
-    Paley-Wiener), whose Q x n and P x n window phases are built at most
-    ``_BLOCK_ENTRIES`` entries at a time; plus, for 4 axes, a folded
-    trailing table and its squared modulus of fewer than
-    M_i ``_BLOCK_ENTRIES`` entries each. Without factor tables the
-    M x n kernel block is built a few rows at a time, at most
-    ``_BLOCK_ENTRIES`` entries each, in O(_BLOCK_ENTRIES + M k). The pass
-    also gives the window integral, which is left on ``eval_grid`` with
-    the kernel and window grid it came from, so that ``defect_g`` need
-    not run the pass again. The squared norms take one M x k real
+    for tables of rank R: the factors (R = n, Ginibre), or the image
+    rule's plane waves (R = Q, Paley-Wiener), whose Q x n window phases
+    are built at most ``_BLOCK_ENTRIES`` entries at a time; plus, for 4
+    axes, a folded trailing table of fewer than M_i ``_BLOCK_ENTRIES``
+    entries. Without factor tables the M x n kernel block is built a few
+    rows at a time, at most ``_BLOCK_ENTRIES`` entries each, in
+    O(_BLOCK_ENTRIES + M k). The squared norms take one M x k real
     temporary, and no normalized copy of the images is made.
     """
     n_above = spectral.count_above(MU_FLOOR)
@@ -327,9 +313,8 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
 
     lam = spectral.grid
     scaled_vecs = np.sqrt(lam.weights)[:, None] * spectral.vectors[:, :j_max]
-    images, window = _kernel_pass(kernel, lam, eval_grid.nodes, scaled_vecs,
-                                  eval_grid.axes)
-    eval_grid._window_integral = (kernel, lam, window)
+    images = _kernel_sum(kernel, lam.nodes, scaled_vecs, eval_grid.nodes,
+                         eval_grid.axes)
     norms_sq = eval_grid.weights @ np.abs(images) ** 2
     if np.any(norms_sq <= 0):
         raise RankDeficiencyError("a mode image vanished on the evaluation grid")
@@ -400,18 +385,20 @@ def inner_product_direct(kernel: Kernel, lambda_grid: QuadratureGrid,
                          points: np.ndarray) -> np.ndarray:
     """Window integral of |K(x, .)|^2 by quadrature on the window grid.
 
-    The kernel block is evaluated by the kernel's ``eval_matrix`` in row
-    blocks of at most ``_BLOCK_ENTRIES`` entries, so the working memory is
-    O(_BLOCK_ENTRIES + M) for M points, whatever the window size. The
-    points need not form a lattice, and the lattice factors are never
-    used: this is the independent reference for the window integral that
-    ``compute_psi`` and ``defect_g`` build on the evaluation lattice,
+    The same ``_kernel_sum`` of |K|^2 as ``defect_g``'s, given no
+    lattice axes: the block of |K|^2 is evaluated from the kernel's
+    ``eval_matrix`` in row blocks of at most ``_BLOCK_ENTRIES`` entries,
+    so the working memory is O(_BLOCK_ENTRIES + M) for M points, whatever
+    the window size. The points need not form a lattice, and the lattice
+    factors are never used: this is the independent reference for the
+    window integral that ``defect_g`` builds on the evaluation lattice,
     which it matches to rounding, and bitwise where the kernel gives no
     factors on that lattice (the sine kernel, and Paley-Wiener windows
     with fewer nodes than the image rule has waves).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _kernel_pass(kernel, lambda_grid, points)[1]
+    return _kernel_sum(kernel, lambda_grid.nodes, lambda_grid.weights,
+                       points, square=True)
 
 
 @dataclass(eq=False)
@@ -440,19 +427,15 @@ def defect_g(kernel: Kernel, lambda_grid: QuadratureGrid,
     the mass of the direct integral lying beyond E, which is known
     exactly from the trace identity (the integral of G off E is the
     off-E mass of the window integral, up to sign). The window integral
-    is the one ``compute_psi`` left on ``eval_grid`` when it ran with
-    this very kernel and window grid (compared by identity); otherwise
-    it is built here by the same pass on the grid's axes, so it has the
-    same bits either way: O(_BLOCK_ENTRIES + M) working memory on M
-    evaluation nodes without lattice factors, and with them the tables,
-    phase blocks and folded trailing table of ``compute_psi``.
+    is one ``_kernel_sum`` of |K|^2 against the window weights on the
+    grid's axes: O(_BLOCK_ENTRIES + M) working memory on M evaluation
+    nodes without lattice factors, and with them the tables of |K|^2 (the
+    squared moduli of the Ginibre factors, or the P waves of the
+    Paley-Wiener |K|^2 rule with their P x n phases built in blocks) and,
+    for 4 axes, the folded trailing table.
     """
-    memo = eval_grid._window_integral
-    if memo is not None and memo[0] is kernel and memo[1] is lambda_grid:
-        ipd = memo[2]
-    else:
-        ipd = _kernel_pass(kernel, lambda_grid, eval_grid.nodes,
-                           axes=eval_grid.axes)[1]
+    ipd = _kernel_sum(kernel, lambda_grid.nodes, lambda_grid.weights,
+                      eval_grid.nodes, eval_grid.axes, square=True)
     g = kernel.diagonal_value * eval_grid.inside_base() - ipd
     l1 = float(np.sum(np.abs(g) * eval_grid.weights))
     e_count = kernel.diagonal_value * lambda_grid.weight_sum

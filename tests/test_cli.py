@@ -341,7 +341,7 @@ def test_closed_stdout_exits_quietly(argv, unbuffered):
 
 
 # golden schemas: each subcommand's summary header is pinned verbatim
-SPECTROGRAM_HEADER = "R,trace,N,err_raw,err_normalized,tail_mass"
+SPECTROGRAM_HEADER = "R,trace,N,err_raw,err_normalized,tail_mass,saturated"
 VARIANCE_HEADER = "R,E_count,var_spectral,var_radial,ratio"
 
 
@@ -368,6 +368,23 @@ def test_spectrogram_csv_run(tmp_path):
     header = [l for l in fields.read_text().splitlines()
               if not l.startswith("#")][0]
     assert header == "R,x1,rho,target"
+
+
+def test_spectrogram_marks_a_coarsened_rung(tmp_path, capsys):
+    # R = 100 asks for 8000 nodes at the default 40 per unit, past the
+    # default cap of 4096: the rung is coarsened and says so, in CSV and
+    # as the integer 1 in JSON
+    args = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+            "--R", "2,4,100"]
+    assert main(args) == 0
+    rows = [l for l in capsys.readouterr().out.splitlines()
+            if not l.startswith("#")]
+    assert rows[0] == SPECTROGRAM_HEADER
+    assert [r.split(",")[-1] for r in rows[1:]] == ["0", "0", "1"]
+    out = tmp_path / "run.json"
+    assert main(args + ["--format", "json", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert [row["saturated"] for row in summary] == [0, 0, 1]
 
 
 def test_spectrogram_deterministic_output(tmp_path):
@@ -486,11 +503,11 @@ def test_check_subcommand_fault_injection(capsys, monkeypatch):
 def test_check_fails_a_nan_that_is_not_first(routine_name, nan_from, failing,
                                              capsys, monkeypatch):
     # the NaN sits in the middle of each line's grid, where a builtin max
-    # over the errors would drop it
+    # over the errors would drop it; bessel_j takes the whole grid at once
     routine = getattr(checks, routine_name)
 
     def poisoned(*args):
-        return math.nan if nan_from(*args) else routine(*args)
+        return np.where(nan_from(*args), math.nan, routine(*args))
 
     monkeypatch.setattr(checks, routine_name, poisoned)
     assert main(["check"]) == 1

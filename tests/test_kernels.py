@@ -10,6 +10,7 @@ from pytest import approx
 from accspec.discretize import build_grid
 from accspec.geometry import Ball, Box, unit_ball_volume
 from accspec import kernels
+from accspec.checks import _bessel_series_decimal
 from accspec.kernels import (GinibreKernel, PaleyWienerKernel, bessel_j,
                              radial_normalization_check, sine_kernel)
 from accspec.spectrogram import build_eval_grid
@@ -96,6 +97,17 @@ def test_bessel_j1_bits_match_the_allocating_series():
     expected[~lo] = kernels._j1_hankel(xs[~lo])
     assert np.array_equal(bessel_j(1.0, xs), expected)
     assert np.array_equal(xs, before)
+
+
+def test_check_bessel_reference_matches_mpmath():
+    # the decimal series behind the bessel_vs_series check lines, on
+    # their grid; measured 0 ulp from mpmath at every point
+    for nu in (0.5, 1.0, 1.5):
+        for x in np.linspace(0.0, 20.0, 201).tolist():
+            with mp.workdps(40):
+                exact = float(mp.besselj(nu, mp.mpf(x)))
+            assert (abs(_bessel_series_decimal(nu, x) - exact)
+                    <= math.ulp(exact))
 
 
 def test_bessel_unsupported_order():
@@ -310,7 +322,7 @@ def ginibre_lattice(request):
                                     spacing=0.4)
     kernel = GinibreKernel(request.param)
     axes = eval_grid.axes
-    tables = kernel.axis_factors(axes, window)[0].tables
+    tables = kernel.axis_factors(axes, window).tables
     assert [t.shape for t in tables] == [(len(a), len(window)) for a in axes]
     index = np.unravel_index(np.arange(len(eval_grid.nodes)),
                              [len(a) for a in axes])
@@ -356,7 +368,9 @@ def test_paley_wiener_axis_factors_only_in_two_and_three_dimensions():
     for d in (2, 3):
         axes = tuple(np.linspace(-1.0, 1.0, 4 + k) for k in range(d))
         ys = rng.uniform(-0.5, 0.5, (2000, d))
-        for factors in PaleyWienerKernel(d).axis_factors(axes, ys):
+        for square in (False, True):
+            factors = PaleyWienerKernel(d).axis_factors(axes, ys,
+                                                        square=square)
             rank = len(factors.waves)
             assert [t.shape for t in factors.tables] == [(len(a), rank)
                                                          for a in axes]
@@ -367,9 +381,12 @@ def test_paley_wiener_axis_factors_only_in_two_and_three_dimensions():
 
 
 def test_paley_wiener_factors_give_way_to_blocks_on_small_windows():
-    # a 3-point window has fewer points than the image rule has waves
+    # a 3-point window has fewer points than the image rule has waves,
+    # and |K|^2 gives way under the image rule's gate too
     axes = (np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 4))
-    assert PaleyWienerKernel(2).axis_factors(axes, np.zeros((3, 2))) is None
+    for square in (False, True):
+        assert PaleyWienerKernel(2).axis_factors(axes, np.zeros((3, 2)),
+                                                 square=square) is None
     # so has a 4000-point window in a lattice 2e9 wide, and no rule of
     # ~1e18 waves is sized or built to find that out
     for d in (2, 3):
@@ -391,8 +408,8 @@ def test_plane_wave_factors_reproduce_the_kernel_and_its_square(dim):
                                np.meshgrid(*axes, indexing="ij")])
     index = np.unravel_index(np.arange(len(lattice)), [len(a) for a in axes])
     direct = kernel.eval_matrix(lattice, ys[:40])
-    for factors, expected in zip(kernel.axis_factors(axes, ys),
-                                 (direct, direct ** 2)):
+    for square, expected in ((False, direct), (True, direct ** 2)):
+        factors = kernel.axis_factors(axes, ys, square=square)
         rows = math.prod(table[i] for table, i in zip(factors.tables, index))
         phases = np.exp(-1j * (ys[:40] - factors.origin) @ factors.waves.T)
         product = np.real(rows @ (factors.scale * phases).T)

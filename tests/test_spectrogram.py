@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from accspec import discretize, spectrogram
+from accspec import discretize, kernels, spectrogram
 from accspec.checks import inner_product_identity
 from accspec.discretize import (QuadratureGrid, assemble_operator,
                                 build_grid, max_n_per_axis,
@@ -18,7 +18,8 @@ from accspec.spectrogram import (ConvergenceRow, DefectField,
                                  RankDeficiencyError,
                                  accumulated_spectrogram, build_eval_grid,
                                  c_delta, compute_psi, count_n, defect_g,
-                                 inequality_report, inner_product_direct,
+                                 dilation_snapshot, inequality_report,
+                                 inner_product_direct,
                                  inner_product_spectral,
                                  l1_convergence_study)
 
@@ -206,22 +207,26 @@ def test_psi_memory_is_one_and_a_half_images():
 
 
 def test_pw2_psi_memory_is_bounded_by_the_block_budget(pw2_disk_fields):
-    # measured 12.8 MiB, with 3.8 MiB of images; built whole, the
-    # 704 x 1240 and 2392 x 1240 phase tables take it to 53.7 MiB
+    # measured 9.8 MiB for compute_psi, with 3.8 MiB of images, and
+    # 10.3 MiB for defect_g on its own; built whole, the 704 x 1240 and
+    # 2392 x 1240 phase tables of the two rules took one pass to 53.7 MiB
     kernel, grid, spectral, eval_grid = pw2_disk_fields
-    tracemalloc.start()
-    try:
-        compute_psi(kernel, spectral, eval_grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    for stage in (lambda: compute_psi(kernel, spectral, eval_grid),
+                  lambda: defect_g(kernel, grid, eval_grid)):
+        tracemalloc.start()
+        try:
+            stage()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 def factor_route(kernel, grid, eval_grid):
-    """A fresh window-integral pass on the evaluation lattice's axes."""
-    return spectrogram._kernel_pass(kernel, grid, eval_grid.nodes,
-                                    axes=eval_grid.axes)[1]
+    """The window integral's kernel sum on the evaluation lattice's axes."""
+    return spectrogram._kernel_sum(kernel, grid.nodes, grid.weights,
+                                   eval_grid.nodes, eval_grid.axes,
+                                   square=True)
 
 
 # The lattice factors and inner_product_direct's eval_matrix round
@@ -238,51 +243,54 @@ def test_fields_do_not_depend_on_the_block_size(fields, budget, request,
     kernel, grid, spectral, eval_grid = request.getfixturevalue(fields)
     n_modes = count_n(spectral.trace)
     psi = unit_psi(compute_psi(kernel, spectral, eval_grid, j_max=n_modes))
-    fused = defect_g(kernel, grid, eval_grid).window_integral
+    window = defect_g(kernel, grid, eval_grid).window_integral
     ipd = inner_product_direct(kernel, grid, eval_grid.nodes)
     entries = grid.n_nodes * (1 if budget == "one-row"
                               else eval_grid.nodes.shape[0])
     monkeypatch.setattr(spectrogram, "_BLOCK_ENTRIES", entries)
     psi_b = unit_psi(compute_psi(kernel, spectral, eval_grid, j_max=n_modes))
-    fused_b = defect_g(kernel, grid, eval_grid).window_integral
+    window_b = defect_g(kernel, grid, eval_grid).window_integral
     ipd_b = inner_product_direct(kernel, grid, eval_grid.nodes)
     assert np.abs(psi_b - psi).max() <= 1e-13 * np.abs(psi).max()
-    assert np.abs(fused_b - fused).max() <= 1e-13 * fused.max()
+    assert np.abs(window_b - window).max() <= 1e-13 * window.max()
     assert np.abs(ipd_b - ipd).max() <= 1e-13 * ipd.max()
-    assert np.array_equal(fused_b, factor_route(kernel, grid, eval_grid))
-    assert np.abs(fused_b - ipd_b).max() <= CROSS_ROUTE_REL * ipd_b.max()
+    assert np.array_equal(window_b, factor_route(kernel, grid, eval_grid))
+    assert np.abs(window_b - ipd_b).max() <= CROSS_ROUTE_REL * ipd_b.max()
 
 
-def test_psi_and_defect_share_one_kernel_pass(ginibre_disk_fields,
-                                              monkeypatch):
-    kernel, grid, spectral, eval_grid = ginibre_disk_fields
-    entries, factor_calls = [], []
-    eval_matrix = GinibreKernel.eval_matrix
-    axis_factors = GinibreKernel.axis_factors
+def _count_kernel_work(kernel_cls, monkeypatch):
+    """Record the entries of every ``eval_matrix`` block and the
+    ``square`` flag of every ``axis_factors`` call of ``kernel_cls``."""
+    entries, squares = [], []
+    eval_matrix = kernel_cls.eval_matrix
+    axis_factors = kernel_cls.axis_factors
 
     def counted(self, xs, ys):
         block = eval_matrix(self, xs, ys)
         entries.append(block.size)
         return block
 
-    def counted_factors(self, axes, ys):
-        factor_calls.append(len(axes))
-        return axis_factors(self, axes, ys)
+    def counted_factors(self, axes, ys, square=False):
+        squares.append(square)
+        return axis_factors(self, axes, ys, square=square)
 
-    monkeypatch.setattr(GinibreKernel, "eval_matrix", counted)
-    monkeypatch.setattr(GinibreKernel, "axis_factors", counted_factors)
+    monkeypatch.setattr(kernel_cls, "eval_matrix", counted)
+    monkeypatch.setattr(kernel_cls, "axis_factors", counted_factors)
+    return entries, squares
+
+
+def test_ginibre_fields_form_no_kernel_block(ginibre_disk_fields,
+                                             monkeypatch):
+    kernel, grid, spectral, eval_grid = ginibre_disk_fields
+    entries, squares = _count_kernel_work(GinibreKernel, monkeypatch)
     compute_psi(kernel, spectral, eval_grid)
     defect = defect_g(kernel, grid, eval_grid)
-    # the Ginibre evaluation grid is built from the factor tables alone
-    assert (sum(entries), len(factor_calls)) == (0, 1)
+    # the Ginibre fields are built from the factor tables alone, one set
+    # of K for the images and one of |K|^2 for the window integral
+    assert (sum(entries), squares) == (0, [False, True])
     monkeypatch.undo()
     assert np.array_equal(defect.window_integral,
                           factor_route(kernel, grid, eval_grid))
-    # the fallback, with no compute_psi on this grid, gives the same bits
-    region = Ball(np.zeros(2), 1.0)
-    unused = build_eval_grid(kernel, region, margin=1.0, spacing=0.1)
-    assert np.array_equal(defect_g(kernel, grid, unused).window_integral,
-                          defect.window_integral)
     ipd = inner_product_direct(kernel, grid, eval_grid.nodes)
     assert (np.abs(defect.window_integral - ipd).max()
             <= CROSS_ROUTE_REL * ipd.max())
@@ -290,27 +298,33 @@ def test_psi_and_defect_share_one_kernel_pass(ginibre_disk_fields,
 
 def test_pw2_fields_form_no_kernel_block(pw2_disk_fields, monkeypatch):
     kernel, grid, spectral, eval_grid = pw2_disk_fields
-    entries, factor_calls = [], []
-    eval_matrix = PaleyWienerKernel.eval_matrix
-    axis_factors = PaleyWienerKernel.axis_factors
-
-    def counted(self, xs, ys):
-        block = eval_matrix(self, xs, ys)
-        entries.append(block.size)
-        return block
-
-    def counted_factors(self, axes, ys):
-        factor_calls.append(len(axes))
-        return axis_factors(self, axes, ys)
-
-    monkeypatch.setattr(PaleyWienerKernel, "eval_matrix", counted)
-    monkeypatch.setattr(PaleyWienerKernel, "axis_factors", counted_factors)
+    entries, squares = _count_kernel_work(PaleyWienerKernel, monkeypatch)
     compute_psi(kernel, spectral, eval_grid)
     defect = defect_g(kernel, grid, eval_grid)
-    assert (sum(entries), len(factor_calls)) == (0, 1)
+    assert (sum(entries), squares) == (0, [False, True])
     monkeypatch.undo()
     assert np.array_equal(defect.window_integral,
                           factor_route(kernel, grid, eval_grid))
+
+
+def test_dilation_rung_forms_no_window_integral(monkeypatch):
+    # a ladder reads rho alone: on a pw2 disk rung only the image rule's
+    # plane waves are built, none of the |K|^2 rule's
+    kernel, base = PaleyWienerKernel(2), Ball(np.zeros(2), 1.0)
+    waves = []
+    plane_waves = kernels._plane_waves
+
+    def counted(axes, origin, radii, w_radii, dirs, w_dirs, norm):
+        waves.append(len(radii) * len(dirs))
+        return plane_waves(axes, origin, radii, w_radii, dirs, w_dirs, norm)
+
+    monkeypatch.setattr(kernels, "_plane_waves", counted)
+    row = dilation_snapshot(kernel, base, 1.0, margin=5.0, eval_spacing=0.25)
+    monkeypatch.undo()
+    assert len(waves) == 1
+    grid = build_grid(base, row.n_per_axis)
+    image_rule = kernel.axis_factors(row.field.eval_grid.axes, grid.nodes)
+    assert waves == [len(image_rule.waves)]
 
 
 def _pw_case(case):
@@ -348,16 +362,19 @@ def test_plane_wave_pass_matches_eval_matrix(case, request):
     modes = spectral.count_above(spectrogram.MU_FLOOR)
     scaled_vecs = (np.sqrt(grid.weights)[:, None]
                    * spectral.vectors[:, :modes])
-    images, window = spectrogram._kernel_pass(
-        kernel, grid, eval_grid.nodes, scaled_vecs, eval_grid.axes)
-    reference, ipd = spectrogram._kernel_pass(kernel, grid, eval_grid.nodes,
-                                              scaled_vecs)
+    nodes, axes = eval_grid.nodes, eval_grid.axes
+    images = spectrogram._kernel_sum(kernel, grid.nodes, scaled_vecs, nodes,
+                                     axes)
+    reference = spectrogram._kernel_sum(kernel, grid.nodes, scaled_vecs,
+                                        nodes)
+    window = factor_route(kernel, grid, eval_grid)
+    ipd = inner_product_direct(kernel, grid, nodes)
     assert (np.abs(images - reference).max()
             <= PLANE_WAVE_CROSS_ROUTE_REL * np.abs(reference).max())
     assert np.abs(window - ipd).max() <= PLANE_WAVE_CROSS_ROUTE_REL * ipd.max()
     # complex vectors go through as their real and imaginary parts
-    complex_images, _ = spectrogram._kernel_pass(
-        kernel, grid, eval_grid.nodes, (1 - 2j) * scaled_vecs, eval_grid.axes)
+    complex_images = spectrogram._kernel_sum(
+        kernel, grid.nodes, (1 - 2j) * scaled_vecs, nodes, axes)
     assert np.array_equal(complex_images, (1 - 2j) * images)
 
 
@@ -381,25 +398,6 @@ def test_sine_fields_are_eval_matrix_blocks(sine_run, monkeypatch):
     assert np.array_equal(psi.images, sine_run.psi.images)
 
 
-def test_defect_does_not_reuse_another_window_or_kernel():
-    ginibre = GinibreKernel(1)
-    region = Box(np.array([0.0, 0.0]), np.array([1.5, 1.0]))
-    grid_a = build_grid(region, 10)
-    grid_b = build_grid(Box(np.zeros(2), np.ones(2)), 10)
-    spectral = spectral_decompose(assemble_operator(ginibre, grid_a))
-    eval_grid = build_eval_grid(ginibre, region, margin=1.0, spacing=0.2)
-    nodes = eval_grid.nodes
-    for kernel, grid in ((ginibre, grid_b), (PaleyWienerKernel(2), grid_a)):
-        compute_psi(ginibre, spectral, eval_grid)
-        left = factor_route(ginibre, grid_a, eval_grid)
-        fresh = factor_route(kernel, grid, eval_grid)
-        assert not np.array_equal(fresh, left)
-        window = defect_g(kernel, grid, eval_grid).window_integral
-        assert np.array_equal(window, fresh)
-        ipd = inner_product_direct(kernel, grid, nodes)
-        assert np.abs(window - ipd).max() <= CROSS_ROUTE_REL * ipd.max()
-
-
 @pytest.mark.parametrize("cdim", [1, 2], ids=["cdim1", "cdim2"])
 def test_lattice_pass_matches_eval_matrix(cdim):
     # for cdim 2 the lattice has 12 nodes per axis and the window 6^4:
@@ -413,11 +411,12 @@ def test_lattice_pass_matches_eval_matrix(cdim):
     modes = spectral.count_above(spectrogram.MU_FLOOR)
     scaled_vecs = (np.sqrt(grid.weights)[:, None]
                    * spectral.vectors[:, :modes])
-    images, window = spectrogram._kernel_pass(
-        kernel, grid, eval_grid.nodes, scaled_vecs, eval_grid.axes)
+    nodes = eval_grid.nodes
+    images = spectrogram._kernel_sum(kernel, grid.nodes, scaled_vecs, nodes,
+                                     eval_grid.axes)
+    window = factor_route(kernel, grid, eval_grid)
     # the M x n block of cdim 2 would take 430 MB: compare 2048 rows at
     # a time
-    nodes = eval_grid.nodes
     reference = np.concatenate([
         kernel.eval_matrix(nodes[i:i + 2048], grid.nodes) @ scaled_vecs
         for i in range(0, len(nodes), 2048)])
@@ -432,9 +431,7 @@ def test_ginibre_box_window_integral_closed_form():
     kernel = GinibreKernel(1)
     region = Box(np.array([0.0, 0.0]), np.array([1.5, 1.0]))
     grid = build_grid(region, 16)
-    spectral = spectral_decompose(assemble_operator(kernel, grid))
     eval_grid = build_eval_grid(kernel, region, margin=1.0, spacing=0.1)
-    compute_psi(kernel, spectral, eval_grid)
     window = defect_g(kernel, grid, eval_grid).window_integral
     root_pi = math.sqrt(math.pi)
     exact = np.array([
@@ -442,7 +439,7 @@ def test_ginibre_box_window_integral_closed_form():
                          - math.erf(root_pi * (a - x)))
                   for a, b, x in zip(region.lower, region.upper, point))
         for point in eval_grid.nodes])
-    # measured 1.4e-15 on 1050 evaluation nodes
+    # measured 5.6e-16 on 1050 evaluation nodes
     assert np.abs(window - exact).max() <= 1e-14
 
 
