@@ -26,8 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .discretize import (DEFAULT_NODE_CAP, assemble_operator,
-                         spectral_decompose, window_grid)
+from .discretize import assemble_operator, build_grid, spectral_decompose
 from .geometry import Box, LensSpec, lens_volume_exact, lens_volume_series
 from .kernels import (GinibreKernel, PaleyWienerKernel, bessel_j,
                       radial_normalization_check, sine_kernel)
@@ -48,7 +47,7 @@ def reference_run() -> SimpleNamespace:
     ``defect``."""
     kernel = sine_kernel()
     region = Box(np.array([-5.0]), np.array([5.0]))
-    grid, _ = window_grid(region, DEFAULT_NODE_CAP, n_per_axis=400)
+    grid = build_grid(region, 400)
     operator = assemble_operator(kernel, grid)
     spectral = spectral_decompose(operator)
     eval_grid = build_eval_grid(kernel, region, reference_grid=grid)

@@ -18,6 +18,9 @@ Subcommands:
 The window fixes the dimension d, which picks the kernel: sine needs
 d = 1, Paley-Wiener takes 1 to 3 and Ginibre 2 or 4 (C^(d/2)); without
 ``--region``, ``variance --dim`` (default 1, 2 for Ginibre) sets it.
+The window grid has ceil(``--nodes-per-unit`` x longest side) nodes per
+axis under ``--node-cap`` (``discretize.window_grid``). Each setting has
+one spelling: option names in full, kernel names as listed.
 
 The module only parses arguments, calls the library and prints.
 Exit codes: 0 success, 1 check failure, 2 usage/configuration error
@@ -142,6 +145,12 @@ def parse_scale_list(text: str) -> tuple:
     return vals
 
 
+def _parse_ball(text: str) -> Ball:
+    """'c1,..,cd:r' as a Ball."""
+    c_s, r_s = text.rsplit(":", 1)
+    return Ball(np.array([float(v) for v in c_s.split(",")]), float(r_s))
+
+
 def parse_region(text: str) -> Region:
     kind, _, body = text.partition(":")
     try:
@@ -154,17 +163,11 @@ def parse_region(text: str) -> Region:
             hi = np.array([float(v) for v in hi_s.split(",")])
             return Box(lo, hi)
         if kind == "ball":
-            c_s, r_s = body.rsplit(":", 1)
-            center = np.array([float(v) for v in c_s.split(",")])
-            return Ball(center, float(r_s))
+            return _parse_ball(body)
         if kind == "union":
-            balls = []
-            for part in body.split(";"):
-                c_s, r_s = part.rsplit(":", 1)
-                center = np.array([float(v) for v in c_s.split(",")])
-                balls.append(Ball(center, float(r_s)))
+            balls = tuple(_parse_ball(part) for part in body.split(";"))
             try:
-                return DisjointBallUnion(tuple(balls))
+                return DisjointBallUnion(balls)
             except ValueError as exc:
                 if "overlap" in str(exc):
                     raise UsageError("union: balls overlap") from None
@@ -180,12 +183,12 @@ def kernel_region_scales(args, region_required: bool):
     scales = parse_scale_list(args.R) if args.R else ()
     if args.kernel is None:
         raise UsageError("kernel: required")
-    name = args.kernel.lower()
-    pw = {d: PaleyWienerKernel(d) for d in (1, 2, 3)}
-    by_dim = {"sine": {1: sine_kernel()}, "paley-wiener": pw, "pw": pw,
+    name = args.kernel
+    by_dim = {"sine": {1: sine_kernel()},
+              "paley-wiener": {d: PaleyWienerKernel(d) for d in (1, 2, 3)},
               "ginibre": {2: GinibreKernel(1), 4: GinibreKernel(2)}}.get(name)
     if by_dim is None:
-        raise UsageError(f"kernel: unknown '{args.kernel}' "
+        raise UsageError(f"kernel: unknown '{name}' "
                          "(want sine, paley-wiener or ginibre)")
     if args.region is not None:
         region = parse_region(args.region)
@@ -306,7 +309,7 @@ def cmd_spectrogram(args) -> int:
     kernel, region, scales = kernel_region_scales(args, region_required=True)
     rows = l1_convergence_study(kernel, region, scales, node_cap=args.node_cap,
                                 nodes_per_unit=args.nodes_per_unit,
-                                n_per_axis=args.n, margin=args.margin,
+                                margin=args.margin,
                                 eval_spacing=args.eval_spacing)
     summary = [(row.scale, row.trace, row.field.n_count, row.err_raw,
                 row.err_normalized, row.tail_mass, int(row.saturated))
@@ -329,7 +332,7 @@ def cmd_variance(args) -> int:
     kernel, region, scales = kernel_region_scales(args, region_required=False)
     points = hyperuniformity_curve(
         kernel, region, scales, spectral=args.spectral, node_cap=args.node_cap,
-        nodes_per_unit=args.nodes_per_unit, n_per_axis=args.n)
+        nodes_per_unit=args.nodes_per_unit)
     summary = [(p.scale, p.e_count, p.var_spectral, p.var_radial, p.ratio)
                for p in points]
 
@@ -382,7 +385,7 @@ def cmd_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="accspec",
+        prog="accspec", allow_abbrev=False,
         description="accumulated spectrograms and number-variance diagnostics",
     )
     parser.add_argument("--schema", action="store_true",
@@ -396,20 +399,18 @@ def build_parser() -> argparse.ArgumentParser:
         window.add_argument("--region", help="interval:a,b | box:lo..:hi.. | "
                                              "ball:c..:r | union:c..:r;c..:r")
         p.add_argument("--R", help="dilation scales: a,b,c or lo:hi:logN")
-        resolution = p.add_mutually_exclusive_group()
-        resolution.add_argument("--n", type=int, default=None,
-                                help="fixed window grid nodes per axis")
-        resolution.add_argument(
+        p.add_argument(
             "--nodes-per-unit", type=float, default=nodes_per_unit,
-            help="window grid resolution per unit length (default: "
-                 f"{NODES_PER_UNIT:g}; variance above 1-D: the finest "
-                 "within --node-cap)")
+            help="window grid nodes per unit length of its longest side "
+                 f"(default: {NODES_PER_UNIT:g}; variance above 1-D: the "
+                 "finest grid within --node-cap)")
         p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", type=Path, default=None)
         return window  # variance adds --dim to the --region group
 
-    p_spec = sub.add_parser("spectrogram", help="dilation convergence study")
+    p_spec = sub.add_parser("spectrogram", allow_abbrev=False,
+                            help="dilation convergence study")
     add_common(p_spec, cmd_spectrogram, NODES_PER_UNIT)
     p_spec.add_argument("--margin", type=float, default=None,
                         help="evaluation margin (default: 4 correlation lengths)")
@@ -417,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluation grid spacing (default: the window "
                              "grid's)")
 
-    p_var = sub.add_parser("variance", help="hyperuniformity curve and fit")
+    p_var = sub.add_parser("variance", allow_abbrev=False,
+                           help="hyperuniformity curve and fit")
     window = add_common(p_var, cmd_variance, None)
     window.add_argument("--dim", type=int, choices=(1, 2, 3, 4),
                         help="dimension of the default window, the unit "
@@ -427,10 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also compute the discretized-spectrum "
                             "variance (auto: at every scale or at none)")
 
-    p_check = sub.add_parser("check", help="self-check suite")
+    p_check = sub.add_parser("check", allow_abbrev=False,
+                             help="self-check suite")
     p_check.set_defaults(run=cmd_check)
 
-    p_lens = sub.add_parser("lens", help="lens volume, both routes")
+    p_lens = sub.add_parser("lens", allow_abbrev=False,
+                            help="lens volume, both routes")
     p_lens.set_defaults(run=cmd_lens)
     p_lens.add_argument("--dim", type=int, required=True)
     p_lens.add_argument("--r", type=float, required=True)

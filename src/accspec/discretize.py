@@ -235,8 +235,9 @@ def max_n_per_axis(region: Region, node_cap: int = DEFAULT_NODE_CAP) -> int:
 
 def check_resolution(node_cap: int, nodes_per_unit: float | None = None,
                      n_per_axis: int | None = None) -> None:
-    """ValueError unless node_cap >= 1, 0 < nodes_per_unit < inf and
-    n_per_axis >= 2, the last two where given."""
+    """ValueError unless node_cap >= 1, 0 < nodes_per_unit < inf (for
+    ``window_grid``) and n_per_axis >= 2 (for ``build_grid``), the last
+    two where given."""
     if not node_cap >= 1:
         raise ValueError(f"node cap must be at least 1, got {node_cap}")
     if nodes_per_unit is not None and not 0 < nodes_per_unit < math.inf:
@@ -247,13 +248,13 @@ def check_resolution(node_cap: int, nodes_per_unit: float | None = None,
 
 
 def window_grid(region: Region, node_cap: int,
-                nodes_per_unit: float | None = None,
-                n_per_axis: int | None = None) -> tuple[QuadratureGrid, int]:
-    """The window grid and its nodes per axis: ``n_per_axis`` if given,
-    else ceil(nodes_per_unit * longest bounding-box side) (at least 2),
-    else the finest grid within the node cap. A requested grid beyond
-    the cap, and a window side or nodes per axis past the float range,
-    raise ResourceLimitError."""
+                nodes_per_unit: float | None = None
+                ) -> tuple[QuadratureGrid, int]:
+    """The window grid and its nodes per axis: ceil(nodes_per_unit *
+    longest bounding-box side) (at least 2), or the finest grid within
+    the node cap when nodes_per_unit is None; ``build_grid`` takes a fixed
+    nodes per axis. A grid beyond the cap, and a window side or nodes per
+    axis past the float range, raise ResourceLimitError."""
     check_resolution(node_cap, nodes_per_unit)
     # in Python floats: a side past the float range reaches inf with no
     # overflow warning
@@ -261,16 +262,15 @@ def window_grid(region: Region, node_cap: int,
     side = max(float(hi) - float(lo) for lo, hi in zip(bbox.lower, bbox.upper))
     if not math.isfinite(side):
         raise ResourceLimitError("window side exceeds the float range")
-    if n_per_axis is None:
-        if nodes_per_unit is None:
-            n_per_axis = max_n_per_axis(region, node_cap)
-        else:
-            per_axis = nodes_per_unit * side
-            if not math.isfinite(per_axis):
-                raise ResourceLimitError(
-                    f"window side {side:.3g} at {nodes_per_unit:g} nodes per "
-                    f"unit needs {_count_text(per_axis)} nodes per axis")
-            n_per_axis = max(2, math.ceil(per_axis))
+    if nodes_per_unit is None:
+        n_per_axis = max_n_per_axis(region, node_cap)
+    else:
+        per_axis = nodes_per_unit * side
+        if not math.isfinite(per_axis):
+            raise ResourceLimitError(
+                f"window side {side:.3g} at {nodes_per_unit:g} nodes per "
+                f"unit needs {_count_text(per_axis)} nodes per axis")
+        n_per_axis = max(2, math.ceil(per_axis))
     return build_grid(region, n_per_axis, node_cap=node_cap), n_per_axis
 
 

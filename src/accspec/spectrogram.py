@@ -545,26 +545,22 @@ class ConvergenceRow:
 def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
                       node_cap: int = DEFAULT_NODE_CAP,
                       nodes_per_unit: float = NODES_PER_UNIT,
-                      n_per_axis: int | None = None,
                       margin: float | None = None,
                       eval_spacing: float | None = None):
     """One rung of the dilation ladder: discretize, decompose, compare.
 
     Returns the scale's ConvergenceRow, whose ``field`` holds rho. The
-    window grid aims at ``nodes_per_unit`` per unit length until
-    ``node_cap`` or ``factor_node_limit`` forces the finest grid within
-    both (``saturated``); a fixed ``n_per_axis`` raises
-    ResourceLimitError beyond either instead.
+    window grid has ``nodes_per_unit`` per unit length of the dilated
+    window's longest side; past ``node_cap`` or ``factor_node_limit`` it
+    is coarsened to the finest grid within both, and the row says so
+    (``saturated``).
     ``margin`` and ``eval_spacing`` go to ``build_eval_grid``.
     """
     region = base_region.dilate(float(scale))
     try:
-        grid, n_axis = window_grid(region, node_cap, nodes_per_unit,
-                                   n_per_axis)
+        grid, n_axis = window_grid(region, node_cap, nodes_per_unit)
         saturated = False
     except ResourceLimitError:
-        if n_per_axis is not None:
-            raise
         grid, n_axis = window_grid(region, min(node_cap, factor_node_limit()))
         saturated = True
     eval_grid = build_eval_grid(kernel, region, margin=margin,

@@ -121,18 +121,16 @@ def variance_radial(kernel: Kernel, radius: float) -> RadialVariance:
     return RadialVariance(value=e_count - fine, error_estimate=error)
 
 
-def variance_subadditive_upper(kernel: Kernel, union: DisjointBallUnion,
-                               scale: float = 1.0) -> float:
-    """Upper bound for the dilated union's variance: sum over its balls.
+def variance_subadditive_upper(kernel: Kernel,
+                               union: DisjointBallUnion) -> float:
+    """Upper bound for the union's variance: sum over its balls.
 
     Valid because disjoint windows have negatively correlated counts and
-    the kernels here are translation invariant; disjointness survives
-    dilation by homogeneity.
+    the kernels here are translation invariant. For a dilated union pass
+    ``union.dilate(scale)``: disjointness survives dilation by
+    homogeneity.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    return sum(variance_radial(kernel, scale * b.radius).value
-               for b in union.balls)
+    return sum(variance_radial(kernel, b.radius).value for b in union.balls)
 
 
 # ---------------------------------------------------------------------------
@@ -151,26 +149,25 @@ class CurvePoint:
 def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
                           spectral: str = "off",
                           node_cap: int = DEFAULT_NODE_CAP,
-                          nodes_per_unit: float | None = None,
-                          n_per_axis: int | None = None):
+                          nodes_per_unit: float | None = None):
     """(scale, E, var, var/E) along dilations of a ball or ball union.
 
-    The radial route covers balls (and bounds unions from above). The
-    spectral column (``spectral`` "off", "on" or "auto") uses the grids
-    of ``discretize.window_grid``; ``nodes_per_unit`` None means
-    ``NODES_PER_UNIT`` in one dimension and filling the node cap above.
-    "on" fills it at every scale, a grid beyond the cap raising
-    ResourceLimitError; "auto" fills it at every scale if every grid
-    fits the cap with spacing at most a quarter correlation length, else
-    at none. The ratio column is the hyperuniformity diagnostic and
-    should decay along the ladder. An expected count that underflows
-    raises FloatingPointError, one that overflows OverflowError, each
-    naming the scale. Invalid resolution arguments raise ValueError even
-    when the spectral route is off.
+    The radial route reads each dilated window: a ball, or a union whose
+    balls bound it from above. The spectral column (``spectral`` "off",
+    "on" or "auto") uses ``discretize.window_grid`` at ``nodes_per_unit``,
+    where None means ``NODES_PER_UNIT`` in one dimension and the finest
+    grid within the node cap above. "on" fills it at every scale, a grid
+    beyond the cap raising ResourceLimitError; "auto" fills it at every
+    scale if every grid fits the cap with spacing at most a quarter
+    correlation length, else at none. The ratio column is the
+    hyperuniformity diagnostic and should decay along the ladder. An
+    expected count that underflows raises FloatingPointError, one that
+    overflows OverflowError, each naming the scale. Invalid resolution
+    arguments raise ValueError even when the spectral route is off.
     """
     if spectral not in ("off", "on", "auto"):
         raise ValueError(f"spectral must be off, on or auto, got {spectral!r}")
-    check_resolution(node_cap, nodes_per_unit, n_per_axis)
+    check_resolution(node_cap, nodes_per_unit)
     scales = [float(s) for s in scales]
     windows = [region.dilate(s) for s in scales]
     if nodes_per_unit is None and kernel.ambient_dim == 1:
@@ -179,7 +176,7 @@ def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
     if spectral != "off":
         limit = kernel.correlation_length() / 4.0
         try:
-            built = [window_grid(w, node_cap, nodes_per_unit, n_per_axis)[0]
+            built = [window_grid(w, node_cap, nodes_per_unit)[0]
                      for w in windows]
         except ResourceLimitError as exc:
             if spectral == "on":
@@ -203,10 +200,10 @@ def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
             e_count = expected_count(kernel, window)
         except (FloatingPointError, OverflowError) as exc:
             raise type(exc)(f"at scale {scale:g}: {exc.args[-1]}") from None
-        if isinstance(region, Ball):
-            var_rad = variance_radial(kernel, scale * region.radius).value
-        elif isinstance(region, DisjointBallUnion):
-            var_rad = variance_subadditive_upper(kernel, region, scale)
+        if isinstance(window, Ball):
+            var_rad = variance_radial(kernel, window.radius).value
+        elif isinstance(window, DisjointBallUnion):
+            var_rad = variance_subadditive_upper(kernel, window)
         else:
             var_rad = None
         var_spec = None if grid is None else variance_spectral(

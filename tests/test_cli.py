@@ -13,10 +13,12 @@ from pytest import approx
 
 from accspec import checks, cli, spectrogram
 from accspec.cli import UsageError, main, parse_region, parse_scale_list
-from accspec.discretize import ResourceLimitError
+from accspec.discretize import (ResourceLimitError, assemble_operator,
+                                build_grid, spectral_decompose)
 from accspec.geometry import Ball, Box, DisjointBallUnion
+from accspec.kernels import GinibreKernel
 from accspec.spectrogram import InequalityCheck, RankDeficiencyError
-from accspec.variance import CurvePoint
+from accspec.variance import CurvePoint, variance_spectral
 
 
 def test_parse_scale_list_explicit():
@@ -118,36 +120,46 @@ def test_unknown_kernel(capsys):
      "error: kernel: sine takes windows of dimension 1, not 3"),
     (["variance", "--kernel", "ginibre", "--dim", "3", "--R", "1"],
      "error: kernel: ginibre takes windows of dimension 2, 4, not 3"),
-    (["variance", "--kernel", "pw", "--dim", "4", "--R", "1"],
-     "error: kernel: pw takes windows of dimension 1, 2, 3, not 4"),
-    (["variance", "--kernel", "pw", "--dim", "0", "--R", "1"],
+    (["variance", "--kernel", "paley-wiener", "--dim", "4", "--R", "1"],
+     "error: kernel: paley-wiener takes windows of dimension 1, 2, 3, not 4"),
+    (["variance", "--kernel", "paley-wiener", "--dim", "0", "--R", "1"],
      "error: argument --dim: invalid choice: 0"),
     (["spectrogram", "--kernel", "sine", "--region", "ball:0,0:1",
       "--R", "1"], "error: kernel: sine takes windows of dimension 1, not 2"),
-    (["variance", "--kernel", "pw", "--dim", "2", "--cdim", "2", "--R", "1"],
+    (["variance", "--kernel", "paley-wiener", "--dim", "2", "--cdim", "2",
+      "--R", "1"],
      "error: unrecognized arguments: --cdim 2"),
     (["variance", "--kernel", "ginibre", "--cdim", "1", "--R", "1,2"],
      "error: unrecognized arguments: --cdim 1"),
     (["spectrogram", "--kernel", "paley-wiener", "--dim", "2", "--region",
       "ball:0,0:1", "--R", "1"], "error: unrecognized arguments: --dim 2"),
-    (["variance", "--kernel", "pw", "--dim", "2", "--region", "ball:0,0:1",
-      "--R", "1"], "error: argument --region: not allowed with argument "
-                   "--dim"),
-    (["variance", "--kernel", "sine", "--R", "2", "--n", "50",
-      "--nodes-per-unit", "1000", "--spectral", "on"],
-     "error: argument --nodes-per-unit: not allowed with argument --n"),
-    (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
-      "--R", "2", "--n", "50", "--nodes-per-unit", "10"],
-     "error: argument --nodes-per-unit: not allowed with argument --n"),
+    (["variance", "--kernel", "paley-wiener", "--dim", "2", "--region",
+      "ball:0,0:1", "--R", "1"],
+     "error: argument --region: not allowed with argument --dim"),
     (["variance", "--kernel", "paleywiener", "--R", "1"],
      "error: kernel: unknown 'paleywiener'"),
+    (["variance", "--kernel", "sine", "--R", "2", "--n", "40"],
+     "error: unrecognized arguments: --n 40"),
+    (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+      "--R", "2", "--n", "40"], "error: unrecognized arguments: --n 40"),
+    (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+      "--R", "2", "--nodes", "10"], "error: unrecognized arguments: --nodes 10"),
+    (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+      "--R", "2", "--form", "json"],
+     "error: unrecognized arguments: --form json"),
+    (["variance", "--kernel", "pw", "--R", "2", "--spectral", "off"],
+     "error: kernel: unknown 'pw'"),
+    (["variance", "--kernel", "SINE", "--R", "2", "--spectral", "off"],
+     "error: kernel: unknown 'SINE'"),
 ], ids=["sine-d3", "ginibre-d3", "pw-d4", "pw-d0", "sine-on-a-disk",
         "variance-cdim", "variance-cdim-1", "spectrogram-dim", "dim-and-region",
-        "variance-n-and-nodes-per-unit", "spectrogram-n-and-nodes-per-unit",
-        "paleywiener-alias"])
+        "paleywiener-alias", "variance-n", "spectrogram-n", "option-prefix",
+        "format-prefix", "pw-alias", "upper-case-kernel"])
 def test_the_window_is_read_from_one_option(argv, message, capsys):
     # each spelling once ran with an option silently dropped, or needed a
-    # dimension that the region already gives
+    # dimension that the region already gives; a setting has one spelling,
+    # so a fixed grid size, an option prefix, a kernel alias and an upper
+    # case kernel name are refused
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's usage errors
@@ -160,6 +172,16 @@ def test_the_window_is_read_from_one_option(argv, message, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_an_option_value_may_follow_an_equals_sign(capsys):
+    # argparse's --option=value form is the full name, not a prefix
+    outputs = []
+    for resolution in (["--nodes-per-unit=10"], ["--nodes-per-unit", "10"]):
+        assert main(["spectrogram", "--kernel", "sine", "--region",
+                     "interval:-1,1", "--R", "2", *resolution]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("argv, same", [
     (["variance", "--kernel", "ginibre", "--dim", "4", "--R", "1"],
      ["variance", "--kernel", "ginibre", "--region", "ball:0,0,0,0:1",
@@ -167,10 +189,10 @@ def test_the_window_is_read_from_one_option(argv, message, capsys):
     (["variance", "--kernel", "ginibre", "--R", "1,2"],
      ["variance", "--kernel", "ginibre", "--region", "ball:0,0:1",
       "--R", "1,2"]),
-    (["variance", "--kernel", "pw", "--dim", "2", "--R", "1,2",
+    (["variance", "--kernel", "paley-wiener", "--dim", "2", "--R", "1,2",
       "--spectral", "off"],
-     ["variance", "--kernel", "pw", "--region", "ball:0,0:1", "--R", "1,2",
-      "--spectral", "off"]),
+     ["variance", "--kernel", "paley-wiener", "--region", "ball:0,0:1",
+      "--R", "1,2", "--spectral", "off"]),
 ], ids=["ginibre-d4", "ginibre-default", "pw-d2"])
 def test_dim_spells_the_unit_ball(argv, same, capsys):
     # --dim, or by default the kernel's least dimension, gives the unit
@@ -242,7 +264,7 @@ def test_series_divergence_is_numerical_failure(capsys):
     (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
       "--R", "1e-200"], 3),
     (["spectrogram", "--kernel", "ginibre", "--region", "box:0,0:1,1",
-      "--R", "1e-170", "--n", "4"], 3),
+      "--R", "1e-170", "--nodes-per-unit", "4e170"], 3),
     (["spectrogram", "--kernel", "ginibre", "--region", "ball:0,0:1",
       "--R", "1e200"], 3),
     (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
@@ -292,7 +314,7 @@ def test_eigenpair_residual_failure_is_numerical_failure(capsys,
 
     monkeypatch.setattr(np.linalg, "eigh", shifted_eigh)
     argv = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
-            "--R", "2", "--n", "40"]
+            "--R", "2", "--nodes-per-unit", "10"]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: eigenpair residual")
@@ -305,7 +327,7 @@ def test_rank_deficiency_is_numerical_failure(capsys, monkeypatch):
 
     monkeypatch.setattr(spectrogram, "dilation_snapshot", too_few_modes)
     argv = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
-            "--R", "2", "--n", "40"]
+            "--R", "2", "--nodes-per-unit", "10"]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err == "error: psi set holds 2 modes but N = 3\n"
@@ -354,9 +376,10 @@ def _read_summary(path, golden=VARIANCE_HEADER):
 
 
 def test_spectrogram_csv_run(tmp_path):
+    # 18.75 per unit: 300 nodes on the R = 8 window, side 16
     out = tmp_path / "run.csv"
     args = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
-            "--R", "2,4,8", "--n", "300", "--margin", "10",
+            "--R", "2,4,8", "--nodes-per-unit", "18.75", "--margin", "10",
             "--out", str(out)]
     assert main(args) == 0
     rows = _read_summary(out, SPECTROGRAM_HEADER)
@@ -389,7 +412,7 @@ def test_spectrogram_marks_a_coarsened_rung(tmp_path, capsys):
 
 def test_spectrogram_deterministic_output(tmp_path):
     args = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
-            "--R", "2", "--n", "120", "--margin", "6"]
+            "--R", "2", "--nodes-per-unit", "30", "--margin", "6"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
@@ -399,8 +422,8 @@ def test_spectrogram_deterministic_output(tmp_path):
 def test_spectrogram_json_document(tmp_path):
     out = tmp_path / "run.json"
     args = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
-            "--R", "2", "--n", "100", "--margin", "6", "--format", "json",
-            "--out", str(out)]
+            "--R", "2", "--nodes-per-unit", "25", "--margin", "6",
+            "--format", "json", "--out", str(out)]
     assert main(args) == 0
     doc = json.loads(out.read_text())
     assert set(doc) == {"version", "summary", "fields"}
@@ -436,7 +459,7 @@ def test_variance_fit_warning_for_short_span(tmp_path):
 def test_variance_spectral_column_ginibre(tmp_path):
     out = tmp_path / "gin.json"
     args = ["variance", "--kernel", "ginibre", "--R", "1",
-            "--n", "40", "--format", "json", "--out", str(out)]
+            "--nodes-per-unit", "20", "--format", "json", "--out", str(out)]
     assert main(args) == 0
     row = json.loads(out.read_text())["summary"][0]
     assert ",".join(row) == VARIANCE_HEADER
@@ -632,8 +655,10 @@ def test_spectral_auto_column_is_all_or_nothing(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["variance", "--kernel", "ginibre", "--R", "1,2", "--n", "3"],
-    ["variance", "--kernel", "sine", "--R", "50,100", "--n", "10"],
+    ["variance", "--kernel", "ginibre", "--R", "1,2", "--nodes-per-unit",
+     "1.5"],
+    ["variance", "--kernel", "sine", "--R", "50,100", "--nodes-per-unit",
+     "0.1"],
 ])
 def test_spectral_auto_judges_the_grids_it_builds(argv, tmp_path):
     # the grids fit the cap but are coarser than a quarter correlation
@@ -655,7 +680,8 @@ def test_spectral_auto_keeps_the_column_at_a_large_node_cap(tmp_path):
 
 
 @pytest.mark.parametrize("argv, rel", [
-    (["--kernel", "pw", "--dim", "3", "--R", "1,2", "--spectral", "on"], 1e-10),
+    (["--kernel", "paley-wiener", "--dim", "3", "--R", "1,2",
+      "--spectral", "on"], 1e-10),
     (["--kernel", "ginibre", "--dim", "4", "--R", "1"], 1e-4),
 ], ids=["pw-d3", "ginibre-c2"])
 def test_spectral_route_matches_radial_in_three_and_four_dimensions(
@@ -671,14 +697,17 @@ def test_spectral_route_matches_radial_in_three_and_four_dimensions(
 def test_variance_nodes_per_unit_is_read_in_two_dimensions(tmp_path):
     base = ["variance", "--kernel", "ginibre", "--R", "1", "--spectral", "on"]
     runs = {}
-    for name, extra in (("default", []), ("npu", ["--nodes-per-unit", "10"]),
-                        ("n20", ["--n", "20"])):
+    for name, extra in (("default", []), ("npu", ["--nodes-per-unit", "10"])):
         out = tmp_path / f"{name}.csv"
         assert main(base + extra + ["--out", str(out)]) == 0
         runs[name] = out.read_bytes()
-    # 10 per unit on the side-2 bounding box is 20 nodes per axis
-    assert runs["npu"] == runs["n20"]
     assert runs["npu"] != runs["default"]
+    # 10 per unit on the side-2 bounding box is 20 nodes per axis
+    disk = Ball(np.zeros(2), 1.0)
+    spectral = spectral_decompose(assemble_operator(GinibreKernel(1),
+                                                    build_grid(disk, 20)))
+    row, = _read_summary(tmp_path / "npu.csv")
+    assert float(row["var_spectral"]) == variance_spectral(spectral)
 
 
 @pytest.mark.parametrize("argv", [
@@ -696,7 +725,7 @@ def test_variance_nodes_per_unit_is_read_in_two_dimensions(tmp_path):
     # the spectral route builds no grid, but the options are still vetted
     *[["variance", "--kernel", "sine", "--R", "1,2", "--spectral", "off",
        *extra] for extra in (["--node-cap", "0"], ["--nodes-per-unit", "-5"],
-                             ["--n", "1"])],
+                             ["--nodes-per-unit", "inf"])],
 ])
 def test_nonpositive_resolution_is_usage_error(argv, capsys):
     assert main(argv) == 2
@@ -718,7 +747,7 @@ def test_no_variance_route_with_spectral_off(capsys):
 
 
 @pytest.mark.parametrize("extra, reason", [
-    (["--R", "10", "--n", "3"], "quarter correlation length"),
+    (["--R", "10", "--nodes-per-unit", "0.25"], "quarter correlation length"),
     (["--R", "1", "--node-cap", "1"], "cap is 1"),
 ])
 def test_no_variance_route_when_auto_drops_the_column(extra, reason, capsys):
@@ -729,15 +758,6 @@ def test_no_variance_route_when_auto_drops_the_column(extra, reason, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: no variance route: ")
     assert "no radial route" in captured.err and reason in captured.err
-
-
-def test_spectrogram_explicit_n_beyond_node_cap_is_numerical_failure(capsys):
-    argv = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
-            "--R", "2", "--n", "400", "--node-cap", "50"]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.err == "error: grid has 400 nodes, cap is 50\n"
-    assert captured.out == ""
 
 
 def test_eval_grid_beyond_cap_is_numerical_failure(capsys):
@@ -753,7 +773,8 @@ def test_eval_grid_beyond_cap_is_numerical_failure(capsys):
     (["--kernel", "sine", "--region", "interval:-1,1", "--R", "1e-200"],
      "1.6e+202", "margin 80, spacing 1e-200"),
     (["--kernel", "ginibre", "--region", "box:0,0:1,1", "--R", "1e-170",
-      "--n", "4"], "more than 1.8e+308", "margin 6.85, spacing 2.5e-171"),
+      "--nodes-per-unit", "4e170"], "more than 1.8e+308",
+     "margin 6.85, spacing 2.5e-171"),
 ], ids=["1d", "2d-beyond-float-range"])
 def test_tiny_window_gets_the_eval_grid_cap_message(argv, need, grid, capsys):
     # the margin dwarfs the window: the node count must not overflow
@@ -807,7 +828,7 @@ def test_window_side_overflow_names_the_window_side(argv, message, capsys):
       "--nodes-per-unit", "1e300"], "more than 1.8e+308"),
     (["--kernel", "ginibre", "--R", "1,2", "--nodes-per-unit", "1e300"],
      "more than 1.8e+308"),
-    (["--kernel", "ginibre", "--R", "1,2", "--n", str(10 ** 50)],
+    (["--kernel", "ginibre", "--R", "1,2", "--nodes-per-unit", "5e49"],
      "7.85398163397e+99"),
 ], ids=["1d", "box", "ball", "huge-n"])
 def test_window_grid_cap_message_is_one_short_line(argv, need, capsys):
@@ -823,17 +844,17 @@ def test_window_grid_cap_message_is_one_short_line(argv, need, capsys):
 @pytest.mark.parametrize("argv, code", [
     (["variance", "--kernel", "ginibre", "--R", "1"], 0),
     (["variance", "--kernel", "ginibre", "--R", "1", "--spectral", "on"], 3),
-    (["spectrogram", "--kernel", "ginibre", "--region", "ball:0,0:1",
-      "--R", "1", "--n", "35682"], 3),
-], ids=["auto", "on", "spectrogram"])
+    (["variance", "--kernel", "ginibre", "--R", "1", "--nodes-per-unit",
+      "17841", "--spectral", "on"], 3),
+], ids=["auto", "on", "nodes-per-unit"])
 def test_grid_beyond_the_factor_budget_is_refused(argv, code, tmp_path,
                                                   capsys):
     # a 10^9 node cap admits a 1e9-node disk (35682 nodes per axis, the
-    # finest within the cap), whose nodes alone would take 7.45 GiB and
-    # which no low-rank factor within 1 GiB can hold: auto drops the
-    # spectral column, the others end in one error line (a ladder given
-    # --nodes-per-unit instead coarsens to a grid a factor can hold,
-    # test_spectrogram.test_ladder_coarsens_to_the_factor_budget)
+    # finest within the cap, and 17841 per unit on its side-2 box), whose
+    # nodes alone would take 7.45 GiB and which no low-rank factor within
+    # 1 GiB can hold: auto drops the spectral column, the others end in
+    # one error line (a ladder instead coarsens to a grid a factor can
+    # hold, test_spectrogram.test_ladder_coarsens_to_the_factor_budget)
     out = tmp_path / "v.csv"
     assert main(argv + ["--node-cap", "1000000000", "--out", str(out)]) == code
     err = capsys.readouterr().err
@@ -891,7 +912,8 @@ def test_nonfinite_field_leaves_no_file(column, fmt, tmp_path, capsys,
     monkeypatch.setattr(cli, "l1_convergence_study", poisoned)
     out = tmp_path / f"run.{fmt}"
     assert main(["spectrogram", "--kernel", "sine", "--region",
-                 "interval:-1,1", "--R", "2", "--n", "40", "--format", fmt,
+                 "interval:-1,1", "--R", "2", "--nodes-per-unit", "10",
+                 "--format", fmt,
                  "--out", str(out)]) == 3
     assert capsys.readouterr().err == \
         "error: refusing to emit a non-finite value\n"
@@ -1004,7 +1026,7 @@ def _csv_tables(path):
 
 def test_json_and_csv_carry_the_same_tables(tmp_path):
     args = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
-            "--R", "2,4", "--n", "100", "--margin", "6"]
+            "--R", "2,4", "--nodes-per-unit", "25", "--margin", "6"]
     assert main(args + ["--out", str(tmp_path / "run.csv")]) == 0
     assert main(args + ["--format", "json",
                         "--out", str(tmp_path / "run.json")]) == 0

@@ -113,16 +113,13 @@ def test_max_n_per_axis_respects_cap():
 
 def test_window_grid_resolution_rule():
     ball = Ball(np.zeros(2), 1.0)
-    # an explicit n_per_axis wins over nodes_per_unit
-    grid, n = window_grid(ball, 4096, nodes_per_unit=10.0, n_per_axis=7)
-    assert n == 7 and grid.spacing == approx([2.0 / 7] * 2)
     # ceil(nodes_per_unit * longest side), at least 2
     assert window_grid(ball, 4096, nodes_per_unit=10.3)[1] == 21
     assert window_grid(ball, 4096, nodes_per_unit=0.1)[1] == 2
-    # neither: the finest grid within the cap
+    # none given: the finest grid within the cap
     assert window_grid(ball, 4096)[1] == max_n_per_axis(ball, 4096)
     with pytest.raises(ResourceLimitError, match="cap is 50"):
-        window_grid(ball, 50, n_per_axis=20)
+        window_grid(ball, 50, nodes_per_unit=10.0)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -130,7 +127,7 @@ def test_window_grid_resolution_rule():
     {"node_cap": 4096, "nodes_per_unit": 0.0},
     {"node_cap": 4096, "nodes_per_unit": -3.0},
     {"node_cap": 4096, "nodes_per_unit": math.nan},
-    {"node_cap": 4096, "n_per_axis": 1},
+    {"node_cap": 4096, "nodes_per_unit": math.inf},
 ])
 def test_window_grid_rejects_nonpositive_resolution(kwargs):
     with pytest.raises(ValueError, match="must be"):

@@ -69,9 +69,10 @@ def test_variance_radial_rejects_bad_radius():
 def test_variance_radial_rejects_nonfinite_radius(kernel, radius):
     with pytest.raises(ValueError, match="positive and finite"):
         variance_radial(kernel, radius)
+    # the union bound takes the dilated union, which refuses the scale
     union = DisjointBallUnion((Ball(np.zeros(2), 1.0),))
     with pytest.raises(ValueError, match="positive and finite"):
-        variance_subadditive_upper(kernel, union, radius)
+        variance_subadditive_upper(kernel, union.dilate(radius))
 
 
 def test_variance_radial_error_budget():
@@ -142,7 +143,7 @@ def test_cross_route_within_the_suite_bound(kernel, region, radius,
 def test_subadditive_single_ball_is_radial():
     k = sine_kernel()
     union = DisjointBallUnion((Ball(np.array([0.0]), 1.0),))
-    assert variance_subadditive_upper(k, union, 3.0) == approx(
+    assert variance_subadditive_upper(k, union.dilate(3.0)) == approx(
         variance_radial(k, 3.0).value)
 
 
@@ -150,7 +151,7 @@ def test_subadditive_two_equal_balls():
     k = sine_kernel()
     union = DisjointBallUnion((Ball(np.array([0.0]), 1.0),
                                Ball(np.array([5.0]), 1.0)))
-    assert variance_subadditive_upper(k, union, 2.0) == approx(
+    assert variance_subadditive_upper(k, union.dilate(2.0)) == approx(
         2.0 * variance_radial(k, 2.0).value)
 
 
@@ -170,7 +171,7 @@ def test_subadditive_ratio_decays():
     union = DisjointBallUnion((Ball(np.array([0.0]), 1.0),
                                Ball(np.array([3.0]), 1.0)))
     scales = (5.0, 10.0, 20.0, 40.0)
-    ratios = [variance_subadditive_upper(k, union, s)
+    ratios = [variance_subadditive_upper(k, union.dilate(s))
               / expected_count(k, union.dilate(s)) for s in scales]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
@@ -194,8 +195,10 @@ def test_hyperuniformity_curve_sine():
 def test_hyperuniformity_curve_spectral_column():
     k = GinibreKernel(1)
     disk = Ball(np.zeros(2), 1.0)
-    p, = hyperuniformity_curve(k, disk, [1.0], spectral="on", n_per_axis=50)
-    # the columns of the same disk at 50 nodes per axis, which
+    p, = hyperuniformity_curve(k, disk, [1.0], spectral="on",
+                               nodes_per_unit=25.0)
+    # 25 per unit on the side-2 disk is 50 nodes per axis: the columns
+    # of build_grid(disk, 50), which
     # test_cross_route_within_the_suite_bound holds to the suite's bound
     sd = spectral_decompose(assemble_operator(k, build_grid(disk, 50)))
     assert p.var_spectral == variance_spectral(sd)
