@@ -24,7 +24,8 @@ one spelling: option names in full, kernel names as listed.
 
 The module only parses arguments, calls the library and prints.
 Exit codes: 0 success, 1 check failure, 2 usage/configuration error
-(an ``--out`` file that cannot be written included), 3 numerical failure
+(an ``--out`` file that cannot be written included; argparse's usage
+errors are one line that names the subcommand), 3 numerical failure
 (a series that misses its tolerance within the term cap, a resource
 limit, a float overflow, an expected count that underflows, an
 eigensolve that fails its residual check, a mode count above the grid's
@@ -383,8 +384,24 @@ def cmd_check(args) -> int:
 # argument wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one line that names the
+    (sub)command; ``-h`` still prints the usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        # each parser refuses the arguments it does not know itself, so
+        # an option unknown to a subcommand is that subcommand's error
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="accspec", allow_abbrev=False,
         description="accumulated spectrograms and number-variance diagnostics",
     )

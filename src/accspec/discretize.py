@@ -248,11 +248,10 @@ def check_resolution(node_cap: int, nodes_per_unit: float | None = None,
 
 
 def window_grid(region: Region, node_cap: int,
-                nodes_per_unit: float | None = None
-                ) -> tuple[QuadratureGrid, int]:
-    """The window grid and its nodes per axis: ceil(nodes_per_unit *
-    longest bounding-box side) (at least 2), or the finest grid within
-    the node cap when nodes_per_unit is None; ``build_grid`` takes a fixed
+                nodes_per_unit: float | None = None) -> QuadratureGrid:
+    """The window grid at ceil(nodes_per_unit * longest bounding-box
+    side) nodes per axis (at least 2), or the finest grid within the
+    node cap when nodes_per_unit is None; ``build_grid`` takes a fixed
     nodes per axis. A grid beyond the cap, and a window side or nodes per
     axis past the float range, raise ResourceLimitError."""
     check_resolution(node_cap, nodes_per_unit)
@@ -271,7 +270,7 @@ def window_grid(region: Region, node_cap: int,
                 f"window side {side:.3g} at {nodes_per_unit:g} nodes per "
                 f"unit needs {_count_text(per_axis)} nodes per axis")
         n_per_axis = max(2, math.ceil(per_axis))
-    return build_grid(region, n_per_axis, node_cap=node_cap), n_per_axis
+    return build_grid(region, n_per_axis, node_cap=node_cap)
 
 
 @dataclass(eq=False)

@@ -312,6 +312,8 @@ def lens_volume_exact(spec: LensSpec) -> float:
 
 def lens_volume_exact_many(d: int, r: np.ndarray, R: float) -> np.ndarray:
     """Closed-form lens volume over an array of offsets."""
-    q = np.clip(np.asarray(r, dtype=float) / (2.0 * R), 0.0, 1.0)
+    # r is clipped to the diameter before the division, which then
+    # cannot overflow: q = 1 exactly for every r >= 2R
+    q = np.clip(np.asarray(r, dtype=float), 0.0, 2.0 * R) / (2.0 * R)
     overlap = 2.0 * _ball_volume_unchecked(d - 1) * R ** d * _cap_integral(d, q)
     return np.maximum(unit_ball_volume(d) * R ** d - overlap, 0.0)

@@ -24,16 +24,26 @@ so do blocks too thin for the 2(M + n) values to save work. Distances
 in d >= 2 are accumulated one axis at a time, with no M x n x d
 temporary.
 
-On a product lattice both families also give per-axis tables
-(``axis_factors``, ``LatticeFactors``): the Ginibre kernel factors
-exactly over the real axes, and the Paley-Wiener kernel in d = 2 and 3
-is a sum of plane waves over the unit Fourier ball, which a polar Gauss
-rule reproduces to rounding; |K|^2 is one over the ball of radius 2,
-weighted by the unit ball's covariogram.
+A field on an evaluation grid is a kernel sum sum_y L(x,y) v(y) over
+the window points y, with L = K or |K|^2 (``Kernel.field_sum``). When
+the grid is a product lattice, a kernel with lattice factors gives, for
+K or for |K|^2, per-axis tables over a rank together with what the rank
+contracts against. The Ginibre kernel factors exactly over the real
+axes, and its rank is the window node. The Paley-Wiener kernel in d = 2
+and 3 is a sum of plane waves over the unit Fourier ball, which a polar
+Gauss rule reproduces to rounding, and |K|^2 one over the ball of
+radius 2, weighted by the unit ball's covariogram; its rank is a plane
+wave of the rule, contracted against the window's phase sums, which are
+built a few rows at a time. Either way the sum forms no kernel block:
+a sum against k vectors is one GEMM of a trailing-axis table per index
+of the leading axes, and a sum against one vector one matrix-vector
+product. Other kernels, and points off a lattice, evaluate M x n blocks
+of ``eval_matrix`` a few rows at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +68,12 @@ _SINE_ADDITION_MIN_DIST = 0.5
 # rule in d = 2 and 3, and the fields of d = 2 disks and a box and of a
 # d = 3 ball against scipy's j1 and spherical_jn, err by at most 4.6e-15
 _PLANE_WAVE_TOL = 1e-15
+# entries per kernel block of a field sum: a complex block of 2^16
+# entries (1 MB) and eval_matrix's temporaries stay in cache, where a
+# fixed row count would stream every elementwise pass through memory;
+# the lattice route folds axes into its trailing table up to this size
+# and builds its plane-wave window phases in blocks of this size
+_BLOCK_ENTRIES = 1 << 16
 
 
 def bessel_j(nu: float, x) -> np.ndarray | float:
@@ -142,29 +158,7 @@ def _j1_hankel(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# lattice factors
-
-
-@dataclass(frozen=True, eq=False)
-class LatticeFactors:
-    """One kernel sum on a product lattice as a contraction over a rank r:
-
-        sum_y L(x, y) v(y) = sum_r prod_k tables[k][i_k(x), r] b[r],
-
-    where i_k(x) indexes x's k-th coordinate in the lattice's k-th axis
-    and L is K or |K|^2. With ``waves`` None the rank is the window node
-    and b = v. Otherwise rank r is the plane wave exp(i waves[r] . x) of
-    a rule symmetric under waves -> -waves that keeps one wave of each
-    such pair, b[r] = scale[r] sum_y exp(-i waves[r] . (y - origin)) v(y)
-    (the tables hold exp(i waves[r, k] (x_k - origin_k))), and for real
-    v the sum is the real part of the contraction, ``scale`` carrying the
-    factor 2 of each pair.
-    """
-
-    tables: tuple
-    waves: np.ndarray | None = None
-    scale: np.ndarray | None = None
-    origin: np.ndarray | None = None
+# lattice sums
 
 
 def _fourier_order(x: float) -> int:
@@ -181,15 +175,89 @@ def _fourier_order(x: float) -> int:
     return n
 
 
-def _plane_waves(axes, origin, radii, w_radii, dirs, w_dirs, norm):
-    """``LatticeFactors`` of the waves radii x dirs about ``origin``,
-    weighted norm * w_radii * w_dirs and doubled for the dropped half of
-    each antipodal pair."""
+def _contract(tables, side: np.ndarray, real: bool = False) -> np.ndarray:
+    """sum_r prod_k tables[k][i_k(x), r] side[r] at every point x of the
+    lattice whose k-th axis table is tables[k], in C order; the real part
+    with ``real``.
+
+    The trailing table T starts as the last axis's table. While T holds
+    fewer than ``_BLOCK_ENTRIES`` entries and more than one axis precedes
+    it, the axis just before it is folded in, T becoming the table of
+    their product lattice; so a 4-axis lattice runs no GEMM too thin to
+    pay for its call, and the 2 axes of C^1 never form an M x rank
+    table. For each index of the remaining leading axes, r = prod
+    tables[k][i_k] over those axes is one row of the rank, and the
+    lattice rows under that index get ``T @ (r * side)``, one GEMM (or
+    matrix-vector product). The real part of a complex product is one
+    real product of [Re T, -Im T] with the stacked [Re; Im] of r * side.
+    """
+    rank = side.shape[0]
+    lead = len(tables) - 1
+    trailing = tables[lead]
+    while lead > 1 and trailing.size < _BLOCK_ENTRIES:
+        lead -= 1
+        trailing = (tables[lead][:, None] * trailing).reshape(-1, rank)
+    if real:
+        trailing = np.concatenate([trailing.real, -trailing.imag], axis=1)
+    rows = trailing.shape[0]
+    leading = [range(len(table)) for table in tables[:lead]]
+    m = rows * math.prod(len(axis) for axis in leading)
+    out = np.empty((m,) + side.shape[1:],
+                   float if real else np.result_type(trailing, side))
+    for block, index in enumerate(itertools.product(*leading)):
+        r = math.prod(table[i] for table, i in zip(tables, index))
+        scaled = r[:, None] * side if side.ndim == 2 else r * side
+        if real:
+            scaled = np.concatenate([scaled.real, scaled.imag])
+        np.matmul(trailing, scaled, out=out[block * rows:(block + 1) * rows])
+    return out
+
+
+def _phase_sums(waves, scale, origin, ys, vecs) -> np.ndarray:
+    """b = scale * (E^* vecs) for the rank x n phase table E[r, y] =
+    exp(i waves[r] . (y - origin)), built ``_BLOCK_ENTRIES // n`` rows at
+    a time (at least one)."""
+    shifted = ys - origin
+    rank = len(waves)
+    side = np.empty((rank,) + vecs.shape[1:], complex)
+    rows = max(1, _BLOCK_ENTRIES // max(1, len(ys)))
+    for start in range(0, rank, rows):
+        stop = min(start + rows, rank)
+        phase = waves[start:stop] @ shifted.T
+        side[start:stop].real = np.cos(phase) @ vecs
+        np.sin(phase, out=phase)
+        side[start:stop].imag = -(phase @ vecs)
+    side *= scale if vecs.ndim == 1 else scale[:, None]
+    return side
+
+
+def _plane_wave_sum(axes, ys, vecs, origin, radii, w_radii, dirs, w_dirs,
+                    norm) -> np.ndarray:
+    """sum_y L(x, y) vecs[y] on the lattice of ``axes`` for the plane-wave
+    rule L(x, y) = norm sum_r w_r exp(i waves[r] . (x - y)) over the waves
+    radii x dirs, weighted w_radii * w_dirs.
+
+    The rule is symmetric under waves -> -waves and keeps one wave of
+    each pair, so for real vecs the sum is the real part of the
+    ``_contract`` of the tables exp(i waves[r, k] (x_k - origin_k))
+    against the ``_phase_sums``, with the weights doubled. Complex vecs
+    go through as their real and imaginary parts, against one set of
+    tables.
+    """
     waves = (radii[:, None, None] * dirs[None]).reshape(-1, len(axes))
     scale = (2.0 * norm) * np.multiply.outer(w_radii, w_dirs).ravel()
     tables = tuple(np.exp(1j * np.multiply.outer(axis - o, waves[:, k]))
                    for k, (axis, o) in enumerate(zip(axes, origin)))
-    return LatticeFactors(tables, waves, scale, origin)
+
+    # the phase blocks live in the frame of _phase_sums, which ends
+    # before the contraction starts
+    def real_sum(v):
+        return _contract(tables, _phase_sums(waves, scale, origin, ys, v),
+                         real=True)
+
+    if np.iscomplexobj(vecs):
+        return real_sum(vecs.real) + 1j * real_sum(vecs.imag)
+    return real_sum(vecs)
 
 
 def _half_sphere(d: int, x: float):
@@ -232,15 +300,49 @@ class Kernel:
     def eval_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def axis_factors(self, axes, ys: np.ndarray, square: bool = False):
-        """Lattice factors of L = K, or L = |K|^2 with ``square``, for n
-        points ys.
+    def field_sum(self, ys: np.ndarray, vecs: np.ndarray, points: np.ndarray,
+                  axes: tuple | None = None,
+                  square: bool = False) -> np.ndarray:
+        """sum_y L(x, y) vecs[y] at each of the M ``points``, for n window
+        points ys and L = K, or L = |K|^2 with ``square``; ``vecs`` holds
+        one vector (length n) or k of them (n x k).
 
-        On the product lattice of ``axes`` (one coordinate array per real
-        axis) they give sum_y L(x, y) v(y) for any v on ys as one
-        ``LatticeFactors`` contraction. None when the kernel has no such
-        factors; callers then evaluate blocks of ``eval_matrix``.
+        When ``points`` are the product lattice of ``axes`` (one
+        coordinate array per real axis, nodes in C order) and the kernel
+        has lattice factors there, no M x n block is formed. The working
+        memory is then O(M k) for the result plus O((M_1 + ... + M_d) R)
+        for tables of rank R, M_i being the number of nodes on axis i:
+        the Ginibre factors (R = n; for |K|^2 real tables), or the
+        Paley-Wiener rule's plane waves (R = the rule's waves, one rule
+        for K and a wider one for |K|^2), whose R x n window phases are
+        built at most ``_BLOCK_ENTRIES`` entries at a time; plus, for 4
+        axes, a folded trailing table of fewer than M_i
+        ``_BLOCK_ENTRIES`` entries. Otherwise the M x n block of L comes
+        from ``eval_matrix``, ``_BLOCK_ENTRIES // n`` rows at a time (at
+        least one; with no points, one empty block gives the dtype), in
+        O(_BLOCK_ENTRIES + M k) working memory.
         """
+        if axes is not None:
+            out = self._lattice_sum(axes, ys, vecs, square)
+            if out is not None:
+                return out
+        m = points.shape[0]
+        out = None
+        rows = max(1, _BLOCK_ENTRIES // max(1, len(ys)))
+        for start in range(0, max(m, 1), rows):
+            stop = min(start + rows, m)
+            block = self.eval_matrix(points[start:stop], ys)
+            if square:
+                block = np.abs(block) ** 2
+            if out is None:
+                out = np.empty((m,) + vecs.shape[1:],
+                               np.result_type(block, vecs))
+            np.matmul(block, vecs, out=out[start:stop])
+        return out
+
+    def _lattice_sum(self, axes, ys, vecs, square):
+        """``field_sum`` on the lattice of ``axes`` from the kernel's
+        lattice factors; None when it has none there."""
         return None
 
     def radial_profile(self, r) -> np.ndarray | float:
@@ -305,7 +407,13 @@ class GinibreKernel(Kernel):
         wn = 0.5 * np.sum(np.abs(w) ** 2, axis=1)
         return np.exp(math.pi * (cross - zn[:, None] - wn[None, :]))
 
-    def axis_factors(self, axes, ys: np.ndarray, square: bool = False):
+    def _lattice_sum(self, axes, ys, vecs, square):
+        # the tables are built in a frame of their own, so no per-axis
+        # temporary of the build (an M_k x n phase) lives through the
+        # contraction
+        return _contract(self._axis_tables(axes, ys, square), vecs)
+
+    def _axis_tables(self, axes, ys, square):
         """Exact per-axis factors F_k, ranked by the window node: with
         z = s + it and w = u + iv,
 
@@ -331,7 +439,7 @@ class GinibreKernel(Kernel):
             phase = (math.pi if k % 2 else -math.pi) * (a * ys[:, k ^ 1])
             tables.append(np.exp(-0.5 * math.pi * (a - ys[:, k]) ** 2
                                  + 1j * phase))
-        return LatticeFactors(tuple(tables))
+        return tuple(tables)
 
     def radial_profile(self, r):
         r = np.asarray(r, dtype=float)
@@ -424,8 +532,8 @@ class PaleyWienerKernel(Kernel):
         out[near] = self._profile_amplitude(near_dist)
         return out
 
-    def axis_factors(self, axes, ys: np.ndarray, square: bool = False):
-        """Plane-wave factors for d = 2 and 3 (None for d = 1).
+    def _lattice_sum(self, axes, ys, vecs, square):
+        """Plane-wave lattice sum for d = 2 and 3 (None for d = 1).
 
         K(x, y) = (2 pi)^{-d} int_{|xi| <= 1} exp(i xi . (x - y)) dxi is
         taken by a polar rule on the unit ball: Gauss-Legendre radii with
@@ -470,8 +578,9 @@ class PaleyWienerKernel(Kernel):
         if len(rho) * len(dirs) > len(ys):
             return None
         if not square:
-            return _plane_waves(axes, origin, rho, w_rho * rho ** (d - 1),
-                                dirs, w_dirs, (2.0 * math.pi) ** -d)
+            return _plane_wave_sum(axes, ys, vecs, origin, rho,
+                                   w_rho * rho ** (d - 1), dirs, w_dirs,
+                                   (2.0 * math.pi) ** -d)
         # |K|^2: |eta| = 2 cos(phi), phases up to 2 diameter cos(phi),
         # whose frequency in phi, 2 diameter at most, the weight's
         # sin(phi), cos(phi)^(d-1) and sin(2 phi) raise by d + 2 and its
@@ -484,10 +593,10 @@ class PaleyWienerKernel(Kernel):
         else:
             g = 8.0 * math.pi / 3.0 * (2.0 + np.cos(phi)) \
                 * np.sin(0.5 * phi) ** 4
-        return _plane_waves(axes, origin, s,
-                            w_phi * s ** (d - 1) * 2.0 * np.sin(phi) * g,
-                            *_half_sphere(d, 2.0 * diameter),
-                            (2.0 * math.pi) ** (-2 * d))
+        return _plane_wave_sum(axes, ys, vecs, origin, s,
+                               w_phi * s ** (d - 1) * 2.0 * np.sin(phi) * g,
+                               *_half_sphere(d, 2.0 * diameter),
+                               (2.0 * math.pi) ** (-2 * d))
 
     def radial_profile(self, r):
         out = np.asarray(self._profile_amplitude(r)) ** 2

@@ -14,31 +14,21 @@ the near-1 eigenvalue counts, and the inequality suite that certifies a
 run is resolved enough to trust.
 
 Psi and G both read the kernel between the evaluation grid and the
-window through one kernel sum, sum_y L(x,y) v(y): Psi with L = K and v
-the weighted eigenvectors, G with L = |K|^2 and v the window weights,
+window through one kernel sum, ``Kernel.field_sum``: Psi with L = K and
+v the weighted eigenvectors, G with L = |K|^2 and v the window weights,
 which gives the window integral int_Lambda |K(x,y)|^2 dy. Each field
 forms only its own sum, so a dilation ladder, which reads rho alone,
 never forms the window integral. The evaluation grid is a uniform
-product lattice. A kernel with lattice factors (``Kernel.axis_factors``)
-gives, for K or for |K|^2, per-axis tables over a rank together with
-what the rank contracts against. For the Ginibre kernel, which factors
-exactly over the real axes, the rank is the window node. For the
-Paley-Wiener kernel in d = 2 and 3 it is a plane wave of a polar Fourier
-rule, contracted against the window's phase sums, which are built a few
-rows at a time. Either way the sum forms no kernel block: the images
-are one GEMM of a trailing-axis table per index of the leading axes, and
-the window integral one matrix-vector product. Other kernels evaluate
-M x n blocks of ``Kernel.eval_matrix`` a few rows at a time.
-``inner_product_direct`` is the same sum without the lattice, so it
-always evaluates blocks and is the independent reference for the
-lattice route.
+product lattice, on which the Ginibre and the Paley-Wiener (d = 2, 3)
+kernels form no kernel block. ``inner_product_direct`` is the same sum
+without the lattice, so it always evaluates blocks and is the
+independent reference for the lattice route.
 The window mask 1_Lambda is evaluated once per evaluation grid and the
 limit shape K(x,x) 1_Lambda of rho once per field; their readers share them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -50,17 +40,11 @@ from .discretize import (DEFAULT_NODE_CAP, NODES_PER_UNIT,  # noqa: F401
                          _count_text, assemble_operator, build_grid,
                          factor_node_limit, spectral_decompose, window_grid)
 from .geometry import Box, Region
-from .kernels import Kernel, LatticeFactors
+from .kernels import Kernel
 from .variance import variance_spectral
 
 MU_FLOOR = 1e-12
 EVAL_NODE_CAP = 400_000
-# entries per evaluation-grid kernel block: a complex block of 2^16
-# entries (1 MB) and eval_matrix's temporaries stay in cache, where a
-# fixed row count would stream every elementwise pass through memory;
-# the lattice route folds axes into its trailing table up to this size
-# and builds its plane-wave window phases in blocks of this size
-_BLOCK_ENTRIES = 1 << 16
 _COUNT_TIE_TOL = 1e-9
 
 
@@ -94,10 +78,9 @@ def c_delta(delta: float) -> float:
 @dataclass(eq=False)
 class EvalGrid(QuadratureGrid):
     """Midpoint grid on an evaluation box E (``region``) that contains the
-    window ``base_region`` with ``margin`` to spare on every side."""
+    window ``base_region`` with a margin to spare on every side."""
 
     base_region: Region
-    margin: float
     # per-axis coordinates; the nodes are their product in C order
     axes: tuple
     _inside: np.ndarray = field(init=False, repr=False)
@@ -153,8 +136,7 @@ def build_eval_grid(kernel: Kernel, region: Region,
     nodes = np.column_stack([m.ravel() for m in mesh])
     return EvalGrid(region=Box(lo, hi), nodes=nodes,
                     weights=np.full(nodes.shape[0], float(np.prod(step))),
-                    spacing=step, base_region=region, margin=float(margin),
-                    axes=axes)
+                    spacing=step, base_region=region, axes=axes)
 
 
 # ---------------------------------------------------------------------------
@@ -179,126 +161,16 @@ class PsiSet:
     dropped_trace: float
 
 
-def _kernel_sum(kernel: Kernel, ys: np.ndarray, vecs: np.ndarray,
-                points: np.ndarray, axes: tuple | None = None,
-                square: bool = False) -> np.ndarray:
-    """sum_y L(x, y) vecs[y] at each of ``points``, for window points ys
-    and L = K, or L = |K|^2 with ``square``.
-
-    When ``points`` are the product lattice of ``axes`` and the kernel
-    gives ``axis_factors`` for them, this is one ``_lattice_sum`` and no
-    M x n block is formed. Otherwise the M x n block of L comes from the
-    kernel's ``eval_matrix``, ``_BLOCK_ENTRIES // n`` rows at a time (at
-    least one; with no points, one empty block gives the dtype).
-    """
-    factors = (None if axes is None
-               else kernel.axis_factors(axes, ys, square=square))
-    if factors is not None:
-        return _lattice_sum(factors, ys, vecs)
-    m = points.shape[0]
-    out = None
-    rows = max(1, _BLOCK_ENTRIES // max(1, len(ys)))
-    for start in range(0, max(m, 1), rows):
-        stop = min(start + rows, m)
-        block = kernel.eval_matrix(points[start:stop], ys)
-        if square:
-            block = np.abs(block) ** 2
-        if out is None:
-            out = np.empty((m,) + vecs.shape[1:], np.result_type(block, vecs))
-        np.matmul(block, vecs, out=out[start:stop])
-    return out
-
-
-def _lattice_sum(factors: LatticeFactors, ys: np.ndarray,
-                 vecs: np.ndarray) -> np.ndarray:
-    """sum_y L(x, y) vecs[y] on the lattice, for the ``LatticeFactors``
-    of L on window points ys: the rank side b, then ``_contract``. The
-    plane-wave rules take the real part, so complex vecs go through as
-    their real and imaginary parts."""
-    if factors.waves is not None and np.iscomplexobj(vecs):
-        return (_lattice_sum(factors, ys, vecs.real)
-                + 1j * _lattice_sum(factors, ys, vecs.imag))
-    return _contract(factors, _rank_side(factors, ys, vecs))
-
-
-def _rank_side(factors: LatticeFactors, ys: np.ndarray,
-               vecs: np.ndarray) -> np.ndarray:
-    """b = scale * (E^* vecs) for the rank x n phase table E[r, y] =
-    exp(i waves[r] . (y - origin)), built ``_BLOCK_ENTRIES // n`` rows at
-    a time (at least one); b = vecs when the rank is the window node."""
-    if factors.waves is None:
-        return vecs
-    shifted = ys - factors.origin
-    rank = len(factors.waves)
-    side = np.empty((rank,) + vecs.shape[1:], complex)
-    rows = max(1, _BLOCK_ENTRIES // max(1, len(ys)))
-    for start in range(0, rank, rows):
-        stop = min(start + rows, rank)
-        phase = factors.waves[start:stop] @ shifted.T
-        side[start:stop].real = np.cos(phase) @ vecs
-        np.sin(phase, out=phase)
-        side[start:stop].imag = -(phase @ vecs)
-    scale = factors.scale
-    side *= scale if vecs.ndim == 1 else scale[:, None]
-    return side
-
-
-def _contract(factors: LatticeFactors, side: np.ndarray) -> np.ndarray:
-    """sum_r prod_k tables[k][i_k(x), r] side[r] at every lattice point x,
-    in C order; the real part for plane-wave factors.
-
-    The trailing table T starts as the last axis's table. While T holds
-    fewer than ``_BLOCK_ENTRIES`` entries and more than one axis precedes
-    it, the axis just before it is folded in, T becoming the table of
-    their product lattice; so a 4-axis lattice runs no GEMM too thin to
-    pay for its call, and the 2 axes of C^1 never form an M x rank
-    table. For each index of the remaining leading axes, r = prod
-    tables[k][i_k] over those axes is one row of the rank, and the
-    lattice rows under that index get ``T @ (r * side)``, one GEMM (or
-    matrix-vector product). The real part of a complex product is one
-    real product of [Re T, -Im T] with the stacked [Re; Im] of r * side.
-    """
-    tables = factors.tables
-    rank = side.shape[0]
-    lead = len(tables) - 1
-    trailing = tables[lead]
-    while lead > 1 and trailing.size < _BLOCK_ENTRIES:
-        lead -= 1
-        trailing = (tables[lead][:, None] * trailing).reshape(-1, rank)
-    real = factors.waves is not None
-    if real:
-        trailing = np.concatenate([trailing.real, -trailing.imag], axis=1)
-    rows = trailing.shape[0]
-    leading = [range(len(table)) for table in tables[:lead]]
-    m = rows * math.prod(len(axis) for axis in leading)
-    out = np.empty((m,) + side.shape[1:],
-                   float if real else np.result_type(trailing, side))
-    for block, index in enumerate(itertools.product(*leading)):
-        r = math.prod(table[i] for table, i in zip(tables, index))
-        scaled = r[:, None] * side if side.ndim == 2 else r * side
-        if real:
-            scaled = np.concatenate([scaled.real, scaled.imag])
-        np.matmul(trailing, scaled, out=out[block * rows:(block + 1) * rows])
-    return out
-
-
 def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
                 j_max: int | None = None) -> PsiSet:
     """Quadrature images of the leading eigenfunctions and their norms on E.
 
-    The images are one ``_kernel_sum`` of K between the M evaluation
-    nodes and the n window nodes; no window integral is formed, and no
-    argument is written to. With the kernel's lattice factors on the
-    grid's axes, M_i being the number of nodes on axis i, the working
-    memory is O(M k) for k = ``j_max`` modes, plus O((M_1 + ... + M_d) R)
-    for tables of rank R: the factors (R = n, Ginibre), or the image
-    rule's plane waves (R = Q, Paley-Wiener), whose Q x n window phases
-    are built at most ``_BLOCK_ENTRIES`` entries at a time; plus, for 4
-    axes, a folded trailing table of fewer than M_i ``_BLOCK_ENTRIES``
-    entries. Without factor tables the M x n kernel block is built a few
-    rows at a time, at most ``_BLOCK_ENTRIES`` entries each, in
-    O(_BLOCK_ENTRIES + M k). The squared norms take one M x k real
-    temporary, and no normalized copy of the images is made.
+    The images are one ``Kernel.field_sum`` of K between the M
+    evaluation nodes and the n window nodes, on the grid's axes, for
+    k = ``j_max`` modes (its docstring gives the working memory); no
+    window integral is formed, and no argument is written to. The
+    squared norms take one M x k real temporary, and no normalized copy
+    of the images is made.
     """
     n_above = spectral.count_above(MU_FLOOR)
     if j_max is None:
@@ -313,8 +185,8 @@ def compute_psi(kernel: Kernel, spectral: SpectralData, eval_grid: EvalGrid,
 
     lam = spectral.grid
     scaled_vecs = np.sqrt(lam.weights)[:, None] * spectral.vectors[:, :j_max]
-    images = _kernel_sum(kernel, lam.nodes, scaled_vecs, eval_grid.nodes,
-                         eval_grid.axes)
+    images = kernel.field_sum(lam.nodes, scaled_vecs, eval_grid.nodes,
+                              eval_grid.axes)
     norms_sq = eval_grid.weights @ np.abs(images) ** 2
     if np.any(norms_sq <= 0):
         raise RankDeficiencyError("a mode image vanished on the evaluation grid")
@@ -385,20 +257,19 @@ def inner_product_direct(kernel: Kernel, lambda_grid: QuadratureGrid,
                          points: np.ndarray) -> np.ndarray:
     """Window integral of |K(x, .)|^2 by quadrature on the window grid.
 
-    The same ``_kernel_sum`` of |K|^2 as ``defect_g``'s, given no
-    lattice axes: the block of |K|^2 is evaluated from the kernel's
-    ``eval_matrix`` in row blocks of at most ``_BLOCK_ENTRIES`` entries,
-    so the working memory is O(_BLOCK_ENTRIES + M) for M points, whatever
-    the window size. The points need not form a lattice, and the lattice
-    factors are never used: this is the independent reference for the
-    window integral that ``defect_g`` builds on the evaluation lattice,
-    which it matches to rounding, and bitwise where the kernel gives no
-    factors on that lattice (the sine kernel, and Paley-Wiener windows
-    with fewer nodes than the image rule has waves).
+    The same ``Kernel.field_sum`` of |K|^2 as ``defect_g``'s, given no
+    lattice axes, so it evaluates blocks of ``eval_matrix`` (its
+    docstring gives the working memory). The points need not form a
+    lattice, and the lattice factors are never used: this is the
+    independent reference for the window integral that ``defect_g``
+    builds on the evaluation lattice, which it matches to rounding, and
+    bitwise where the kernel gives no factors on that lattice (the sine
+    kernel, and Paley-Wiener windows with fewer nodes than the image
+    rule has waves).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _kernel_sum(kernel, lambda_grid.nodes, lambda_grid.weights,
-                       points, square=True)
+    return kernel.field_sum(lambda_grid.nodes, lambda_grid.weights, points,
+                            square=True)
 
 
 @dataclass(eq=False)
@@ -427,15 +298,11 @@ def defect_g(kernel: Kernel, lambda_grid: QuadratureGrid,
     the mass of the direct integral lying beyond E, which is known
     exactly from the trace identity (the integral of G off E is the
     off-E mass of the window integral, up to sign). The window integral
-    is one ``_kernel_sum`` of |K|^2 against the window weights on the
-    grid's axes: O(_BLOCK_ENTRIES + M) working memory on M evaluation
-    nodes without lattice factors, and with them the tables of |K|^2 (the
-    squared moduli of the Ginibre factors, or the P waves of the
-    Paley-Wiener |K|^2 rule with their P x n phases built in blocks) and,
-    for 4 axes, the folded trailing table.
+    is one ``Kernel.field_sum`` of |K|^2 against the window weights on
+    the grid's axes (its docstring gives the working memory).
     """
-    ipd = _kernel_sum(kernel, lambda_grid.nodes, lambda_grid.weights,
-                      eval_grid.nodes, eval_grid.axes, square=True)
+    ipd = kernel.field_sum(lambda_grid.nodes, lambda_grid.weights,
+                           eval_grid.nodes, eval_grid.axes, square=True)
     g = kernel.diagonal_value * eval_grid.inside_base() - ipd
     l1 = float(np.sum(np.abs(g) * eval_grid.weights))
     e_count = kernel.diagonal_value * lambda_grid.weight_sum
@@ -526,7 +393,6 @@ class ConvergenceRow:
     """One rung of the dilation ladder; N and the tail mass are its field's."""
 
     scale: float
-    n_per_axis: int
     trace: float
     err_raw: float
     saturated: bool
@@ -558,10 +424,10 @@ def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
     """
     region = base_region.dilate(float(scale))
     try:
-        grid, n_axis = window_grid(region, node_cap, nodes_per_unit)
+        grid = window_grid(region, node_cap, nodes_per_unit)
         saturated = False
     except ResourceLimitError:
-        grid, n_axis = window_grid(region, min(node_cap, factor_node_limit()))
+        grid = window_grid(region, min(node_cap, factor_node_limit()))
         saturated = True
     eval_grid = build_eval_grid(kernel, region, margin=margin,
                                 spacing=eval_spacing, reference_grid=grid)
@@ -573,8 +439,7 @@ def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
     fld = accumulated_spectrogram(kernel, spectral, eval_grid)
     err_raw = float(np.sum(np.abs(fld.rho - fld.target) * eval_grid.weights))
     err_raw += abs(fld.tail_mass)
-    return ConvergenceRow(scale=float(scale), n_per_axis=n_axis,
-                          trace=spectral.trace, err_raw=err_raw,
+    return ConvergenceRow(scale=float(scale), trace=spectral.trace, err_raw=err_raw,
                           saturated=saturated,
                           trace_defect=spectral.trace_defect,
                           field=fld)

@@ -176,8 +176,7 @@ def hyperuniformity_curve(kernel: Kernel, region: Region, scales,
     if spectral != "off":
         limit = kernel.correlation_length() / 4.0
         try:
-            built = [window_grid(w, node_cap, nodes_per_unit)[0]
-                     for w in windows]
+            built = [window_grid(w, node_cap, nodes_per_unit) for w in windows]
         except ResourceLimitError as exc:
             if spectral == "on":
                 raise

@@ -123,30 +123,37 @@ def test_unknown_kernel(capsys):
     (["variance", "--kernel", "paley-wiener", "--dim", "4", "--R", "1"],
      "error: kernel: paley-wiener takes windows of dimension 1, 2, 3, not 4"),
     (["variance", "--kernel", "paley-wiener", "--dim", "0", "--R", "1"],
-     "error: argument --dim: invalid choice: 0"),
+     "accspec variance: error: argument --dim: invalid choice: 0"),
     (["spectrogram", "--kernel", "sine", "--region", "ball:0,0:1",
       "--R", "1"], "error: kernel: sine takes windows of dimension 1, not 2"),
     (["variance", "--kernel", "paley-wiener", "--dim", "2", "--cdim", "2",
       "--R", "1"],
-     "error: unrecognized arguments: --cdim 2"),
+     "accspec variance: error: unrecognized arguments: --cdim 2"),
     (["variance", "--kernel", "ginibre", "--cdim", "1", "--R", "1,2"],
-     "error: unrecognized arguments: --cdim 1"),
+     "accspec variance: error: unrecognized arguments: --cdim 1"),
     (["spectrogram", "--kernel", "paley-wiener", "--dim", "2", "--region",
-      "ball:0,0:1", "--R", "1"], "error: unrecognized arguments: --dim 2"),
+      "ball:0,0:1", "--R", "1"],
+     "accspec spectrogram: error: unrecognized arguments: --dim 2"),
     (["variance", "--kernel", "paley-wiener", "--dim", "2", "--region",
       "ball:0,0:1", "--R", "1"],
-     "error: argument --region: not allowed with argument --dim"),
+     "accspec variance: error: argument --region: not allowed with "
+     "argument --dim"),
     (["variance", "--kernel", "paleywiener", "--R", "1"],
      "error: kernel: unknown 'paleywiener'"),
     (["variance", "--kernel", "sine", "--R", "2", "--n", "40"],
-     "error: unrecognized arguments: --n 40"),
+     "accspec variance: error: unrecognized arguments: --n 40"),
     (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
-      "--R", "2", "--n", "40"], "error: unrecognized arguments: --n 40"),
+      "--R", "2", "--n", "40"],
+     "accspec spectrogram: error: unrecognized arguments: --n 40"),
     (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
-      "--R", "2", "--nodes", "10"], "error: unrecognized arguments: --nodes 10"),
+      "--R", "2", "--nodes", "10"],
+     "accspec spectrogram: error: unrecognized arguments: --nodes 10"),
     (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
       "--R", "2", "--form", "json"],
-     "error: unrecognized arguments: --form json"),
+     "accspec spectrogram: error: unrecognized arguments: --form json"),
+    (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
+      "--R", "2", "--format", "xml"],
+     "accspec spectrogram: error: argument --format: invalid choice: 'xml'"),
     (["variance", "--kernel", "pw", "--R", "2", "--spectral", "off"],
      "error: kernel: unknown 'pw'"),
     (["variance", "--kernel", "SINE", "--R", "2", "--spectral", "off"],
@@ -154,12 +161,13 @@ def test_unknown_kernel(capsys):
 ], ids=["sine-d3", "ginibre-d3", "pw-d4", "pw-d0", "sine-on-a-disk",
         "variance-cdim", "variance-cdim-1", "spectrogram-dim", "dim-and-region",
         "paleywiener-alias", "variance-n", "spectrogram-n", "option-prefix",
-        "format-prefix", "pw-alias", "upper-case-kernel"])
+        "format-prefix", "format-choice", "pw-alias", "upper-case-kernel"])
 def test_the_window_is_read_from_one_option(argv, message, capsys):
     # each spelling once ran with an option silently dropped, or needed a
     # dimension that the region already gives; a setting has one spelling,
     # so a fixed grid size, an option prefix, a kernel alias and an upper
-    # case kernel name are refused
+    # case kernel name are refused. Each refusal is one line; argparse's
+    # name the subcommand and print no usage
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's usage errors
@@ -167,8 +175,9 @@ def test_the_window_is_read_from_one_option(argv, message, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    errors = [line for line in captured.err.splitlines() if "error: " in line]
-    assert len(errors) == 1 and message in errors[0], captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and message in lines[0], captured.err
+    assert len(captured.err.encode()) < 200
     assert "Traceback" not in captured.err
 
 
@@ -222,6 +231,18 @@ def test_lens_command(capsys):
 
 def test_lens_command_invalid(capsys):
     assert main(["lens", "--dim", "0", "--r", "1", "--R", "1"]) == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_lens_offset_far_beyond_the_diameter_is_quiet(capsys):
+    # r / 2R overflows unless r is clipped to the diameter first; past it
+    # the balls are disjoint and both routes give the whole ball
+    assert main(["lens", "--dim", "2", "--r", "1e300", "--R", "1e-10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("series = 3.1415926535897936e-20\n"
+                            "exact  = 3.1415926535897936e-20\n"
+                            "diff   = 0\n")
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -630,11 +651,15 @@ def test_union_region_variance_columns(tmp_path):
     ["check", "--debug-max-series-terms", "2"],
 ])
 def test_unread_options_are_usage_errors(argv, capsys):
-    # options the subcommand would ignore are not accepted at all
+    # options the subcommand would ignore are not accepted at all, and
+    # the one error line names the subcommand
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"accspec {argv[0]}: error: unrecognized "
+                          f"arguments: {' '.join(argv[-2:])}")
+    assert err.count("\n") == 1
 
 
 def test_spectral_on_beyond_node_cap_is_numerical_failure(capsys):

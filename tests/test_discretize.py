@@ -111,13 +111,21 @@ def test_max_n_per_axis_respects_cap():
         build_grid(ball, n + 1, node_cap=4096)
 
 
+def _same_grid(a, b):
+    return (np.array_equal(a.nodes, b.nodes)
+            and np.array_equal(a.weights, b.weights))
+
+
 def test_window_grid_resolution_rule():
     ball = Ball(np.zeros(2), 1.0)
     # ceil(nodes_per_unit * longest side), at least 2
-    assert window_grid(ball, 4096, nodes_per_unit=10.3)[1] == 21
-    assert window_grid(ball, 4096, nodes_per_unit=0.1)[1] == 2
+    assert _same_grid(window_grid(ball, 4096, nodes_per_unit=10.3),
+                      build_grid(ball, 21))
+    assert _same_grid(window_grid(ball, 4096, nodes_per_unit=0.1),
+                      build_grid(ball, 2))
     # none given: the finest grid within the cap
-    assert window_grid(ball, 4096)[1] == max_n_per_axis(ball, 4096)
+    assert _same_grid(window_grid(ball, 4096),
+                      build_grid(ball, max_n_per_axis(ball, 4096)))
     with pytest.raises(ResourceLimitError, match="cap is 50"):
         window_grid(ball, 50, nodes_per_unit=10.0)
 

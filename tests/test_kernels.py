@@ -303,12 +303,31 @@ def test_translation_invariant_modulus(kernel):
 
 
 # ---------------------------------------------------------------------------
-# axis factors on the evaluation lattice
+# field sums on the evaluation lattice
+
+
+def _lattice(axes):
+    """The product lattice of ``axes``, nodes in C order."""
+    return np.column_stack([m.ravel() for m in
+                            np.meshgrid(*axes, indexing="ij")])
+
+
+def _count_blocks(monkeypatch, kernel_cls):
+    """Record the entries of every ``eval_matrix`` block of ``kernel_cls``,
+    which returns zeros: the count alone is read."""
+    entries = []
+
+    def counted(self, xs, ys):
+        entries.append(len(xs) * len(ys))
+        return np.zeros((len(xs), len(ys)))
+
+    monkeypatch.setattr(kernel_cls, "eval_matrix", counted)
+    return entries
 
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["cdim1", "cdim2"])
 def ginibre_lattice(request):
-    """(kernel, eval nodes, window nodes, factor product, eval_matrix)."""
+    """(kernel, eval nodes, window nodes, lattice sum, eval_matrix)."""
     if request.param == 1:
         # default margin: coordinates reach 9, phases pi s v reach 80
         region = Ball(np.array([0.5, -0.3]), 2.0)
@@ -321,14 +340,13 @@ def ginibre_lattice(request):
         eval_grid = build_eval_grid(GinibreKernel(2), region, margin=1.5,
                                     spacing=0.4)
     kernel = GinibreKernel(request.param)
-    axes = eval_grid.axes
-    tables = kernel.axis_factors(axes, window).tables
-    assert [t.shape for t in tables] == [(len(a), len(window)) for a in axes]
-    index = np.unravel_index(np.arange(len(eval_grid.nodes)),
-                             [len(a) for a in axes])
-    product = tables[0][index[0]]
-    for table, i in zip(tables[1:], index[1:]):
-        product = product * table[i]
+    # against the unit vectors of the window the sum is K(x, y_j) itself,
+    # a product of the factor tables formed by no eval_matrix block
+    with pytest.MonkeyPatch.context() as patch:
+        entries = _count_blocks(patch, GinibreKernel)
+        product = kernel.field_sum(window, np.eye(len(window)),
+                                   eval_grid.nodes, eval_grid.axes)
+    assert entries == []
     return (kernel, eval_grid.nodes, window, product,
             kernel.eval_matrix(eval_grid.nodes, window))
 
@@ -361,67 +379,78 @@ def test_axis_factors_no_less_accurate_than_eval_matrix(ginibre_lattice):
     assert max(err_factors) <= max(err_direct)
 
 
-def test_paley_wiener_axis_factors_only_in_two_and_three_dimensions():
+def test_paley_wiener_axis_factors_only_in_two_and_three_dimensions(
+        monkeypatch):
+    # d = 1 has no lattice factors, so its sum is eval_matrix blocks; in
+    # d = 2 and 3 the plane waves form none, for K and for |K|^2
+    entries = _count_blocks(monkeypatch, PaleyWienerKernel)
     axes = (np.linspace(-1.0, 1.0, 5),)
-    assert PaleyWienerKernel(1).axis_factors(axes, np.zeros((3, 1))) is None
+    PaleyWienerKernel(1).field_sum(np.zeros((3, 1)), np.ones(3),
+                                   _lattice(axes), axes)
+    assert entries == [15]
     rng = np.random.default_rng(3)
     for d in (2, 3):
         axes = tuple(np.linspace(-1.0, 1.0, 4 + k) for k in range(d))
         ys = rng.uniform(-0.5, 0.5, (2000, d))
         for square in (False, True):
-            factors = PaleyWienerKernel(d).axis_factors(axes, ys,
-                                                        square=square)
-            rank = len(factors.waves)
-            assert [t.shape for t in factors.tables] == [(len(a), rank)
-                                                         for a in axes]
-            assert factors.waves.shape == (rank, d)
-            assert factors.scale.shape == (rank,)
+            out = PaleyWienerKernel(d).field_sum(ys, np.ones(2000),
+                                                 _lattice(axes), axes,
+                                                 square=square)
+            assert out.shape == (math.prod(len(a) for a in axes),)
+    assert entries == [15]
     with pytest.raises(ValueError):
-        PaleyWienerKernel(2).axis_factors(axes, np.zeros((3, 2)))
+        PaleyWienerKernel(2).field_sum(np.zeros((3, 2)), np.ones(3),
+                                       np.zeros((1, 2)), axes)
 
 
-def test_paley_wiener_factors_give_way_to_blocks_on_small_windows():
+def test_paley_wiener_factors_give_way_to_blocks_on_small_windows(
+        monkeypatch):
     # a 3-point window has fewer points than the image rule has waves,
     # and |K|^2 gives way under the image rule's gate too
+    entries = _count_blocks(monkeypatch, PaleyWienerKernel)
     axes = (np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 4))
     for square in (False, True):
-        assert PaleyWienerKernel(2).axis_factors(axes, np.zeros((3, 2)),
-                                                 square=square) is None
+        PaleyWienerKernel(2).field_sum(np.zeros((3, 2)), np.ones(3),
+                                       _lattice(axes), axes, square=square)
+    assert entries == [60, 60]
     # so has a 4000-point window in a lattice 2e9 wide, and no rule of
     # ~1e18 waves is sized or built to find that out
     for d in (2, 3):
         axes = (np.linspace(-1e9, 1e9, 20),) * d
-        assert PaleyWienerKernel(d).axis_factors(axes,
-                                                 np.zeros((4000, d))) is None
+        entries.clear()
+        PaleyWienerKernel(d).field_sum(np.zeros((4000, d)), np.ones(4000),
+                                       _lattice(axes), axes)
+        assert sum(entries) == 20 ** d * 4000
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_plane_wave_factors_reproduce_the_kernel_and_its_square(dim):
-    # every lattice point against 40 of the window points; measured
-    # 1.0e-15 and 2.7e-15 (d = 2), 1.2e-15 and 4.6e-15 (d = 3) of the
-    # maxima of K and |K|^2
+def test_plane_wave_factors_reproduce_the_kernel_and_its_square(dim,
+                                                                monkeypatch):
+    # every lattice point against 40 of the window points, as the sum
+    # against their unit vectors; measured 1.0e-15 and 2.7e-15 (d = 2),
+    # 1.2e-15 and 4.6e-15 (d = 3) of the maxima of K and |K|^2
     rng = np.random.default_rng(5)
     axes = tuple(np.linspace(-1.5, 1.0 + 0.5 * k, 6 + k) for k in range(dim))
     ys = rng.uniform(-1.0, 1.0, (2000, dim))
     kernel = PaleyWienerKernel(dim)
-    lattice = np.column_stack([m.ravel() for m in
-                               np.meshgrid(*axes, indexing="ij")])
-    index = np.unravel_index(np.arange(len(lattice)), [len(a) for a in axes])
+    lattice = _lattice(axes)
     direct = kernel.eval_matrix(lattice, ys[:40])
+    entries = _count_blocks(monkeypatch, PaleyWienerKernel)
     for square, expected in ((False, direct), (True, direct ** 2)):
-        factors = kernel.axis_factors(axes, ys, square=square)
-        rows = math.prod(table[i] for table, i in zip(factors.tables, index))
-        phases = np.exp(-1j * (ys[:40] - factors.origin) @ factors.waves.T)
-        product = np.real(rows @ (factors.scale * phases).T)
+        product = kernel.field_sum(ys, np.eye(len(ys), 40), lattice, axes,
+                                   square=square)
         assert np.abs(product - expected).max() <= 1e-14 * expected.max()
+    assert entries == []
 
 
 def test_ginibre_axis_factors_reject_wrong_dimension():
     with pytest.raises(ValueError):
-        GinibreKernel(1).axis_factors((np.zeros(3),), np.zeros((2, 2)))
+        GinibreKernel(1).field_sum(np.zeros((2, 2)), np.ones(2),
+                                   np.zeros((3, 2)), (np.zeros(3),))
     with pytest.raises(ValueError):
-        GinibreKernel(1).axis_factors((np.zeros(3), np.zeros(3)),
-                                      np.zeros((2, 4)))
+        GinibreKernel(1).field_sum(np.zeros((2, 4)), np.ones(2),
+                                   np.zeros((9, 2)),
+                                   (np.zeros(3), np.zeros(3)))
 
 
 def test_ginibre_radial_profile_gaussian():

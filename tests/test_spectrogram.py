@@ -189,6 +189,25 @@ def test_field_memory_is_bounded_by_the_block_budget(ginibre_disk_fields):
     assert peak < 16 * 2 ** 20
 
 
+def test_ginibre_field_sum_holds_only_its_tables(ginibre_disk_fields):
+    # measured 2.49 MiB above the 0.54 MiB of images: the two 40 x 1240
+    # complex factor tables (1.51 MiB) and the contraction's temporaries;
+    # 2.87 MiB when a 40 x 1240 real phase table of the tables' build
+    # stays alive through the contraction
+    kernel, grid, spectral, eval_grid = ginibre_disk_fields
+    modes = spectral.count_above(spectrogram.MU_FLOOR)
+    scaled_vecs = (np.sqrt(grid.weights)[:, None]
+                   * spectral.vectors[:, :modes])
+    tracemalloc.start()
+    try:
+        images = kernel.field_sum(grid.nodes, scaled_vecs, eval_grid.nodes,
+                                  eval_grid.axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - images.nbytes < 2.7 * 2 ** 20
+
+
 def test_psi_memory_is_one_and_a_half_images():
     # the spectral-2d Ginibre disk: the images are stored once, and the
     # norms take one real M x k temporary, half the complex images' bytes
@@ -224,9 +243,8 @@ def test_pw2_psi_memory_is_bounded_by_the_block_budget(pw2_disk_fields):
 
 def factor_route(kernel, grid, eval_grid):
     """The window integral's kernel sum on the evaluation lattice's axes."""
-    return spectrogram._kernel_sum(kernel, grid.nodes, grid.weights,
-                                   eval_grid.nodes, eval_grid.axes,
-                                   square=True)
+    return kernel.field_sum(grid.nodes, grid.weights, eval_grid.nodes,
+                            eval_grid.axes, square=True)
 
 
 # The lattice factors and inner_product_direct's eval_matrix round
@@ -247,7 +265,7 @@ def test_fields_do_not_depend_on_the_block_size(fields, budget, request,
     ipd = inner_product_direct(kernel, grid, eval_grid.nodes)
     entries = grid.n_nodes * (1 if budget == "one-row"
                               else eval_grid.nodes.shape[0])
-    monkeypatch.setattr(spectrogram, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", entries)
     psi_b = unit_psi(compute_psi(kernel, spectral, eval_grid, j_max=n_modes))
     window_b = defect_g(kernel, grid, eval_grid).window_integral
     ipd_b = inner_product_direct(kernel, grid, eval_grid.nodes)
@@ -260,22 +278,22 @@ def test_fields_do_not_depend_on_the_block_size(fields, budget, request,
 
 def _count_kernel_work(kernel_cls, monkeypatch):
     """Record the entries of every ``eval_matrix`` block and the
-    ``square`` flag of every ``axis_factors`` call of ``kernel_cls``."""
+    ``square`` flag of every ``field_sum`` call of ``kernel_cls``."""
     entries, squares = [], []
     eval_matrix = kernel_cls.eval_matrix
-    axis_factors = kernel_cls.axis_factors
+    field_sum = kernel_cls.field_sum
 
     def counted(self, xs, ys):
         block = eval_matrix(self, xs, ys)
         entries.append(block.size)
         return block
 
-    def counted_factors(self, axes, ys, square=False):
+    def counted_sum(self, ys, vecs, points, axes=None, square=False):
         squares.append(square)
-        return axis_factors(self, axes, ys, square=square)
+        return field_sum(self, ys, vecs, points, axes, square)
 
     monkeypatch.setattr(kernel_cls, "eval_matrix", counted)
-    monkeypatch.setattr(kernel_cls, "axis_factors", counted_factors)
+    monkeypatch.setattr(kernel_cls, "field_sum", counted_sum)
     return entries, squares
 
 
@@ -285,7 +303,7 @@ def test_ginibre_fields_form_no_kernel_block(ginibre_disk_fields,
     entries, squares = _count_kernel_work(GinibreKernel, monkeypatch)
     compute_psi(kernel, spectral, eval_grid)
     defect = defect_g(kernel, grid, eval_grid)
-    # the Ginibre fields are built from the factor tables alone, one set
+    # the Ginibre fields are built from the factor tables alone, one sum
     # of K for the images and one of |K|^2 for the window integral
     assert (sum(entries), squares) == (0, [False, True])
     monkeypatch.undo()
@@ -308,23 +326,21 @@ def test_pw2_fields_form_no_kernel_block(pw2_disk_fields, monkeypatch):
 
 
 def test_dilation_rung_forms_no_window_integral(monkeypatch):
-    # a ladder reads rho alone: on a pw2 disk rung only the image rule's
-    # plane waves are built, none of the |K|^2 rule's
+    # a ladder reads rho alone: on a pw2 disk rung one sum of K is formed,
+    # from the image rule's plane waves, and none of |K|^2
     kernel, base = PaleyWienerKernel(2), Ball(np.zeros(2), 1.0)
-    waves = []
-    plane_waves = kernels._plane_waves
+    _, squares = _count_kernel_work(PaleyWienerKernel, monkeypatch)
+    norms = []
+    plane_wave_sum = kernels._plane_wave_sum
 
-    def counted(axes, origin, radii, w_radii, dirs, w_dirs, norm):
-        waves.append(len(radii) * len(dirs))
-        return plane_waves(axes, origin, radii, w_radii, dirs, w_dirs, norm)
+    def counted(*args):
+        norms.append(args[-1])
+        return plane_wave_sum(*args)
 
-    monkeypatch.setattr(kernels, "_plane_waves", counted)
+    monkeypatch.setattr(kernels, "_plane_wave_sum", counted)
     row = dilation_snapshot(kernel, base, 1.0, margin=5.0, eval_spacing=0.25)
-    monkeypatch.undo()
-    assert len(waves) == 1
-    grid = build_grid(base, row.n_per_axis)
-    image_rule = kernel.axis_factors(row.field.eval_grid.axes, grid.nodes)
-    assert waves == [len(image_rule.waves)]
+    assert squares == [False]
+    assert norms == [(2.0 * math.pi) ** -2]
 
 
 def _pw_case(case):
@@ -354,27 +370,27 @@ PLANE_WAVE_CROSS_ROUTE_REL = 1e-13
 
 @pytest.mark.parametrize("case", ["pw2-disk", "pw2-box", "pw2-union",
                                   "pw3-ball"])
-def test_plane_wave_pass_matches_eval_matrix(case, request):
+def test_plane_wave_pass_matches_eval_matrix(case, request, monkeypatch):
     kernel, grid, spectral, eval_grid = (
         request.getfixturevalue("pw2_disk_fields") if case == "pw2-disk"
         else _pw_case(case))
-    assert kernel.axis_factors(eval_grid.axes, grid.nodes) is not None
     modes = spectral.count_above(spectrogram.MU_FLOOR)
     scaled_vecs = (np.sqrt(grid.weights)[:, None]
                    * spectral.vectors[:, :modes])
     nodes, axes = eval_grid.nodes, eval_grid.axes
-    images = spectrogram._kernel_sum(kernel, grid.nodes, scaled_vecs, nodes,
-                                     axes)
-    reference = spectrogram._kernel_sum(kernel, grid.nodes, scaled_vecs,
-                                        nodes)
+    entries, _ = _count_kernel_work(PaleyWienerKernel, monkeypatch)
+    images = kernel.field_sum(grid.nodes, scaled_vecs, nodes, axes)
     window = factor_route(kernel, grid, eval_grid)
+    # both lattice sums are plane-wave passes, with no kernel block
+    assert entries == []
+    reference = kernel.field_sum(grid.nodes, scaled_vecs, nodes)
     ipd = inner_product_direct(kernel, grid, nodes)
     assert (np.abs(images - reference).max()
             <= PLANE_WAVE_CROSS_ROUTE_REL * np.abs(reference).max())
     assert np.abs(window - ipd).max() <= PLANE_WAVE_CROSS_ROUTE_REL * ipd.max()
     # complex vectors go through as their real and imaginary parts
-    complex_images = spectrogram._kernel_sum(
-        kernel, grid.nodes, (1 - 2j) * scaled_vecs, nodes, axes)
+    complex_images = kernel.field_sum(grid.nodes, (1 - 2j) * scaled_vecs,
+                                      nodes, axes)
     assert np.array_equal(complex_images, (1 - 2j) * images)
 
 
@@ -412,8 +428,7 @@ def test_lattice_pass_matches_eval_matrix(cdim):
     scaled_vecs = (np.sqrt(grid.weights)[:, None]
                    * spectral.vectors[:, :modes])
     nodes = eval_grid.nodes
-    images = spectrogram._kernel_sum(kernel, grid.nodes, scaled_vecs, nodes,
-                                     eval_grid.axes)
+    images = kernel.field_sum(grid.nodes, scaled_vecs, nodes, eval_grid.axes)
     window = factor_route(kernel, grid, eval_grid)
     # the M x n block of cdim 2 would take 430 MB: compare 2048 rows at
     # a time
@@ -547,12 +562,27 @@ def test_l1_study_rejects_unordered_scales():
                                                 np.array([1.0])), [4.0, 2.0])
 
 
+def _direct_rho(kernel, region, n_per_axis, eval_spacing=None):
+    """rho of ``region`` on ``build_grid(region, n_per_axis)``, evaluated
+    as a ladder rung evaluates it."""
+    grid = build_grid(region, n_per_axis)
+    spectral = spectral_decompose(assemble_operator(kernel, grid))
+    eval_grid = build_eval_grid(kernel, region, spacing=eval_spacing,
+                                reference_grid=grid)
+    return accumulated_spectrogram(kernel, spectral, eval_grid).rho
+
+
 def test_l1_study_reports_saturation():
-    rows = l1_convergence_study(sine_kernel(),
-                                Box(np.array([-1.0]), np.array([1.0])),
-                                [8.0], nodes_per_unit=40.0, node_cap=128)
+    base = Box(np.array([-1.0]), np.array([1.0]))
+    rows = l1_convergence_study(sine_kernel(), base, [8.0],
+                                nodes_per_unit=40.0, node_cap=128)
     assert rows[0].saturated
-    assert rows[0].n_per_axis <= 128
+    # the rung is the finest grid within the cap: 128 of the 640 nodes
+    # that 40 per unit asks for
+    region = base.dilate(8.0)
+    assert max_n_per_axis(region, 128) == 128
+    assert np.array_equal(rows[0].field.rho,
+                          _direct_rho(sine_kernel(), region, 128))
 
 
 def test_ladder_coarsens_to_the_factor_budget(monkeypatch):
@@ -565,7 +595,9 @@ def test_ladder_coarsens_to_the_factor_budget(monkeypatch):
     row, = l1_convergence_study(GinibreKernel(1), disk, [1.0],
                                 nodes_per_unit=1e5, node_cap=10 ** 9,
                                 eval_spacing=0.25)
-    assert row.saturated and row.n_per_axis == n
+    assert row.saturated
+    assert np.array_equal(row.field.rho,
+                          _direct_rho(GinibreKernel(1), disk, n, 0.25))
 
 
 def test_ginibre_disk_bulk_density():
@@ -584,7 +616,7 @@ def test_ginibre_disk_bulk_density():
 
 def test_eval_grid_contains_window(sine_run):
     ev = sine_run.eval_grid
-    assert ev.margin == approx(80.0)  # 4 x capped correlation length
+    # the window (-5, 5) with a margin of 4 capped correlation lengths
     bbox = ev.region
     assert bbox.lower[0] == approx(-85.0)
     assert bbox.upper[0] == approx(85.0)
@@ -626,7 +658,7 @@ def test_field_target_is_the_limit_shape_on_the_grid_mask(sine_run):
 def test_rows_and_defects_keep_no_second_copy():
     # N, the tail mass and the window mask live on the field and the grid
     assert [f.name for f in fields(ConvergenceRow)] == [
-        "scale", "n_per_axis", "trace", "err_raw", "saturated",
+        "scale", "trace", "err_raw", "saturated",
         "trace_defect", "field"]
     assert [f.name for f in fields(DefectField)] == [
         "values", "window_integral", "l1_total", "quad_error_estimate"]
