@@ -17,8 +17,9 @@ def run(out_dir: Path, dims, r_spec: str) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for d in dims:
         out = out_dir / f"variance_asymptotics_d{d}.csv"
+        ball = "ball:" + ",".join(["0"] * d) + ":1"  # the unit ball in R^d
         code = accspec_main(["variance", "--kernel", "paley-wiener",
-                             "--dim", str(d), "--R", r_spec,
+                             "--region", ball, "--R", r_spec,
                              "--spectral", "off", "--out", str(out)])
         if code != 0:
             return code

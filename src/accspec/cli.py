@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``spectrogram``: dilation ladder of accumulated spectrograms
-  (``spectrogram.l1_convergence_study``, one scale after another); emits
+* ``spectrogram``: dilation ladder of accumulated spectrograms, one
+  ``spectrogram.dilation_snapshot`` per scale in ascending order; emits
   its summary table and a per-node field table.
 * ``variance``: hyperuniformity curve (expectation, variance routes,
   ratio) in its own summary table, plus the log-asymptotic fit when the
@@ -15,9 +15,10 @@ Subcommands:
   NaN line included.
 * ``lens``: both lens-volume routes for one (dim, r, R).
 
-The window fixes the dimension d, which picks the kernel: sine needs
-d = 1, Paley-Wiener takes 1 to 3 and Ginibre 2 or 4 (C^(d/2)); without
-``--region``, ``variance --dim`` (default 1, 2 for Ginibre) sets it.
+The window, ``--region``, fixes the dimension d, which picks the kernel:
+sine needs d = 1, Paley-Wiener takes 1 to 3 and Ginibre 2 or 4
+(C^(d/2)). Without ``--region``, ``variance`` takes the unit ball in the
+kernel's lowest dimension (1, 2 for Ginibre).
 The window grid has ceil(``--nodes-per-unit`` x longest side) nodes per
 axis under ``--node-cap`` (``discretize.window_grid``). Each setting has
 one spelling: option names in full, kernel names as listed.
@@ -57,7 +58,7 @@ from .geometry import (Ball, Box, DisjointBallUnion, LensSpec, Region,
                        SeriesDivergenceError, lens_volume_exact,
                        lens_volume_series)
 from .kernels import GinibreKernel, PaleyWienerKernel, sine_kernel
-from .spectrogram import RankDeficiencyError, l1_convergence_study
+from .spectrogram import RankDeficiencyError, dilation_snapshot
 from .variance import FitRangeError, fit_asymptotics, hyperuniformity_curve
 
 SPECTROGRAM_COLUMNS = ("R", "trace", "N", "err_raw", "err_normalized",
@@ -136,10 +137,10 @@ def parse_scale_list(text: str) -> tuple:
         vals = np.logspace(math.log10(lo), math.log10(hi), n)
         return tuple(float(v) for v in vals)
     try:
-        vals = tuple(float(v) for v in text.split(",") if v)
+        vals = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise UsageError(f"R: cannot parse '{text}': {exc}") from None
-    if not vals or any(v <= 0 for v in vals):
+    if any(v <= 0 for v in vals):
         raise UsageError("R: values must be positive")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise UsageError("R: values must be strictly ascending")
@@ -196,7 +197,7 @@ def kernel_region_scales(args, region_required: bool):
     elif region_required:
         raise UsageError("region: required")
     else:
-        region = Ball(np.zeros(args.dim or min(by_dim)), 1.0)
+        region = Ball(np.zeros(min(by_dim)), 1.0)
     if region.dim not in by_dim:
         raise UsageError(f"kernel: {name} takes windows of dimension "
                          f"{', '.join(map(str, by_dim))}, not {region.dim}")
@@ -308,12 +309,13 @@ def write_tables(args, header, summary, fields=None, fit=None) -> None:
 
 def cmd_spectrogram(args) -> int:
     kernel, region, scales = kernel_region_scales(args, region_required=True)
-    rows = l1_convergence_study(kernel, region, scales, node_cap=args.node_cap,
-                                nodes_per_unit=args.nodes_per_unit,
-                                margin=args.margin,
-                                eval_spacing=args.eval_spacing)
+    rows = [dilation_snapshot(kernel, region, scale, node_cap=args.node_cap,
+                              nodes_per_unit=args.nodes_per_unit,
+                              margin=args.margin,
+                              eval_spacing=args.eval_spacing)
+            for scale in scales]
     summary = [(row.scale, row.trace, row.field.n_count, row.err_raw,
-                row.err_normalized, row.tail_mass, int(row.saturated))
+                row.err_normalized, row.field.tail_mass, int(row.saturated))
                for row in rows]
     fields = None
     # the per-node rows go only to JSON and to the --out fields file
@@ -412,9 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, run, nodes_per_unit):
         p.set_defaults(run=run)
         p.add_argument("--kernel", help="sine, paley-wiener or ginibre")
-        window = p.add_mutually_exclusive_group()
-        window.add_argument("--region", help="interval:a,b | box:lo..:hi.. | "
-                                             "ball:c..:r | union:c..:r;c..:r")
+        p.add_argument("--region", help="interval:a,b | box:lo..:hi.. | "
+                                        "ball:c..:r | union:c..:r;c..:r "
+                                        "(variance default: the unit ball, "
+                                        "in R^2 for ginibre, else R^1)")
         p.add_argument("--R", help="dilation scales: a,b,c or lo:hi:logN")
         p.add_argument(
             "--nodes-per-unit", type=float, default=nodes_per_unit,
@@ -424,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", type=Path, default=None)
-        return window  # variance adds --dim to the --region group
 
     p_spec = sub.add_parser("spectrogram", allow_abbrev=False,
                             help="dilation convergence study")
@@ -437,10 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_var = sub.add_parser("variance", allow_abbrev=False,
                            help="hyperuniformity curve and fit")
-    window = add_common(p_var, cmd_variance, None)
-    window.add_argument("--dim", type=int, choices=(1, 2, 3, 4),
-                        help="dimension of the default window, the unit "
-                             "ball (default: 1, 2 for ginibre)")
+    add_common(p_var, cmd_variance, None)
     p_var.add_argument("--spectral", choices=("auto", "on", "off"),
                        default="auto",
                        help="also compute the discretized-spectrum "

@@ -186,19 +186,15 @@ def _piece_rule(piece, n: int):
     return piece.center + r[:, None] * np.column_stack(unit), w
 
 
-def build_grid(region: Region, n_per_axis: int,
-               node_cap: int = DEFAULT_NODE_CAP) -> QuadratureGrid:
-    """Product Gauss rule on the region at ``n_per_axis`` nodes per axis:
-    n^d nodes on a box, at most c_d (n/2)^d on a ball (see ``_orders``),
-    checked against ``node_cap`` and ``factor_node_limit`` (the most
-    nodes a factor can hold) before any node is built, after
-    ``check_resolution`` has checked the cap and n_per_axis; a count
-    beyond either raises ResourceLimitError."""
-    check_resolution(node_cap, n_per_axis=n_per_axis)
+def build_grid(region: Region, n_per_axis: int) -> QuadratureGrid:
+    """Product Gauss rule on the region at ``n_per_axis`` nodes per axis
+    (at least 2): n^d nodes on a box, at most c_d (n/2)^d on a ball (see
+    ``_orders``), checked against ``factor_node_limit`` (the most nodes a
+    factor can hold) before any node is built; a count beyond it raises
+    ResourceLimitError. ``window_grid`` checks the node cap first."""
+    if n_per_axis < 2:
+        raise ValueError("n_per_axis must be at least 2")
     count = _node_count(region, n_per_axis)
-    if count > node_cap:
-        raise ResourceLimitError(
-            f"grid has {_count_text(count)} nodes, cap is {node_cap}")
     if count > factor_node_limit():
         raise ResourceLimitError(
             f"grid has {_count_text(count)} nodes, more than a low-rank "
@@ -233,18 +229,14 @@ def max_n_per_axis(region: Region, node_cap: int = DEFAULT_NODE_CAP) -> int:
     return lo
 
 
-def check_resolution(node_cap: int, nodes_per_unit: float | None = None,
-                     n_per_axis: int | None = None) -> None:
-    """ValueError unless node_cap >= 1, 0 < nodes_per_unit < inf (for
-    ``window_grid``) and n_per_axis >= 2 (for ``build_grid``), the last
-    two where given."""
+def check_resolution(node_cap: int, nodes_per_unit: float | None) -> None:
+    """ValueError unless node_cap >= 1 and, unless None,
+    0 < nodes_per_unit < inf."""
     if not node_cap >= 1:
         raise ValueError(f"node cap must be at least 1, got {node_cap}")
     if nodes_per_unit is not None and not 0 < nodes_per_unit < math.inf:
         raise ValueError(
             f"nodes per unit must be positive and finite, got {nodes_per_unit:g}")
-    if n_per_axis is not None and n_per_axis < 2:
-        raise ValueError("n_per_axis must be at least 2")
 
 
 def window_grid(region: Region, node_cap: int,
@@ -252,8 +244,9 @@ def window_grid(region: Region, node_cap: int,
     """The window grid at ceil(nodes_per_unit * longest bounding-box
     side) nodes per axis (at least 2), or the finest grid within the
     node cap when nodes_per_unit is None; ``build_grid`` takes a fixed
-    nodes per axis. A grid beyond the cap, and a window side or nodes per
-    axis past the float range, raise ResourceLimitError."""
+    nodes per axis. A grid beyond the cap, checked before ``build_grid``'s
+    own checks, and a window side or nodes per axis past the float range,
+    raise ResourceLimitError."""
     check_resolution(node_cap, nodes_per_unit)
     # in Python floats: a side past the float range reaches inf with no
     # overflow warning
@@ -270,7 +263,11 @@ def window_grid(region: Region, node_cap: int,
                 f"window side {side:.3g} at {nodes_per_unit:g} nodes per "
                 f"unit needs {_count_text(per_axis)} nodes per axis")
         n_per_axis = max(2, math.ceil(per_axis))
-    return build_grid(region, n_per_axis, node_cap=node_cap)
+    count = _node_count(region, n_per_axis)
+    if count > node_cap:
+        raise ResourceLimitError(
+            f"grid has {_count_text(count)} nodes, cap is {node_cap}")
+    return build_grid(region, n_per_axis)
 
 
 @dataclass(eq=False)

@@ -216,18 +216,17 @@ class SpectrogramField:
 
 def accumulated_spectrogram(kernel: Kernel, spectral: SpectralData,
                             eval_grid: EvalGrid,
-                            psi: PsiSet | None = None) -> SpectrogramField:
+                            psi: PsiSet) -> SpectrogramField:
     """Sum of |Psi_j|^2 over the first N modes, N = upper integer trace.
 
-    rho = |images[:, :N]|^2 @ (1 / norms_sq[:N]). Each Psi_j carries
-    unit discrete norm on E, so the integral of rho over E equals N up
-    to rounding; tail_mass records the (tiny) difference so that mass
-    conservation is explicit in the output.
+    rho = |images[:, :N]|^2 @ (1 / norms_sq[:N]), from ``psi``, which
+    must hold at least N modes. Each Psi_j carries unit discrete norm on
+    E, so the integral of rho over E equals N up to rounding; tail_mass
+    records the (tiny) difference so that mass conservation is explicit
+    in the output.
     """
     n_count = count_n(spectral.trace)
-    if psi is None:
-        psi = compute_psi(kernel, spectral, eval_grid, j_max=n_count)
-    elif psi.images.shape[1] < n_count:
+    if psi.images.shape[1] < n_count:
         raise RankDeficiencyError(
             f"psi set holds {psi.images.shape[1]} modes but "
             f"N = {_count_text(n_count)}")
@@ -390,7 +389,12 @@ def inequality_report(kernel: Kernel, spectral: SpectralData,
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceRow:
-    """One rung of the dilation ladder; N and the tail mass are its field's."""
+    """One rung of the dilation ladder; N and the tail mass are its field's.
+
+    err_raw integrates |rho - K(x,x) 1_window| over E and adds the mass
+    accounting remainder; err_normalized divides by the mode count N,
+    which is the normalization under which the distance tends to zero.
+    """
 
     scale: float
     trace: float
@@ -398,10 +402,6 @@ class ConvergenceRow:
     saturated: bool
     trace_defect: float
     field: SpectrogramField
-
-    @property
-    def tail_mass(self) -> float:
-        return self.field.tail_mass
 
     @property
     def err_normalized(self) -> float:
@@ -436,26 +436,14 @@ def dilation_snapshot(kernel: Kernel, base_region: Region, scale: float, *,
         raise RankDeficiencyError(f"{grid.n_nodes} window nodes cannot "
                                   f"supply N = {_count_text(n_count)} modes")
     spectral = spectral_decompose(assemble_operator(kernel, grid))
-    fld = accumulated_spectrogram(kernel, spectral, eval_grid)
+    # the N mode images are passed, not named, so that they are freed
+    # before err_raw is formed
+    fld = accumulated_spectrogram(
+        kernel, spectral, eval_grid,
+        compute_psi(kernel, spectral, eval_grid, j_max=count_n(spectral.trace)))
     err_raw = float(np.sum(np.abs(fld.rho - fld.target) * eval_grid.weights))
     err_raw += abs(fld.tail_mass)
     return ConvergenceRow(scale=float(scale), trace=spectral.trace, err_raw=err_raw,
                           saturated=saturated,
                           trace_defect=spectral.trace_defect,
                           field=fld)
-
-
-def l1_convergence_study(kernel: Kernel, base_region: Region, scales,
-                         **resolution):
-    """L1 distance of rho from its limit shape along dilations of a region.
-
-    err_raw integrates |rho - K(x,x) 1_window| over E and adds the mass
-    accounting remainder; err_normalized divides by the mode count N,
-    which is the normalization under which the distance tends to zero.
-    ``resolution`` takes the keywords of ``dilation_snapshot``.
-    """
-    scales = [float(s) for s in scales]
-    if any(b <= a for a, b in zip(scales, scales[1:])):
-        raise ValueError("scales must be strictly ascending")
-    return [dilation_snapshot(kernel, base_region, s, **resolution)
-            for s in scales]

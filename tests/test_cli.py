@@ -52,6 +52,19 @@ def test_bad_log_range_is_one_line_usage_error(scales, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: R: ")
 
 
+@pytest.mark.parametrize("scales", ["1,,2", ",", "1,", ",1"])
+def test_an_empty_scale_field_is_refused(scales, capsys):
+    # an empty field was once skipped, so '1,,2' ran as '1,2'
+    assert main(["variance", "--kernel", "sine", "--R", scales,
+                 "--spectral", "off"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"error: R: cannot parse '{scales}'")
+    assert len(captured.err.encode()) < 200
+
+
 def test_parse_region_kinds():
     assert isinstance(parse_region("interval:-1,1"), Box)
     box = parse_region("box:0,0:1,2")
@@ -116,18 +129,20 @@ def test_unknown_kernel(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["variance", "--kernel", "sine", "--dim", "3", "--R", "1"],
+    (["variance", "--kernel", "sine", "--region", "ball:0,0,0:1", "--R", "1"],
      "error: kernel: sine takes windows of dimension 1, not 3"),
-    (["variance", "--kernel", "ginibre", "--dim", "3", "--R", "1"],
+    (["variance", "--kernel", "ginibre", "--region", "ball:0,0,0:1",
+      "--R", "1"],
      "error: kernel: ginibre takes windows of dimension 2, 4, not 3"),
-    (["variance", "--kernel", "paley-wiener", "--dim", "4", "--R", "1"],
+    (["variance", "--kernel", "paley-wiener", "--region", "ball:0,0,0,0:1",
+      "--R", "1"],
      "error: kernel: paley-wiener takes windows of dimension 1, 2, 3, not 4"),
     (["variance", "--kernel", "paley-wiener", "--dim", "0", "--R", "1"],
-     "accspec variance: error: argument --dim: invalid choice: 0"),
+     "accspec variance: error: unrecognized arguments: --dim 0"),
     (["spectrogram", "--kernel", "sine", "--region", "ball:0,0:1",
       "--R", "1"], "error: kernel: sine takes windows of dimension 1, not 2"),
-    (["variance", "--kernel", "paley-wiener", "--dim", "2", "--cdim", "2",
-      "--R", "1"],
+    (["variance", "--kernel", "paley-wiener", "--region", "ball:0,0:1",
+      "--cdim", "2", "--R", "1"],
      "accspec variance: error: unrecognized arguments: --cdim 2"),
     (["variance", "--kernel", "ginibre", "--cdim", "1", "--R", "1,2"],
      "accspec variance: error: unrecognized arguments: --cdim 1"),
@@ -136,8 +151,7 @@ def test_unknown_kernel(capsys):
      "accspec spectrogram: error: unrecognized arguments: --dim 2"),
     (["variance", "--kernel", "paley-wiener", "--dim", "2", "--region",
       "ball:0,0:1", "--R", "1"],
-     "accspec variance: error: argument --region: not allowed with "
-     "argument --dim"),
+     "accspec variance: error: unrecognized arguments: --dim 2"),
     (["variance", "--kernel", "paleywiener", "--R", "1"],
      "error: kernel: unknown 'paleywiener'"),
     (["variance", "--kernel", "sine", "--R", "2", "--n", "40"],
@@ -165,9 +179,10 @@ def test_unknown_kernel(capsys):
 def test_the_window_is_read_from_one_option(argv, message, capsys):
     # each spelling once ran with an option silently dropped, or needed a
     # dimension that the region already gives; a setting has one spelling,
-    # so a fixed grid size, an option prefix, a kernel alias and an upper
-    # case kernel name are refused. Each refusal is one line; argparse's
-    # name the subcommand and print no usage
+    # so a window dimension beside --region, a fixed grid size, an option
+    # prefix, a kernel alias and an upper case kernel name are refused.
+    # Each refusal is one line; argparse's name the subcommand and print
+    # no usage
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's usage errors
@@ -191,24 +206,19 @@ def test_an_option_value_may_follow_an_equals_sign(capsys):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("argv, same", [
-    (["variance", "--kernel", "ginibre", "--dim", "4", "--R", "1"],
-     ["variance", "--kernel", "ginibre", "--region", "ball:0,0,0,0:1",
-      "--R", "1"]),
-    (["variance", "--kernel", "ginibre", "--R", "1,2"],
-     ["variance", "--kernel", "ginibre", "--region", "ball:0,0:1",
-      "--R", "1,2"]),
-    (["variance", "--kernel", "paley-wiener", "--dim", "2", "--R", "1,2",
-      "--spectral", "off"],
-     ["variance", "--kernel", "paley-wiener", "--region", "ball:0,0:1",
-      "--R", "1,2", "--spectral", "off"]),
-], ids=["ginibre-d4", "ginibre-default", "pw-d2"])
-def test_dim_spells_the_unit_ball(argv, same, capsys):
-    # --dim, or by default the kernel's least dimension, gives the unit
-    # ball of that dimension, byte for byte
+@pytest.mark.parametrize("kernel, ball", [
+    ("ginibre", "ball:0,0:1"),
+    ("paley-wiener", "ball:0:1"),
+    ("sine", "ball:0:1"),
+], ids=["ginibre", "paley-wiener", "sine"])
+def test_the_default_window_is_the_lowest_dimensional_unit_ball(
+        kernel, ball, capsys):
+    # without --region, variance takes the unit ball in the kernel's
+    # lowest dimension, byte for byte
     outputs = []
-    for args in (argv, same):
-        assert main(args) == 0
+    for window in ([], ["--region", ball]):
+        assert main(["variance", "--kernel", kernel, *window, "--R", "1,2",
+                     "--spectral", "off"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
 
@@ -278,8 +288,8 @@ def test_series_divergence_is_numerical_failure(capsys):
     (["variance", "--kernel", "ginibre", "--R", "1e-200"], 3),
     (["variance", "--kernel", "ginibre", "--R", "1e154", "--spectral", "off"],
      3),
-    (["variance", "--kernel", "ginibre", "--dim", "4", "--R", "1e77",
-      "--spectral", "off"], 3),
+    (["variance", "--kernel", "ginibre", "--region", "ball:0,0,0,0:1",
+      "--R", "1e77", "--spectral", "off"], 3),
     (["variance", "--kernel", "ginibre", "--region", "union:0,0:1;5,5:1",
       "--R", "1e154", "--spectral", "off"], 3),
     (["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
@@ -346,7 +356,7 @@ def test_rank_deficiency_is_numerical_failure(capsys, monkeypatch):
     def too_few_modes(*args, **kwargs):
         raise RankDeficiencyError("psi set holds 2 modes but N = 3")
 
-    monkeypatch.setattr(spectrogram, "dilation_snapshot", too_few_modes)
+    monkeypatch.setattr(cli, "dilation_snapshot", too_few_modes)
     argv = ["spectrogram", "--kernel", "sine", "--region", "interval:-1,1",
             "--R", "2", "--nodes-per-unit", "10"]
     assert main(argv) == 3
@@ -456,7 +466,7 @@ def test_spectrogram_json_document(tmp_path):
 
 def test_variance_fit_block(tmp_path):
     out = tmp_path / "var.csv"
-    args = ["variance", "--kernel", "paley-wiener", "--dim", "1",
+    args = ["variance", "--kernel", "paley-wiener",
             "--R", "10:120:log10", "--out", str(out)]
     assert main(args) == 0
     text = out.read_text()
@@ -471,7 +481,7 @@ def test_variance_fit_block(tmp_path):
 
 def test_variance_fit_warning_for_short_span(tmp_path):
     out = tmp_path / "var.csv"
-    args = ["variance", "--kernel", "paley-wiener", "--dim", "1",
+    args = ["variance", "--kernel", "paley-wiener",
             "--R", "10,20,40,80", "--out", str(out)]
     assert main(args) == 0  # warning, not failure
     assert "# fit_warning:" in out.read_text()
@@ -618,16 +628,29 @@ def test_check_fails_an_operator_trace_off_by_1e_9(capsys, monkeypatch):
     assert lines[-1] == "1 check(s) failed"
 
 
-def test_check_fails_a_radial_variance_5_percent_high(capsys, monkeypatch):
+def _check_with_radial_variance_scaled(factor, capsys, monkeypatch):
+    """The failing line names of ``accspec check`` with every radial-route
+    variance multiplied by ``factor``, and its last line."""
     radial = checks.variance_radial
     monkeypatch.setattr(checks, "variance_radial", lambda kernel, radius:
-                        SimpleNamespace(value=1.05 * radial(kernel,
-                                                            radius).value))
+                        SimpleNamespace(value=factor * radial(kernel,
+                                                              radius).value))
     assert main(["check"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[1] for line in lines if line.startswith("FAIL ")] \
-        == ["variance_cross_route_sine"]
-    assert lines[-1] == "1 check(s) failed"
+    return ([line.split()[1] for line in lines if line.startswith("FAIL ")],
+            lines[-1])
+
+
+def test_check_fails_a_radial_variance_5_percent_high(capsys, monkeypatch):
+    assert _check_with_radial_variance_scaled(1.05, capsys, monkeypatch) \
+        == (["variance_cross_route_sine"], "1 check(s) failed")
+
+
+def test_check_fails_a_radial_variance_1e_10_high(capsys, monkeypatch):
+    # the line's bound is 1e-12; the reference window measures 2.4e-15
+    assert _check_with_radial_variance_scaled(1 + 1e-10, capsys,
+                                              monkeypatch) \
+        == (["variance_cross_route_sine"], "1 check(s) failed")
 
 
 def test_union_region_variance_columns(tmp_path):
@@ -705,9 +728,9 @@ def test_spectral_auto_keeps_the_column_at_a_large_node_cap(tmp_path):
 
 
 @pytest.mark.parametrize("argv, rel", [
-    (["--kernel", "paley-wiener", "--dim", "3", "--R", "1,2",
+    (["--kernel", "paley-wiener", "--region", "ball:0,0,0:1", "--R", "1,2",
       "--spectral", "on"], 1e-10),
-    (["--kernel", "ginibre", "--dim", "4", "--R", "1"], 1e-4),
+    (["--kernel", "ginibre", "--region", "ball:0,0,0,0:1", "--R", "1"], 1e-4),
 ], ids=["pw-d3", "ginibre-c2"])
 def test_spectral_route_matches_radial_in_three_and_four_dimensions(
         argv, rel, tmp_path):
@@ -927,14 +950,14 @@ def test_nonfinite_output_is_numerical_failure(fmt, capsys, monkeypatch):
 @pytest.mark.parametrize("column", ["rho", "target"])
 def test_nonfinite_field_leaves_no_file(column, fmt, tmp_path, capsys,
                                         monkeypatch):
-    study = cli.l1_convergence_study
+    snapshot = cli.dilation_snapshot
 
     def poisoned(*args, **kwargs):
-        rows = study(*args, **kwargs)
-        getattr(rows[0].field, column)[0] = math.nan
-        return rows
+        row = snapshot(*args, **kwargs)
+        getattr(row.field, column)[0] = math.nan
+        return row
 
-    monkeypatch.setattr(cli, "l1_convergence_study", poisoned)
+    monkeypatch.setattr(cli, "dilation_snapshot", poisoned)
     out = tmp_path / f"run.{fmt}"
     assert main(["spectrogram", "--kernel", "sine", "--region",
                  "interval:-1,1", "--R", "2", "--nodes-per-unit", "10",

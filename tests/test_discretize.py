@@ -40,7 +40,7 @@ _RULE_REGIONS = {
 def test_gauss_rule_volume_moment_and_count(region):
     d, volume = region.dim, region.volume()
     for n in range(2, 41):
-        grid = build_grid(region, n, node_cap=10 ** 6)
+        grid = build_grid(region, n)
         assert grid.n_nodes > 0 and np.all(grid.weights > 0)
         assert abs(grid.weight_sum - volume) <= 1e-13 * volume, n
         assert grid.volume_defect <= 1e-13 * volume
@@ -64,7 +64,7 @@ def test_node_cap_checked_before_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="cap is 4096"):
-            build_grid(Ball(np.zeros(2), 1.0), 100000, node_cap=4096)
+            window_grid(Ball(np.zeros(2), 1.0), 4096, nodes_per_unit=5e4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -77,7 +77,7 @@ def test_grid_beyond_the_factor_budget_is_refused_before_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="low-rank factor"):
-            build_grid(Ball(np.zeros(2), 1.0), 2000, node_cap=10 ** 9)
+            build_grid(Ball(np.zeros(2), 1.0), 2000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -99,16 +99,25 @@ def test_interval_as_ball_exact_weight_sum():
 
 
 def test_node_cap_enforced():
-    with pytest.raises(ResourceLimitError):
-        build_grid(Box(np.array([0.0]), np.array([1.0])), 100, node_cap=50)
+    with pytest.raises(ResourceLimitError, match="grid has 100 nodes, cap is 50"):
+        window_grid(Box(np.array([0.0]), np.array([1.0])), 50,
+                    nodes_per_unit=100.0)
+
+
+def test_window_grid_checks_the_cap_before_the_factor_limit():
+    disk = Ball(np.zeros(2), 1.0)
+    # 1000 per unit is 2000 per axis, 3.1e6 nodes: past both limits
+    with pytest.raises(ResourceLimitError, match="cap is 4096"):
+        window_grid(disk, 4096, nodes_per_unit=1000.0)
+    with pytest.raises(ResourceLimitError, match="low-rank factor"):
+        window_grid(disk, 10 ** 9, nodes_per_unit=1000.0)
 
 
 def test_max_n_per_axis_respects_cap():
     ball = Ball(np.zeros(2), 1.0)
     n = max_n_per_axis(ball, node_cap=4096)
-    assert build_grid(ball, n, node_cap=4096).n_nodes <= 4096
-    with pytest.raises(ResourceLimitError):
-        build_grid(ball, n + 1, node_cap=4096)
+    assert build_grid(ball, n).n_nodes <= 4096
+    assert build_grid(ball, n + 1).n_nodes > 4096
 
 
 def _same_grid(a, b):

@@ -20,8 +20,7 @@ from accspec.spectrogram import (ConvergenceRow, DefectField,
                                  c_delta, compute_psi, count_n, defect_g,
                                  dilation_snapshot, inequality_report,
                                  inner_product_direct,
-                                 inner_product_spectral,
-                                 l1_convergence_study)
+                                 inner_product_spectral)
 
 
 def test_count_n_values():
@@ -541,12 +540,13 @@ def test_pure_projection_equality_case():
 
 
 def test_l1_study_smoke():
-    rows = l1_convergence_study(sine_kernel(), Box(np.array([-1.0]),
-                                                   np.array([1.0])),
-                                [2.0, 4.0], nodes_per_unit=30.0)
+    rows = [dilation_snapshot(sine_kernel(), Box(np.array([-1.0]),
+                                                 np.array([1.0])),
+                              scale, nodes_per_unit=30.0)
+            for scale in (2.0, 4.0)]
     assert rows[1].err_normalized < rows[0].err_normalized
     for row in rows:
-        assert abs(row.tail_mass) < 1e-8
+        assert abs(row.field.tail_mass) < 1e-8
         assert not row.saturated
         # err_raw is the L1 distance of rho from the field's own target
         fld = row.field
@@ -556,12 +556,6 @@ def test_l1_study_smoke():
         assert row.err_normalized == row.err_raw / fld.n_count
 
 
-def test_l1_study_rejects_unordered_scales():
-    with pytest.raises(ValueError):
-        l1_convergence_study(sine_kernel(), Box(np.array([-1.0]),
-                                                np.array([1.0])), [4.0, 2.0])
-
-
 def _direct_rho(kernel, region, n_per_axis, eval_spacing=None):
     """rho of ``region`` on ``build_grid(region, n_per_axis)``, evaluated
     as a ladder rung evaluates it."""
@@ -569,19 +563,21 @@ def _direct_rho(kernel, region, n_per_axis, eval_spacing=None):
     spectral = spectral_decompose(assemble_operator(kernel, grid))
     eval_grid = build_eval_grid(kernel, region, spacing=eval_spacing,
                                 reference_grid=grid)
-    return accumulated_spectrogram(kernel, spectral, eval_grid).rho
+    psi = compute_psi(kernel, spectral, eval_grid,
+                      j_max=count_n(spectral.trace))
+    return accumulated_spectrogram(kernel, spectral, eval_grid, psi).rho
 
 
 def test_l1_study_reports_saturation():
     base = Box(np.array([-1.0]), np.array([1.0]))
-    rows = l1_convergence_study(sine_kernel(), base, [8.0],
-                                nodes_per_unit=40.0, node_cap=128)
-    assert rows[0].saturated
+    row = dilation_snapshot(sine_kernel(), base, 8.0, nodes_per_unit=40.0,
+                            node_cap=128)
+    assert row.saturated
     # the rung is the finest grid within the cap: 128 of the 640 nodes
     # that 40 per unit asks for
     region = base.dilate(8.0)
     assert max_n_per_axis(region, 128) == 128
-    assert np.array_equal(rows[0].field.rho,
+    assert np.array_equal(row.field.rho,
                           _direct_rho(sine_kernel(), region, 128))
 
 
@@ -592,9 +588,8 @@ def test_ladder_coarsens_to_the_factor_budget(monkeypatch):
     monkeypatch.setattr(discretize, "_FACTOR_BYTE_BUDGET", 64 * 16 * 1000)
     disk = Ball(np.zeros(2), 1.0)
     n = max_n_per_axis(disk, 1000)  # 35 per axis, 952 nodes
-    row, = l1_convergence_study(GinibreKernel(1), disk, [1.0],
-                                nodes_per_unit=1e5, node_cap=10 ** 9,
-                                eval_spacing=0.25)
+    row = dilation_snapshot(GinibreKernel(1), disk, 1.0, nodes_per_unit=1e5,
+                            node_cap=10 ** 9, eval_spacing=0.25)
     assert row.saturated
     assert np.array_equal(row.field.rho,
                           _direct_rho(GinibreKernel(1), disk, n, 0.25))
@@ -607,7 +602,10 @@ def test_ginibre_disk_bulk_density():
     grid = build_grid(region, 40)
     spectral = spectral_decompose(assemble_operator(kernel, grid))
     eval_grid = build_eval_grid(kernel, region, spacing=0.15)
-    fld = accumulated_spectrogram(kernel, spectral, eval_grid)
+    fld = accumulated_spectrogram(
+        kernel, spectral, eval_grid,
+        compute_psi(kernel, spectral, eval_grid,
+                    j_max=count_n(spectral.trace)))
     center_band = np.linalg.norm(eval_grid.nodes, axis=1) < 0.8
     assert np.mean(fld.rho[center_band]) == approx(1.0, rel=0.05)
     far = np.linalg.norm(eval_grid.nodes, axis=1) > 5.0
@@ -660,5 +658,6 @@ def test_rows_and_defects_keep_no_second_copy():
     assert [f.name for f in fields(ConvergenceRow)] == [
         "scale", "trace", "err_raw", "saturated",
         "trace_defect", "field"]
+    assert not hasattr(ConvergenceRow, "tail_mass")
     assert [f.name for f in fields(DefectField)] == [
         "values", "window_integral", "l1_total", "quad_error_estimate"]
