@@ -22,7 +22,10 @@ Dividing by pi |x - y| >= pi/2 keeps that below 2e-16; entries with
 |x - y| < 1/2 take the Bessel form instead, whose error is relative, and
 so do blocks too thin for the 2(M + n) values to save work. Distances
 in d >= 2 are accumulated one axis at a time, with no M x n x d
-temporary.
+temporary. The radial quadrature of the Paley-Wiener profiles
+(``radial_panels``) takes its sines and cosines by angle addition too:
+its panels are uniform, so every node is a panel start plus one of the
+Gauss offsets that all panels share.
 
 A field on an evaluation grid is a kernel sum sum_y L(x,y) v(y) over
 the window points y, with L = K or |K|^2 (``Kernel.field_sum``). When
@@ -50,11 +53,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import unit_ball_volume, unit_sphere_area
-from .quadrature import (geometric_edges, panel_nodes, trapezoid_circle,
-                         uniform_edges)
+from .quadrature import (DEFAULT_NODES_PER_PANEL, geometric_edges,
+                         panel_nodes, trapezoid_circle, uniform_panel_count)
 
 _SUPPORTED_BESSEL_ORDERS = (0.5, 1.0, 1.5)
 _J1_CROSSOVER = 13.0
+# below these distances the Paley-Wiener amplitude in dimension d (and
+# J_{d/2} for d = 2, 3) takes its power series, for d = 1 the diagonal
+# value, and from them on sin r and cos r
+_SERIES_BELOW = {1: 1e-8, 2: _J1_CROSSOVER, 3: 0.6}
+_SERIES_TERMS = {1.0: 40, 1.5: 12}
+# panels per radial quadrature chunk: keeps the per-node temporaries
+# (nodes, weights, profile, and the caller's) the same size at every
+# radius
+_PANEL_CHUNK = 64
 # correlation length = smallest r with envelope(phi)(r) < 1e-4 phi(0),
 # capped for slowly decaying profiles
 _CORRELATION_DROP = 1e-4
@@ -85,7 +97,9 @@ def bessel_j(nu: float, x) -> np.ndarray | float:
     24-term Hankel asymptotic expansion beyond; at the crossover both
     branches carry relative error below 1e-11, and in float64 the
     series cannot be pushed further without losing digits to
-    cancellation.
+    cancellation. Sines and cosines are taken only where a closed form
+    or the Hankel expansion reads them, and a series only runs on a
+    non-empty set of arguments.
     """
     if nu not in _SUPPORTED_BESSEL_ORDERS:
         raise ValueError(
@@ -102,17 +116,17 @@ def bessel_j(nu: float, x) -> np.ndarray | float:
         pos = x_arr > 0
         xp = x_arr[pos]
         out[pos] = np.sqrt(2.0 / (math.pi * xp)) * np.sin(xp)
-    elif nu == 1.5:
+    else:
         out = np.empty_like(x_arr)
-        lo = x_arr < 0.6
-        out[lo] = _j_series(1.5, x_arr[lo], n_terms=12)
+        lo = x_arr < _SERIES_BELOW[int(2 * nu)]
+        if lo.any():
+            out[lo] = _j_series(nu, x_arr[lo], n_terms=_SERIES_TERMS[nu])
         xp = x_arr[~lo]
-        out[~lo] = np.sqrt(2.0 / (math.pi * xp)) * (np.sin(xp) / xp - np.cos(xp))
-    else:  # nu == 1.0
-        out = np.empty_like(x_arr)
-        lo = x_arr < _J1_CROSSOVER
-        out[lo] = _j_series(1.0, x_arr[lo], n_terms=40)
-        out[~lo] = _j1_hankel(x_arr[~lo])
+        if nu == 1.5:
+            out[~lo] = np.sqrt(2.0 / (math.pi * xp)) * (np.sin(xp) / xp
+                                                         - np.cos(xp))
+        else:
+            out[~lo] = _j1_hankel(xp, np.sin(xp), np.cos(xp))
 
     return float(out[0]) if scalar else out
 
@@ -134,27 +148,42 @@ def _j_series(nu: float, x: np.ndarray, n_terms: int) -> np.ndarray:
     return total
 
 
-def _j1_hankel(x: np.ndarray) -> np.ndarray:
-    """Large-argument asymptotic for J_1; valid for x >= ~13.
+def _hankel_coefficients(n_terms: int = 24):
+    """J_1's Hankel expansion P(y) = sum_k p_k y^k and Q(y) = sum_k q_k
+    y^k in y = 1/x^2, highest power first: the j-th of its ``n_terms``
+    terms is +-a_j / x^j, a_j = prod_{i <= j} (4 - (2i - 1)^2) / (8 i),
+    the even ones in P and the odd ones, over x, in Q. 24 terms put the
+    truncation floor near e^{-2x} at the crossover x = 13 and the terms
+    are still shrinking there, so a fixed count is safe for every larger
+    x as well."""
+    p, q, a = [1.0], [], 1.0
+    for j in range(1, n_terms + 1):
+        a *= (4.0 - (2 * j - 1) ** 2) / (8.0 * j)
+        (q if j % 2 else p).append(a if j % 4 in (0, 1) else -a)
+    return tuple(p[::-1]), tuple(q[::-1])
 
-    24 terms put the truncation floor near e^{-2x} at the crossover and
-    the terms are still shrinking there, so a fixed count is safe for
-    every larger x as well.
-    """
-    mu = 4.0
-    inv8x = 1.0 / (8.0 * x)
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    term = np.ones_like(x)
-    for j in range(1, 25):
-        term = term * (mu - (2 * j - 1) ** 2) * inv8x / j
-        signed = term if j % 4 in (0, 1) else -term
-        if j % 2 == 1:
-            q = q + signed
-        else:
-            p = p + signed
-    w = x - 0.75 * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(w) - q * np.sin(w))
+
+_J1_P, _J1_Q = _hankel_coefficients()
+
+
+def _j1_hankel(x: np.ndarray, sin_x: np.ndarray,
+               cos_x: np.ndarray) -> np.ndarray:
+    """Large-argument asymptotic for J_1, valid for x >= ~13, from x and
+    its sine and cosine: sqrt(2 / (pi x)) (P cos w - Q sin w / x) with
+    the phase w = x - 3 pi/4 taken by rotating (sin x, cos x), which is
+    (P (sin x - cos x) + Q (sin x + cos x) / x) / sqrt(pi x). P and Q
+    run by Horner's rule in place."""
+    y = 1.0 / (x * x)
+    p = np.full_like(x, _J1_P[0])
+    for coef in _J1_P[1:]:
+        p *= y
+        p += coef
+    q = np.full_like(x, _J1_Q[0])
+    for coef in _J1_Q[1:]:
+        q *= y
+        q += coef
+    q /= x
+    return (p * (sin_x - cos_x) + q * (sin_x + cos_x)) / np.sqrt(math.pi * x)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +317,8 @@ def _half_sphere(d: int, x: float):
 class Kernel:
     """Shared interface: Hermitian translation-invariant radial kernels.
 
-    The radial variance route uses ``diagonal_value``, ``radial_profile``
-    and ``radial_panel_edges`` on [0, 2R] only: the projection identity
+    The radial variance route uses ``diagonal_value`` and
+    ``radial_panels`` on [0, 2R] only: the projection identity
     int |K(x,y)|^2 dy = K(x,x) replaces everything beyond the diameter.
     """
 
@@ -371,6 +400,20 @@ class Kernel:
     def radial_panel_edges(self, a: float, b: float) -> np.ndarray:
         """Panel edges resolving the radial profile's structure on [a, b]."""
         raise NotImplementedError
+
+    def radial_panels(self, a: float, b: float,
+                      n_nodes: int = DEFAULT_NODES_PER_PANEL):
+        """Gauss-Legendre quadrature of the radial profile on [a, b]:
+        yields (nodes, weights, phi(nodes)) for at most ``_PANEL_CHUNK``
+        panels of ``n_nodes`` nodes at a time, over the panels of
+        ``radial_panel_edges``. A panel set beyond its cap raises
+        ResourceLimitError when the first chunk is asked for, before
+        anything of its size is allocated."""
+        edges = self.radial_panel_edges(a, b)
+        for start in range(0, edges.size - 1, _PANEL_CHUNK):
+            nodes, weights = panel_nodes(edges[start:start + _PANEL_CHUNK + 1],
+                                         n_nodes)
+            yield nodes, weights, self.radial_profile(nodes)
 
 
 @dataclass(frozen=True)
@@ -476,18 +519,51 @@ class PaleyWienerKernel(Kernel):
     def name(self) -> str:
         return "sine" if self.dim == 1 else "paley-wiener"
 
-    def _profile_amplitude(self, r: np.ndarray) -> np.ndarray:
-        """K as a function of the distance r (real valued)."""
+    def _profile_amplitude(self, r, sin_r=None, cos_r=None) -> np.ndarray:
+        """K as a function of the distance r (real valued).
+
+        Below ``_SERIES_BELOW[d]`` it is the diagonal value up to r =
+        1e-8 and J_{d/2}(r) / (2 pi r)^{d/2} by the power series beyond;
+        from there on ``_trig_amplitude`` of r, sin r and cos r. The
+        panel path passes sin_r and cos_r of every r; otherwise they are
+        taken where that formula reads them.
+        """
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
-        if scalar:
-            r = r.reshape(1)
+        r = np.atleast_1d(r)
+        trig = r >= _SERIES_BELOW[self.dim]
+        if trig.all():
+            out = self._trig_amplitude(r, sin_r, cos_r)
+            return out[0] if scalar else out
         out = np.full(r.shape, self.diagonal_value)
-        far = r > 1e-8
-        rf = r[far]
-        nu = self.dim / 2.0
-        out[far] = bessel_j(nu, rf) / ((2.0 * math.pi) ** nu * rf ** nu)
+        if self.dim > 1:
+            series = ~trig & (r > 1e-8)
+            if series.any():
+                rs = r[series]
+                nu = self.dim / 2.0
+                out[series] = (_j_series(nu, rs, _SERIES_TERMS[nu])
+                               / ((2.0 * math.pi) ** nu * rs ** nu))
+        if trig.any():
+            out[trig] = self._trig_amplitude(
+                r[trig], None if sin_r is None else sin_r[trig],
+                None if cos_r is None else cos_r[trig])
         return out[0] if scalar else out
+
+    def _trig_amplitude(self, r, s, c) -> np.ndarray:
+        """K at distances r >= ``_SERIES_BELOW[d]`` from s = sin r and
+        c = cos r, each taken here when None (d = 1 reads no cosine):
+        sin r / (pi r) for d = 1, (sin r / r - cos r) / (2 pi^2 r^2) for
+        d = 3, and J_1(r) / (2 pi r) by the Hankel expansion for d = 2.
+        """
+        if s is None:
+            s = np.sin(r)
+        if self.dim == 1:
+            return s / (math.pi * r)
+        if c is None:
+            c = np.cos(r)
+        if self.dim == 3:
+            return (s / r - c) / ((2.0 * math.pi ** 2) * r * r)
+        return _j1_hankel(r, s, c) / (2.0 * math.pi * r)
 
     def eval_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The M x n block K(x_i, y_j).
@@ -610,8 +686,36 @@ class PaleyWienerKernel(Kernel):
             ** (1.0 / (d + 1))
         return min(r, _CORRELATION_LENGTH_CAP)
 
-    def radial_panel_edges(self, a: float, b: float) -> np.ndarray:
-        return uniform_edges(a, b, max_width=0.5 * math.pi)
+    def radial_panels(self, a: float, b: float,
+                      n_nodes: int = DEFAULT_NODES_PER_PANEL):
+        """The radial quadrature on uniform panels of width at most
+        pi/2, a quarter of the amplitude's period.
+
+        The panel count is checked against the cap before anything is
+        allocated. Every node is a panel start s_k plus one of the
+        ``n_nodes`` Gauss offsets t_j shared by all panels, so sin and
+        cos of the node come by angle addition from one table over the
+        chunk's starts and one over the offsets: those of the exact sum
+        s_k + t_j, with a few eps of absolute (not relative) error. The
+        node itself is that sum rounded once, off by eps/2 relative,
+        which the smooth factors of the profile carry as relative error.
+        """
+        count = uniform_panel_count(a, b, 0.5 * math.pi)
+        width = (b - a) / count
+        offsets, weights = panel_nodes(np.array([0.0, width]), n_nodes)
+        sin_t, cos_t = np.sin(offsets), np.cos(offsets)
+        weights = np.tile(weights, min(count, _PANEL_CHUNK))
+        weights.setflags(write=False)  # every chunk yields a view of it
+        for first in range(0, count, _PANEL_CHUNK):
+            starts = a + width * np.arange(first,
+                                           min(first + _PANEL_CHUNK, count))
+            sin_s, cos_s = np.sin(starts)[:, None], np.cos(starts)[:, None]
+            nodes = (starts[:, None] + offsets).ravel()
+            sin_r = (sin_s * cos_t + cos_s * sin_t).ravel()
+            cos_r = None if self.dim == 1 else \
+                (cos_s * cos_t - sin_s * sin_t).ravel()
+            amplitude = self._profile_amplitude(nodes, sin_r, cos_r)
+            yield nodes, weights[:nodes.size], amplitude * amplitude
 
 
 def sine_kernel() -> PaleyWienerKernel:
@@ -625,14 +729,15 @@ def radial_normalization_check(kernel: Kernel, r_max: float) -> float:
     For a radial projection kernel, integrating phi over R^d must
     reproduce the diagonal: d c_d int_0^inf r^{d-1} phi(r) dr =
     sqrt(phi(0)). Returns the truncated-integral residual; its size is
-    limited by the profile tail beyond r_max.
+    limited by the profile tail beyond r_max. The quadrature runs a chunk
+    of ``radial_panels`` at a time, so its memory does not grow with
+    r_max.
     """
     if r_max <= 0:
         raise ValueError("r_max must be positive")
     d = kernel.ambient_dim
-    edges = kernel.radial_panel_edges(0.0, r_max)
-    nodes, weights = panel_nodes(edges)
-    integral = float(np.sum(weights * nodes ** (d - 1) * kernel.radial_profile(nodes)))
+    integral = sum(float(np.sum(weights * nodes ** (d - 1) * phi))
+                   for nodes, weights, phi in kernel.radial_panels(0.0, r_max))
     if not np.isfinite(integral):
         raise ArithmeticError("radial quadrature produced a non-finite value")
     return unit_sphere_area(d) * integral - math.sqrt(kernel.radial_profile(0.0))

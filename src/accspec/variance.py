@@ -27,7 +27,6 @@ from .geometry import (Ball, DisjointBallUnion, Region,
                        _ball_volume_unchecked, lens_volume_exact_many,
                        unit_ball_volume, unit_sphere_area)
 from .kernels import Kernel
-from .quadrature import panel_nodes
 
 
 class FitRangeError(ValueError):
@@ -59,11 +58,6 @@ def variance_spectral(spectral: SpectralData) -> float:
     return float(np.sum(mu * (1.0 - mu)))
 
 
-# panels per quadrature pass: keeps the per-node temporaries (nodes,
-# weights, profile, overlap) the same size at every radius
-_PANEL_CHUNK = 64
-
-
 @dataclass(frozen=True)
 class RadialVariance:
     """Radial-route variance with its quadrature error estimate."""
@@ -82,41 +76,50 @@ def variance_radial(kernel: Kernel, radius: float) -> RadialVariance:
     A projection kernel integrates |K(x, .)|^2 to K(x, x), so the
     variance is exactly E - sigma int_0^{2 radius} r^{d-1} phi(r)
     |B n (B + r e)| dr: beyond the diameter the shifted balls no longer
-    overlap. The closed interval is integrated on panels sized to the
-    profile's oscillation, a fixed number of panels at a time, at 64
-    and 32 nodes per panel. The error estimate is the difference of the
-    two resolutions plus N * eps * E, N being the fine node count, which
-    bounds the accumulated rounding: the terms of the fine sum are
-    non-negative and add up to E - value <= E, so summing them in any
-    order errs by at most (N - 1) * eps * E; the weights and the profile
-    carry a few eps of relative error per term; the overlap c_d R^d -
-    lens carries an absolute eps * c_d R^d, which sums to at most
-    eps * E since sigma int r^{d-1} phi = K(x, x); and the subtraction
-    from E adds eps * E. With N >= 64, N * eps * E covers them together.
+    overlap. The closed interval is integrated over the kernel's
+    ``radial_panels``, sized to the profile's oscillation, a fixed
+    number of panels at a time, at 64 and 32 nodes per panel. The error
+    estimate is the difference of the two resolutions plus N * eps * E,
+    N being the fine node count, which bounds the accumulated rounding:
+    * the terms of the fine sum are non-negative and add up to
+      E - value <= E, so summing them, pairwise within a chunk and in
+      sequence across chunks, errs by far less than N * eps * E;
+    * the weights carry a few eps of relative error per term, and so
+      does the profile where it comes from a series or from numpy's
+      sine and cosine;
+    * on the Paley-Wiener panels sine and cosine come by angle addition
+      with a few eps of absolute, not relative, error. Where K is small
+      that is a large relative error of phi = K^2, but for an absolute
+      error delta, r^{d-1} times 2 |K| times the amplitude's sensitivity
+      to it integrates, from the second panel on, to less than
+      3 delta * E in d = 1, 2, 3 (the first panel starts at r = 0, where
+      the addition returns numpy's sine and cosine of the offsets);
+    * the overlap c_d R^d - lens carries an absolute eps * c_d R^d,
+      which sums to at most eps * E since sigma int r^{d-1} phi =
+      K(x, x), and the subtraction from E adds eps * E.
+    With N >= 64, N * eps * E covers them together.
     """
     if not 0 < radius < math.inf:  # a NaN radius fails as well
         raise ValueError(f"radius must be positive and finite, got {radius}")
     d = kernel.ambient_dim
     ball = unit_ball_volume(d) * radius ** d
     e_count = kernel.diagonal_value * ball
+
+    def pair_integral(n_nodes):
+        total, count = 0.0, 0
+        for nodes, weights, phi in kernel.radial_panels(0.0, 2.0 * radius,
+                                                        n_nodes):
+            overlap = ball - lens_volume_exact_many(d, nodes, radius)
+            total += float(np.sum(weights * nodes ** (d - 1) * phi * overlap))
+            count += nodes.size
+        return unit_sphere_area(d) * total, count
+
     try:
-        edges = kernel.radial_panel_edges(0.0, 2.0 * radius)
+        fine, n_fine = pair_integral(64)
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"radial variance at radius {radius:g}: "
                                  f"{exc}") from None
-
-    def pair_integral(n_nodes):
-        total = 0.0
-        for start in range(0, edges.size - 1, _PANEL_CHUNK):
-            nodes, weights = panel_nodes(edges[start:start + _PANEL_CHUNK + 1],
-                                         n_nodes)
-            overlap = ball - lens_volume_exact_many(d, nodes, radius)
-            total += float(np.sum(weights * nodes ** (d - 1)
-                                  * kernel.radial_profile(nodes) * overlap))
-        return unit_sphere_area(d) * total
-
-    fine, coarse = pair_integral(64), pair_integral(32)
-    n_fine = 64 * (edges.size - 1)
+    coarse, _ = pair_integral(32)
     error = float(abs(fine - coarse) + n_fine * np.finfo(float).eps * e_count)
     return RadialVariance(value=e_count - fine, error_estimate=error)
 

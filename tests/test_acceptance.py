@@ -200,8 +200,8 @@ def test_criterion_7_kernel_admissibility(check_lines):
     lines, setup_time = check_lines
     t0 = time.perf_counter() - setup_time
     _assert_line(lines, "radial_normalization_ginibre_d2", 1e-10)
-    _assert_line(lines, "radial_normalization_sine_d1", 1e-3)
-    _assert_line(lines, "radial_normalization_paley-wiener_d2", 1e-2)
+    _assert_line(lines, "radial_normalization_sine_d1", 1.1e-5)
+    _assert_line(lines, "radial_normalization_paley-wiener_d2", 5.5e-6)
     _stamp("criterion-7 kernel-admissibility", t0, 10.0)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -94,7 +95,8 @@ def test_bessel_j1_bits_match_the_allocating_series():
     lo = xs < kernels._J1_CROSSOVER
     expected = np.empty_like(xs)
     expected[lo] = allocating_j1_series(xs[lo])
-    expected[~lo] = kernels._j1_hankel(xs[~lo])
+    expected[~lo] = kernels._j1_hankel(xs[~lo], np.sin(xs[~lo]),
+                                       np.cos(xs[~lo]))
     assert np.array_equal(bessel_j(1.0, xs), expected)
     assert np.array_equal(xs, before)
 
@@ -488,16 +490,61 @@ def test_normalization_residual_ginibre_machine_zero():
     assert abs(radial_normalization_check(GinibreKernel(1), 10.0)) < 1e-12
 
 
+# the residuals at r_max = 1e4 are the profile tails beyond r_max,
+# 1/(pi^2 r_max), 1/(2 pi^2 r_max) and 1/(2 pi^3 r_max): measured
+# 1.013e-5, 5.066e-6 and 1.613e-6
+
+
 def test_normalization_residual_sine_slow_tail():
-    assert abs(radial_normalization_check(sine_kernel(), 1e4)) < 1e-3
+    assert abs(radial_normalization_check(sine_kernel(), 1e4)) < 1.1e-5
 
 
 def test_normalization_residual_pw2():
-    assert abs(radial_normalization_check(PaleyWienerKernel(2), 1e4)) < 1e-2
+    assert abs(radial_normalization_check(PaleyWienerKernel(2), 1e4)) < 5.5e-6
 
 
 def test_normalization_residual_pw3():
-    assert abs(radial_normalization_check(PaleyWienerKernel(3), 1e4)) < 1e-2
+    assert abs(radial_normalization_check(PaleyWienerKernel(3), 1e4)) < 1.8e-6
+
+
+def test_normalization_check_memory_does_not_grow_with_r_max():
+    # the 4.1M nodes of r_max = 1e5 would take 475 MiB formed at once;
+    # chunked, the peak measures 0.42 MiB, as at r_max = 1e3. The first
+    # call fills the Gauss rule's cache.
+    kernel = PaleyWienerKernel(2)
+    radial_normalization_check(kernel, 10.0)
+    tracemalloc.start()
+    try:
+        radial_normalization_check(kernel, 1e5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_panels_agree_with_the_pointwise_profile(d):
+    # [0, 6000] crosses the series switches at 0.6 (d = 3) and 13 (d = 2).
+    # Angle addition gives sin and cos of the exact sum start + offset to
+    # a few eps; the node is that sum rounded, off by up to eps r / 2, so
+    # phi differs by eps (1 + r) times the envelope phi(r) <= 2 /
+    # ((2 pi)^d pi r^(d+1)) (measured at most 1.15 times that), and each
+    # chunk's weights sum to its span within 0.93 eps of it
+    kernel = PaleyWienerKernel(d)
+    eps = np.finfo(float).eps
+    width = 6000.0 / math.ceil(6000.0 / (0.5 * math.pi))
+    for n_nodes in (64, 32):
+        covered = 0.0
+        for nodes, weights, phi in kernel.radial_panels(0.0, 6000.0, n_nodes):
+            envelope = np.minimum(kernel.diagonal_value ** 2,
+                                  2.0 / ((2.0 * math.pi) ** d * math.pi
+                                         * nodes ** (d + 1)))
+            gap = np.abs(phi - kernel.radial_profile(nodes))
+            assert np.all(gap <= 2.0 * eps * (1.0 + nodes) * envelope)
+            span = nodes.size // n_nodes * width
+            assert abs(weights.sum() - span) <= 2.0 * eps * span
+            covered += span
+        assert covered == approx(6000.0, rel=1e-14)
 
 
 def test_normalization_check_rejects_bad_range():
@@ -519,8 +566,9 @@ def test_kernel_dimension_validation():
         GinibreKernel(3)
 
 
-class _FlatProfileStub:
-    """Constant radial profile: not integrable, not a projection kernel."""
+class _FlatProfileStub(kernels.Kernel):
+    """Constant radial profile: not integrable, not a projection kernel.
+    Its quadrature is the base ``Kernel.radial_panels`` over its edges."""
 
     ambient_dim = 1
     diagonal_value = 1.0

@@ -96,6 +96,25 @@ def test_variance_radial_sine_exact():
         assert abs(rv.value - exact) <= rv.error_estimate, (radius, rv)
 
 
+@pytest.mark.parametrize("d, radius, exact", [
+    (2, 5.0, 1.84877660039891435719788369241),
+    (2, 20.0, 10.2100565525856088272027250464),
+    (2, 50.0, 30.1680441497033444511633091488),
+    (3, 5.0, 3.87889124770435420423952276989),
+    (3, 20.0, 90.3438855604514780428931136714),
+])
+def test_variance_radial_paley_wiener_exact(d, radius, exact):
+    # E - sigma_d int_0^{2R} r^{d-1} phi(r) |B n (B + r e)| dr by mpmath
+    # at 40 digits (quad on panels at multiples of pi), with E = R^2 / 4,
+    # phi = (J_1(r) / (2 pi r))^2 and the disk overlap 2 R^2 acos(r / 2R)
+    # - (r / 2) sqrt(4 R^2 - r^2) in d = 2; E = 2 R^3 / (9 pi),
+    # phi = ((sin r / r - cos r) / (2 pi^2 r^2))^2 and the ball overlap
+    # (pi / 12) (4 R + r) (2 R - r)^2 in d = 3. The error estimate must
+    # bound the actual error
+    rv = variance_radial(PaleyWienerKernel(d), radius)
+    assert abs(rv.value - exact) <= rv.error_estimate, (d, radius, rv)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_variance_radial_no_warning_at_large_radius(d):
     rv = variance_radial(PaleyWienerKernel(d), 1000.0)
