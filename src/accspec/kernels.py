@@ -32,16 +32,19 @@ the window points y, with L = K or |K|^2 (``Kernel.field_sum``). When
 the grid is a product lattice, a kernel with lattice factors gives, for
 K or for |K|^2, per-axis tables over a rank together with what the rank
 contracts against. The Ginibre kernel factors exactly over the real
-axes, and its rank is the window node. The Paley-Wiener kernel in d = 2
-and 3 is a sum of plane waves over the unit Fourier ball, which a polar
-Gauss rule reproduces to rounding, and |K|^2 one over the ball of
-radius 2, weighted by the unit ball's covariogram; its rank is a plane
-wave of the rule, contracted against the window's phase sums, which are
-built a few rows at a time. Either way the sum forms no kernel block:
-a sum against k vectors is one GEMM of a trailing-axis table per index
-of the leading axes, and a sum against one vector one matrix-vector
-product. Other kernels, and points off a lattice, evaluate M x n blocks
-of ``eval_matrix`` a few rows at a time.
+axes, and its rank is the window node. The Paley-Wiener kernel is a sum
+of plane waves over the unit Fourier ball, which a polar Gauss rule
+reproduces to rounding, and |K|^2 one over the ball of radius 2,
+weighted by the unit ball's covariogram; its rank is a plane wave of the
+rule, contracted against the window's phase sums, which are built a few
+rows at a time. In d = 1 the lattice is the whole grid, an arithmetic
+axis x_0 + j h, which is split as j = b j_1 + j_2 into a coarse and a
+fine axis of about sqrt(M) nodes each: exp(i xi x_j) is the product of
+their tables, so no M x rank table is formed. Either way the sum forms
+no kernel block: a sum against k vectors is one GEMM of a trailing-axis
+table per index of the leading axes, and a sum against one vector one
+matrix-vector product. Other kernels, and points off a lattice, evaluate
+M x n blocks of ``eval_matrix`` a few rows at a time.
 """
 
 from __future__ import annotations
@@ -78,7 +81,10 @@ _SINE_ADDITION_MIN_DIST = 0.5
 # lattice factors (see _fourier_order). Entry by entry, the d = 2 rule
 # for |K|^2 errs by 9.4e-15 of its maximum at 1e-13; from 1e-14 on, every
 # rule in d = 2 and 3, and the fields of d = 2 disks and a box and of a
-# d = 3 ball against scipy's j1 and spherical_jn, err by at most 4.6e-15
+# d = 3 ball against scipy's j1 and spherical_jn, err by at most 4.6e-15.
+# In d = 1 the rules err by 1.3e-15 on a lattice 3 wide and by 2.2e-14
+# (|K|^2) on a sine ladder's lattice 192 wide, where the rounding of
+# phases up to 384 sets the error, not the rule
 _PLANE_WAVE_TOL = 1e-15
 # entries per kernel block of a field sum: a complex block of 2^16
 # entries (1 MB) and eval_matrix's temporaries stay in cache, where a
@@ -86,6 +92,10 @@ _PLANE_WAVE_TOL = 1e-15
 # the lattice route folds axes into its trailing table up to this size
 # and builds its plane-wave window phases in blocks of this size
 _BLOCK_ENTRIES = 1 << 16
+# a d = 1 lattice axis is split as an arithmetic progression; the nodes
+# of build_eval_grid deviate from the progression through their ends by
+# at most 2.9 eps of their largest coordinate (20000 random grids)
+_ARITHMETIC_TOL = 16.0 * np.finfo(float).eps
 
 
 def bessel_j(nu: float, x) -> np.ndarray | float:
@@ -260,23 +270,25 @@ def _phase_sums(waves, scale, origin, ys, vecs) -> np.ndarray:
     return side
 
 
-def _plane_wave_sum(axes, ys, vecs, origin, radii, w_radii, dirs, w_dirs,
-                    norm) -> np.ndarray:
-    """sum_y L(x, y) vecs[y] on the lattice of ``axes`` for the plane-wave
-    rule L(x, y) = norm sum_r w_r exp(i waves[r] . (x - y)) over the waves
+def _plane_wave_sum(lattice, ys, vecs, origin, radii, w_radii, dirs,
+                    w_dirs, norm) -> np.ndarray:
+    """sum_y L(x, y) vecs[y] on ``lattice`` for the plane-wave rule
+    L(x, y) = norm sum_r w_r exp(i waves[r] . (x - y)) over the waves
     radii x dirs, weighted w_radii * w_dirs.
 
-    The rule is symmetric under waves -> -waves and keeps one wave of
-    each pair, so for real vecs the sum is the real part of the
-    ``_contract`` of the tables exp(i waves[r, k] (x_k - origin_k))
-    against the ``_phase_sums``, with the weights doubled. Complex vecs
-    go through as their real and imaginary parts, against one set of
-    tables.
+    ``lattice`` lists its axes as pairs (k, t): the coordinates t, taken
+    about ``origin``, along the k-th real axis; a point x - origin is the
+    sum of one coordinate per axis, placed on its k. The rule is
+    symmetric under waves -> -waves and keeps one wave of each pair, so
+    for real vecs the sum is the real part of the ``_contract`` of the
+    tables exp(i waves[r, k] t) against the ``_phase_sums``, with the
+    weights doubled. Complex vecs go through as their real and imaginary
+    parts, against one set of tables.
     """
-    waves = (radii[:, None, None] * dirs[None]).reshape(-1, len(axes))
+    waves = (radii[:, None, None] * dirs[None]).reshape(-1, len(origin))
     scale = (2.0 * norm) * np.multiply.outer(w_radii, w_dirs).ravel()
-    tables = tuple(np.exp(1j * np.multiply.outer(axis - o, waves[:, k]))
-                   for k, (axis, o) in enumerate(zip(axes, origin)))
+    tables = tuple(np.exp(1j * np.multiply.outer(t, waves[:, k]))
+                   for k, t in lattice)
 
     # the phase blocks live in the frame of _phase_sums, which ends
     # before the contraction starts
@@ -289,13 +301,34 @@ def _plane_wave_sum(axes, ys, vecs, origin, radii, w_radii, dirs, w_dirs,
     return real_sum(vecs)
 
 
+def _split_axis(axis: np.ndarray, origin: float):
+    """The arithmetic axis x_j = x_0 + j h, j < M, as the lattice
+    coordinates of j = b j_1 + j_2, b = ceil(sqrt(M)): x_0 - origin +
+    b h j_1 for j_1 < ceil(M / b) and h j_2 for j_2 < b, whose sums in C
+    order run through the M points and on for fewer than b more. h is
+    taken from the axis's ends; an axis off that progression by more
+    than ``_ARITHMETIC_TOL`` of its largest coordinate raises ValueError.
+    """
+    m = len(axis)
+    step = (axis[-1] - axis[0]) / (m - 1) if m > 1 else 0.0
+    deviation = np.abs(axis - (axis[0] + step * np.arange(m))).max()
+    if deviation > _ARITHMETIC_TOL * np.abs(axis).max():
+        raise ValueError("lattice axis is not arithmetic: a node is "
+                         f"{deviation:.3g} off the progression of its ends")
+    b = math.isqrt(m - 1) + 1
+    coarse = (axis[0] - origin) + (b * step) * np.arange(-(-m // b))
+    return [(0, coarse), (0, step * np.arange(b))]
+
+
 def _half_sphere(d: int, x: float):
     """Directions and weights of a rule on the unit sphere S^{d-1} that
     integrates exp(i x u . theta) to the truncation tolerance for every
     unit u, keeping one direction of each antipodal pair. With
     N = _fourier_order(x) rounded up to an even m: the m/2 angles in
     [0, pi) of the m-point trapezoid rule, times ceil(N/2) Gauss nodes in
-    cos(polar angle) for d = 3."""
+    cos(polar angle) for d = 3. S^0 = {-1, +1} keeps +1, weight 1."""
+    if d == 1:
+        return np.ones((1, 1)), np.ones(1)
     n = _fourier_order(x)
     m = 2 * -(-n // 2)
     phi, w = trapezoid_circle(m)
@@ -338,13 +371,18 @@ class Kernel:
 
         When ``points`` are the product lattice of ``axes`` (one
         coordinate array per real axis, nodes in C order) and the kernel
-        has lattice factors there, no M x n block is formed. The working
-        memory is then O(M k) for the result plus O((M_1 + ... + M_d) R)
-        for tables of rank R, M_i being the number of nodes on axis i:
-        the Ginibre factors (R = n; for |K|^2 real tables), or the
-        Paley-Wiener rule's plane waves (R = the rule's waves, one rule
-        for K and a wider one for |K|^2), whose R x n window phases are
-        built at most ``_BLOCK_ENTRIES`` entries at a time; plus, for 4
+        has lattice factors there, no M x n block is formed. The axes
+        of ``build_eval_grid`` are arithmetic, and the Paley-Wiener
+        kernel in d = 1 needs its one axis to be: a node off the
+        progression through the axis's ends raises ValueError, as a
+        wrong number of axes does. The working memory is then O(M k)
+        for the result plus O((M_1 + ... + M_d) R) for tables of rank R,
+        M_i being the number of nodes on axis i: the Ginibre factors
+        (R = n; for |K|^2 real tables), or the Paley-Wiener rule's plane
+        waves (R = the rule's waves, one rule for K and a wider one for
+        |K|^2), whose R x n window phases are built at most
+        ``_BLOCK_ENTRIES`` entries at a time, and whose d = 1 tables
+        take two axes of about sqrt(M) nodes in place of M; plus, for 4
         axes, a folded trailing table of fewer than M_i
         ``_BLOCK_ENTRIES`` entries. Otherwise the M x n block of L comes
         from ``eval_matrix``, ``_BLOCK_ENTRIES // n`` rows at a time (at
@@ -609,7 +647,7 @@ class PaleyWienerKernel(Kernel):
         return out
 
     def _lattice_sum(self, axes, ys, vecs, square):
-        """Plane-wave lattice sum for d = 2 and 3 (None for d = 1).
+        """Plane-wave lattice sum.
 
         K(x, y) = (2 pi)^{-d} int_{|xi| <= 1} exp(i xi . (x - y)) dxi is
         taken by a polar rule on the unit ball: Gauss-Legendre radii with
@@ -617,11 +655,15 @@ class PaleyWienerKernel(Kernel):
         Fourier transform (2 pi)^{-2d} g(eta), g the covariogram of the
         unit ball (zero beyond |eta| = 2), whose radius is substituted as
         |eta| = 2 cos(phi), phi in [0, pi/2], so that the radial integrand
-        is analytic: g = 2 phi - sin(2 phi) (d = 2) and (8 pi / 3)
-        (2 + cos phi) sin^4(phi/2) (d = 3). Each rule is sized from the
-        largest phase it must integrate: the diameter D of the bounding
-        box of the lattice and ys times the bandwidth, 1 for K and 2 for
-        |K|^2. Phases are taken about the box's centre. None as well when
+        is analytic: g = 2 - |eta| (d = 1), 2 phi - sin(2 phi) (d = 2) and
+        (8 pi / 3) (2 + cos phi) sin^4(phi/2) (d = 3). Each rule is sized
+        from the largest phase it must integrate: the diameter D of the
+        bounding box of the lattice and ys times the bandwidth, 1 for K
+        and 2 for |K|^2. Phases are taken about the box's centre. In
+        d = 1 the lattice is the whole grid, so its one axis, which must
+        be arithmetic, is split by ``_split_axis`` into a coarse and a
+        fine axis of about sqrt(M) nodes each, whose tables replace an
+        M x rank table, and the sum is trimmed to the M nodes. None when
         the image rule has more waves than ys has points: the pass then
         costs more than the kernel blocks it replaces (d = 3: 1.9 s
         against 0.46 s for 4536 waves and 864 points, 0.45 s for both at
@@ -629,8 +671,6 @@ class PaleyWienerKernel(Kernel):
         gate, so K and |K|^2 take the same route on one lattice; only the
         requested rule's plane waves are built.
         """
-        if self.dim == 1:
-            return None
         ys = self._points(ys)
         if len(axes) != self.dim:
             raise ValueError(f"need {self.dim} axes, got {len(axes)}")
@@ -642,6 +682,8 @@ class PaleyWienerKernel(Kernel):
         origin = 0.5 * (lo + hi)
         diameter = float(np.linalg.norm(hi - lo))
         d = self.dim
+        lattice = _split_axis(axes[0], origin[0]) if d == 1 else \
+            [(k, axis - o) for k, (axis, o) in enumerate(zip(axes, origin))]
         # _fourier_order(x) > x / 2, so the image rule has more than
         # (diameter / 8) (diameter / 4)^(d-1) waves: no rule is sized,
         # let alone built, for a lattice far wider than the window
@@ -654,25 +696,30 @@ class PaleyWienerKernel(Kernel):
         if len(rho) * len(dirs) > len(ys):
             return None
         if not square:
-            return _plane_wave_sum(axes, ys, vecs, origin, rho,
-                                   w_rho * rho ** (d - 1), dirs, w_dirs,
-                                   (2.0 * math.pi) ** -d)
-        # |K|^2: |eta| = 2 cos(phi), phases up to 2 diameter cos(phi),
-        # whose frequency in phi, 2 diameter at most, the weight's
-        # sin(phi), cos(phi)^(d-1) and sin(2 phi) raise by d + 2 and its
-        # linear term in phi by one degree
-        phi, w_phi = panel_nodes([0.0, 0.5 * math.pi], -(-(_fourier_order(
-            0.25 * math.pi * (2.0 * diameter + d + 2)) + 1) // 2))
-        s = 2.0 * np.cos(phi)
-        if d == 2:
-            g = 2.0 * phi - np.sin(2.0 * phi)
+            out = _plane_wave_sum(lattice, ys, vecs, origin, rho,
+                                  w_rho * rho ** (d - 1), dirs, w_dirs,
+                                  (2.0 * math.pi) ** -d)
         else:
-            g = 8.0 * math.pi / 3.0 * (2.0 + np.cos(phi)) \
-                * np.sin(0.5 * phi) ** 4
-        return _plane_wave_sum(axes, ys, vecs, origin, s,
-                               w_phi * s ** (d - 1) * 2.0 * np.sin(phi) * g,
-                               *_half_sphere(d, 2.0 * diameter),
-                               (2.0 * math.pi) ** (-2 * d))
+            # |K|^2: |eta| = 2 cos(phi), phases up to 2 diameter
+            # cos(phi), whose frequency in phi, 2 diameter at most, the
+            # weight's sin(phi), cos(phi)^(d-1) and sin(2 phi) raise by
+            # d + 2 and its linear term in phi by one degree
+            phi, w_phi = panel_nodes([0.0, 0.5 * math.pi], -(-(
+                _fourier_order(0.25 * math.pi * (2.0 * diameter + d + 2))
+                + 1) // 2))
+            s = 2.0 * np.cos(phi)
+            if d == 1:
+                g = 2.0 - s
+            elif d == 2:
+                g = 2.0 * phi - np.sin(2.0 * phi)
+            else:
+                g = 8.0 * math.pi / 3.0 * (2.0 + np.cos(phi)) \
+                    * np.sin(0.5 * phi) ** 4
+            out = _plane_wave_sum(lattice, ys, vecs, origin, s,
+                                  w_phi * s ** (d - 1) * 2.0 * np.sin(phi)
+                                  * g, *_half_sphere(d, 2.0 * diameter),
+                                  (2.0 * math.pi) ** (-2 * d))
+        return out[:len(axes[0])] if d == 1 else out
 
     def radial_profile(self, r):
         out = np.asarray(self._profile_amplitude(r)) ** 2

@@ -19,10 +19,10 @@ v the weighted eigenvectors, G with L = |K|^2 and v the window weights,
 which gives the window integral int_Lambda |K(x,y)|^2 dy. Each field
 forms only its own sum, so a dilation ladder, which reads rho alone,
 never forms the window integral. The evaluation grid is a uniform
-product lattice, on which the Ginibre and the Paley-Wiener (d = 2, 3)
-kernels form no kernel block. ``inner_product_direct`` is the same sum
-without the lattice, so it always evaluates blocks and is the
-independent reference for the lattice route.
+product lattice, on which the Ginibre and the Paley-Wiener kernels,
+the sine kernel included, form no kernel block. ``inner_product_direct``
+is the same sum without the lattice, so it always evaluates blocks and
+is the independent reference for the lattice route.
 The window mask 1_Lambda is evaluated once per evaluation grid and the
 limit shape K(x,x) 1_Lambda of rho once per field; their readers share them.
 """
@@ -262,9 +262,9 @@ def inner_product_direct(kernel: Kernel, lambda_grid: QuadratureGrid,
     lattice, and the lattice factors are never used: this is the
     independent reference for the window integral that ``defect_g``
     builds on the evaluation lattice, which it matches to rounding, and
-    bitwise where the kernel gives no factors on that lattice (the sine
-    kernel, and Paley-Wiener windows with fewer nodes than the image
-    rule has waves).
+    bitwise where the kernel gives no factors on that lattice
+    (Paley-Wiener windows with fewer nodes than the image rule has
+    waves).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     return kernel.field_sum(lambda_grid.nodes, lambda_grid.weights, points,

@@ -381,17 +381,12 @@ def test_axis_factors_no_less_accurate_than_eval_matrix(ginibre_lattice):
     assert max(err_factors) <= max(err_direct)
 
 
-def test_paley_wiener_axis_factors_only_in_two_and_three_dimensions(
-        monkeypatch):
-    # d = 1 has no lattice factors, so its sum is eval_matrix blocks; in
-    # d = 2 and 3 the plane waves form none, for K and for |K|^2
+def test_paley_wiener_plane_waves_in_every_dimension(monkeypatch):
+    # in d = 1, 2 and 3 the plane waves form no kernel block, for K and
+    # for |K|^2
     entries = _count_blocks(monkeypatch, PaleyWienerKernel)
-    axes = (np.linspace(-1.0, 1.0, 5),)
-    PaleyWienerKernel(1).field_sum(np.zeros((3, 1)), np.ones(3),
-                                   _lattice(axes), axes)
-    assert entries == [15]
     rng = np.random.default_rng(3)
-    for d in (2, 3):
+    for d in (1, 2, 3):
         axes = tuple(np.linspace(-1.0, 1.0, 4 + k) for k in range(d))
         ys = rng.uniform(-0.5, 0.5, (2000, d))
         for square in (False, True):
@@ -399,10 +394,18 @@ def test_paley_wiener_axis_factors_only_in_two_and_three_dimensions(
                                                  _lattice(axes), axes,
                                                  square=square)
             assert out.shape == (math.prod(len(a) for a in axes),)
-    assert entries == [15]
-    with pytest.raises(ValueError):
-        PaleyWienerKernel(2).field_sum(np.zeros((3, 2)), np.ones(3),
-                                       np.zeros((1, 2)), axes)
+    assert entries == []
+    # a 3-point window has fewer points than the d = 1 image rule has
+    # waves: both sums are eval_matrix blocks
+    axes = (np.linspace(-1.0, 1.0, 5),)
+    for square in (False, True):
+        PaleyWienerKernel(1).field_sum(np.zeros((3, 1)), np.ones(3),
+                                       _lattice(axes), axes, square=square)
+    assert entries == [15, 15]
+    for d in (1, 2):
+        with pytest.raises(ValueError):
+            PaleyWienerKernel(d).field_sum(np.zeros((3, d)), np.ones(3),
+                                           np.zeros((1, d)), (np.zeros(1),) * 3)
 
 
 def test_paley_wiener_factors_give_way_to_blocks_on_small_windows(
@@ -416,8 +419,8 @@ def test_paley_wiener_factors_give_way_to_blocks_on_small_windows(
                                        _lattice(axes), axes, square=square)
     assert entries == [60, 60]
     # so has a 4000-point window in a lattice 2e9 wide, and no rule of
-    # ~1e18 waves is sized or built to find that out
-    for d in (2, 3):
+    # up to ~1e18 waves is sized or built to find that out
+    for d in (1, 2, 3):
         axes = (np.linspace(-1e9, 1e9, 20),) * d
         entries.clear()
         PaleyWienerKernel(d).field_sum(np.zeros((4000, d)), np.ones(4000),
@@ -425,12 +428,13 @@ def test_paley_wiener_factors_give_way_to_blocks_on_small_windows(
         assert sum(entries) == 20 ** d * 4000
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_plane_wave_factors_reproduce_the_kernel_and_its_square(dim,
                                                                 monkeypatch):
     # every lattice point against 40 of the window points, as the sum
-    # against their unit vectors; measured 1.0e-15 and 2.7e-15 (d = 2),
-    # 1.2e-15 and 4.6e-15 (d = 3) of the maxima of K and |K|^2
+    # against their unit vectors; measured 5.2e-16 and 1.3e-15 (d = 1),
+    # 1.0e-15 and 2.7e-15 (d = 2), 1.2e-15 and 4.6e-15 (d = 3) of the
+    # maxima of K and |K|^2
     rng = np.random.default_rng(5)
     axes = tuple(np.linspace(-1.5, 1.0 + 0.5 * k, 6 + k) for k in range(dim))
     ys = rng.uniform(-1.0, 1.0, (2000, dim))
@@ -443,6 +447,76 @@ def test_plane_wave_factors_reproduce_the_kernel_and_its_square(dim,
                                    square=square)
         assert np.abs(product - expected).max() <= 1e-14 * expected.max()
     assert entries == []
+
+
+@pytest.fixture(scope="module")
+def sine_rung():
+    """The R = 16 rung of the sine ladder on (-1, 1): 1280 window nodes
+    and an evaluation lattice of 7680 nodes spanning about 192."""
+    region = Box(np.array([-16.0]), np.array([16.0]))
+    grid = build_grid(region, 1280)
+    eval_grid = build_eval_grid(sine_kernel(), region, reference_grid=grid)
+    assert eval_grid.n_nodes == 7680
+    return region, grid, eval_grid
+
+
+# the lattice of the rung splits into b = 88 coarse times 88 fine nodes,
+# trimmed to 7680 = 87 * 88 + 24; 7744 = 88^2 fills the split exactly
+@pytest.mark.parametrize("nodes", [7680, 7744])
+def test_sine_plane_waves_on_a_ladder_rung(sine_rung, nodes, monkeypatch):
+    # the rung's lattice against 40 window points from end to end, whose
+    # phases reach the diameter; measured 7.5e-15 and 2.2e-14 (7680),
+    # 6.4e-15 and 2.2e-14 (7744) of the maxima of K and |K|^2
+    region, grid, eval_grid = sine_rung
+    kernel = sine_kernel()
+    if nodes != eval_grid.n_nodes:
+        eval_grid = build_eval_grid(kernel, region, spacing=192.0 / nodes)
+    assert eval_grid.n_nodes == nodes
+    cols = np.linspace(0, grid.n_nodes - 1, 40).astype(int)
+    units = np.zeros((grid.n_nodes, 40))
+    units[cols, np.arange(40)] = 1.0
+    direct = kernel.eval_matrix(eval_grid.nodes, grid.nodes[cols])
+    entries = _count_blocks(monkeypatch, PaleyWienerKernel)
+    for square, expected, bound in ((False, direct, 1e-14),
+                                    (True, direct ** 2, 3e-14)):
+        product = kernel.field_sum(grid.nodes, units, eval_grid.nodes,
+                                   eval_grid.axes, square=square)
+        assert product.shape == (nodes, 40)
+        assert np.abs(product - expected).max() <= bound * expected.max()
+    assert entries == []
+
+
+def test_sine_field_sum_holds_no_lattice_table(sine_rung):
+    # the window integral of the rung: its |K|^2 rule has P = 222 waves,
+    # so one 7680 x P complex table would take 26 MiB; the split tables
+    # of 88 x P each and the window phases, built 2^16 entries at a time,
+    # peak at 1.6 MiB. The first call fills the Gauss rules' cache.
+    _, grid, eval_grid = sine_rung
+    kernel = sine_kernel()
+    kernel.field_sum(grid.nodes, grid.weights, eval_grid.nodes,
+                     eval_grid.axes, square=True)
+    tracemalloc.start()
+    try:
+        kernel.field_sum(grid.nodes, grid.weights, eval_grid.nodes,
+                         eval_grid.axes, square=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
+def test_sine_lattice_axis_must_be_arithmetic():
+    # the d = 1 axis is split as an arithmetic progression: a node off it
+    # raises instead of giving a wrong sum
+    kernel = sine_kernel()
+    ys = np.linspace(-0.5, 0.5, 200)[:, None]
+    axis = np.linspace(-3.0, 3.0, 50)
+    kernel.field_sum(ys, np.ones(200), axis[:, None], (axis,))
+    axis[17] += 1e-9
+    for square in (False, True):
+        with pytest.raises(ValueError, match="not arithmetic"):
+            kernel.field_sum(ys, np.ones(200), axis[:, None], (axis,),
+                             square=square)
 
 
 def test_ginibre_axis_factors_reject_wrong_dimension():

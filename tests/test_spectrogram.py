@@ -7,7 +7,7 @@ import pytest
 from pytest import approx
 
 from accspec import discretize, kernels, spectrogram
-from accspec.checks import inner_product_identity
+from accspec.checks import inner_product_identity, self_checks
 from accspec.discretize import (QuadratureGrid, assemble_operator,
                                 build_grid, max_n_per_axis,
                                 spectral_decompose)
@@ -114,8 +114,11 @@ def test_inner_product_identity(sine_run):
     line = inner_product_identity(sine_run.psi, ipd)
     assert line.lhs < line.rhs, line
     assert dropped < 1e-10
-    # the defect field keeps the same window integral, bit for bit
-    np.testing.assert_array_equal(sine_run.defect.window_integral, ipd)
+    # the defect field keeps the window integral of the lattice sum, bit
+    # for bit, and that sum agrees with the blocks of the reference
+    window = factor_route(sine_run.kernel, sine_run.grid, sine_run.eval_grid)
+    np.testing.assert_array_equal(sine_run.defect.window_integral, window)
+    assert np.abs(window - ipd).max() <= SINE_CROSS_ROUTE_REL * ipd.max()
 
 
 def test_inner_product_bounded_by_diagonal(sine_run):
@@ -249,6 +252,10 @@ def factor_route(kernel, grid, eval_grid):
 # The lattice factors and inner_product_direct's eval_matrix round
 # differently; measured 1.4e-15 of the maximum on the ginibre fields below
 CROSS_ROUTE_REL = 1e-14
+# the sine kernel's plane waves against its blocks on the reference run,
+# whose phases reach 340; measured 1.6e-14 (images) and 1.0e-14 (window
+# integral) of the maximum
+SINE_CROSS_ROUTE_REL = 3e-14
 
 
 @pytest.mark.parametrize("fields, budget", [
@@ -393,24 +400,42 @@ def test_plane_wave_pass_matches_eval_matrix(case, request, monkeypatch):
     assert np.array_equal(complex_images, (1 - 2j) * images)
 
 
-def test_sine_fields_are_eval_matrix_blocks(sine_run, monkeypatch):
-    # the sine kernel has no lattice factors: its field pass is blocks
-    # of eval_matrix, M x n entries in all
-    kernel, eval_grid = sine_run.kernel, sine_run.eval_grid
-    entries = []
+def test_sine_fields_form_no_eval_block(sine_run, monkeypatch):
+    # the sine kernel's fields are plane-wave sums on the split lattice
+    # axis, one of K for the images and one of |K|^2 for the window
+    # integral, with no eval_matrix block
+    kernel, grid, eval_grid = sine_run.kernel, sine_run.grid, \
+        sine_run.eval_grid
+    entries, squares = _count_kernel_work(PaleyWienerKernel, monkeypatch)
+    psi = compute_psi(kernel, sine_run.spectral, eval_grid)
+    defect = defect_g(kernel, grid, eval_grid)
+    assert (sum(entries), squares) == (0, [False, True])
+    monkeypatch.undo()
+    assert np.array_equal(psi.images, sine_run.psi.images)
+    assert np.array_equal(defect.window_integral,
+                          sine_run.defect.window_integral)
+    scaled_vecs = (np.sqrt(grid.weights)[:, None]
+                   * sine_run.spectral.vectors[:, :psi.images.shape[1]])
+    blocks = kernel.field_sum(grid.nodes, scaled_vecs, eval_grid.nodes)
+    assert (np.abs(psi.images - blocks).max()
+            <= SINE_CROSS_ROUTE_REL * np.abs(blocks).max())
+
+
+def test_self_checks_evaluate_only_operator_columns(monkeypatch):
+    # the reference run's fields form no block on its 6800-node
+    # evaluation grid: every eval_matrix call is a column block of the
+    # operator on the 400 window nodes
+    rows = []
     eval_matrix = PaleyWienerKernel.eval_matrix
 
     def counted(self, xs, ys):
-        block = eval_matrix(self, xs, ys)
-        entries.append(block.size)
-        return block
+        rows.append(len(xs))
+        return eval_matrix(self, xs, ys)
 
     monkeypatch.setattr(PaleyWienerKernel, "eval_matrix", counted)
-    psi = compute_psi(kernel, sine_run.spectral, eval_grid)
-    monkeypatch.undo()
-    assert len(entries) > 1
-    assert sum(entries) == eval_grid.n_nodes * sine_run.grid.n_nodes
-    assert np.array_equal(psi.images, sine_run.psi.images)
+    lines = self_checks()
+    assert all(line.passed for line in lines)
+    assert rows and set(rows) == {400}
 
 
 @pytest.mark.parametrize("cdim", [1, 2], ids=["cdim1", "cdim2"])
