@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .geometry import (Ball, Box, DisjointBallUnion, LensSpec, Region,
                        lens_volume_exact, lens_volume_series,
                        unit_ball_volume, unit_sphere_area)
-from .kernels import (GinibreKernel, Kernel, PaleyWienerKernel, bessel_j,
+from .kernels import (GinibreKernel, Kernel, PaleyWienerKernel,
                       radial_normalization_check, sine_kernel)
 from .discretize import (QuadratureGrid, SpectralData, assemble_operator,
                          build_grid, spectral_decompose, window_grid)
@@ -24,7 +24,7 @@ __all__ = [
     "Ball", "Box", "DisjointBallUnion", "LensSpec", "Region",
     "lens_volume_exact", "lens_volume_series",
     "unit_ball_volume", "unit_sphere_area",
-    "GinibreKernel", "Kernel", "PaleyWienerKernel", "bessel_j",
+    "GinibreKernel", "Kernel", "PaleyWienerKernel",
     "radial_normalization_check", "sine_kernel",
     "QuadratureGrid", "SpectralData", "assemble_operator", "build_grid",
     "spectral_decompose", "window_grid",

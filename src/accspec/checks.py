@@ -1,14 +1,15 @@
 """The self-check suite: the package's identities as pass/fail lines.
 
 Each line is an ``InequalityCheck`` (name, lhs <= rhs + slack). The
-suite covers the two lens-volume routes, the Bessel implementation
-against its power series in 40-digit decimal arithmetic, the two forms
-of the asymptotic variance constant, the kernels' radial normalization,
-and, on the reference sine window (-5, 5) at 400 nodes, the paper's six
-identities: the trace identity, the spectral against the radial count
-variance, the four spectral-count inequalities at each threshold of
-``DELTAS``, the dual inner-product identity and mass conservation of the
-accumulated spectrogram. The suite is one fixed configuration:
+suite covers the two lens-volume routes, the Paley-Wiener amplitude, as
+the kernel blocks and the radial route evaluate it, against its power
+series in 40-digit decimal arithmetic, the two forms of the asymptotic
+variance constant, the kernels' radial normalization, and, on the
+reference sine window (-5, 5) at 400 nodes, the paper's six identities:
+the trace identity, the spectral against the radial count variance, the
+four spectral-count inequalities at each threshold of ``DELTAS``, the
+dual inner-product identity and mass conservation of the accumulated
+spectrogram. The suite is one fixed configuration:
 ``accspec check`` prints its lines and the acceptance tests assert the
 same lines.
 ``trace_identity``, ``variance_cross_route`` and ``inner_product_identity``
@@ -28,7 +29,7 @@ import numpy as np
 
 from .discretize import assemble_operator, build_grid, spectral_decompose
 from .geometry import Box, LensSpec, lens_volume_exact, lens_volume_series
-from .kernels import (GinibreKernel, PaleyWienerKernel, bessel_j,
+from .kernels import (GinibreKernel, PaleyWienerKernel,
                       radial_normalization_check, sine_kernel)
 from .spectrogram import (InequalityCheck, accumulated_spectrogram,
                           build_eval_grid, compute_psi, defect_g,
@@ -103,15 +104,20 @@ def self_checks() -> list[InequalityCheck]:
         lines.append(InequalityCheck(f"lens_series_vs_exact_d{d}", worst,
                                      1e-8, 0.0))
 
-    # Bessel implementation against an exact-to-rounding reference over
+    # the Paley-Wiener amplitude J_{d/2}(r) / (2 pi r)^{d/2}, as
+    # eval_matrix gives it, against an exact-to-rounding reference over
     # [0, 20], past J_1's series-to-Hankel crossover at 13; measured
-    # 1.1e-16 and 1.4e-16 for the half-integer forms, and 1.04e-12 for
-    # J_1, whose float series cancels on [10, 13)
-    xs = np.linspace(0.0, 20.0, 201)
-    for nu, bound in ((0.5, 5e-16), (1.0, 2e-12), (1.5, 5e-16)):
-        reference = [_bessel_series_decimal(nu, x) for x in xs.tolist()]
-        worst = float(np.max(np.abs(bessel_j(nu, xs) - reference)))
-        lines.append(InequalityCheck(f"bessel_vs_series_nu{nu}", worst,
+    # 5.6e-17 (d = 1, the float diagonal 2 / (2 pi) at r = 0), 1.29e-14
+    # (d = 2, J_1's float series cancelling on [10, 13)) and 2.1e-17
+    # (d = 3)
+    rs = np.linspace(0.0, 20.0, 201)
+    for d, bound in ((1, 1e-16), (2, 2e-14), (3, 3e-17)):
+        points = np.zeros((len(rs), d))
+        points[:, 0] = rs
+        amplitude = PaleyWienerKernel(d).eval_matrix(points, np.zeros((1, d)))
+        reference = [_amplitude_series_decimal(d, r) for r in rs.tolist()]
+        worst = float(np.max(np.abs(amplitude[:, 0] - reference)))
+        lines.append(InequalityCheck(f"amplitude_vs_series_d{d}", worst,
                                      bound, 0.0))
 
     # asymptotic constant: Gamma closed form vs geometric pre-simplification
@@ -153,34 +159,34 @@ def self_checks() -> list[InequalityCheck]:
     return lines
 
 
-def _bessel_series_decimal(nu: float, x: float) -> float:
-    """J_nu(x) for an order nu > 0 with 2 nu an integer by its ascending
-    power series sum_k (-1)^k (x/2)^(2k+nu) / (k! Gamma(1+nu+k)) in
-    40-digit decimal arithmetic, rounded once to a float.
+def _amplitude_series_decimal(d: int, r: float) -> float:
+    """The Paley-Wiener amplitude J_nu(r) / (2 pi r)^nu, nu = d/2, by its
+    ascending power series (4 pi)^(-nu) sum_k (-r^2/4)^k / (k! Gamma(nu +
+    k + 1)) in 40-digit decimal arithmetic, rounded once to a float.
 
-    For x <= 20 every term stays below 1e7, so the cancellation leaves
-    an absolute error near 1e-33; the terms are summed until one no
-    longer changes the sum.
+    For r <= 20 every term stays below 1e7 times the first, so the
+    cancellation leaves an absolute error near 1e-33; the terms are
+    summed until one no longer changes the sum.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        half = decimal.Decimal(x) / 2
-        nu = decimal.Decimal(nu)
-        frac = nu % 1
-        term = half.sqrt() ** int(2 * nu)
-        # Gamma(1 + nu) up from Gamma(1) = 1 or Gamma(1/2) = sqrt(pi)
-        gamma, a = decimal.Decimal(1), frac or 1
-        if frac:
-            gamma = decimal.Decimal(
-                "3.1415926535897932384626433832795028841971693993751").sqrt()
+        pi = decimal.Decimal(
+            "3.1415926535897932384626433832795028841971693993751")
+        nu = decimal.Decimal(d) / 2
+        # (4 pi)^(-nu) / Gamma(1 + nu), Gamma(1 + nu) up from Gamma(1) = 1
+        # or Gamma(1/2) = sqrt(pi)
+        term = 1 / (4 * pi).sqrt() ** d
+        a = decimal.Decimal(1)
+        if d % 2:
+            term /= pi.sqrt()
+            a = decimal.Decimal("0.5")
         while a < 1 + nu:
-            gamma *= a
+            term /= a
             a += 1
-        term /= gamma
-        total, neg_h2, k = term, -half * half, 0
+        total, neg_q, k = term, -(decimal.Decimal(r) / 2) ** 2, 0
         while True:
             k += 1
-            term = term * neg_h2 / (k * (k + nu))
+            term = term * neg_q / (k * (k + nu))
             if total + term == total:
                 return float(total)
             total += term

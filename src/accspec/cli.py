@@ -9,10 +9,10 @@ Subcommands:
   ratio) in its own summary table, plus the log-asymptotic fit when the
   radii span a decade.
 * ``check``: prints the fixed self-check suite of ``accspec.checks``
-  (lens routes, Bessel series, kernel admissibility and the paper's six
-  identities on the reference sine window), the same lines the
-  acceptance tests assert; it takes no option; exit 1 on any failure, a
-  NaN line included.
+  (lens routes, the Paley-Wiener amplitude against its series, kernel
+  admissibility and the paper's six identities on the reference sine
+  window), the same lines the acceptance tests assert; it takes no
+  option; exit 1 on any failure, a NaN line included.
 * ``lens``: both lens-volume routes for one (dim, r, R).
 
 The window, ``--region``, fixes the dimension d, which picks the kernel:

@@ -285,26 +285,27 @@ def lens_volume_series(spec: LensSpec, tol: float = 1e-9) -> float:
     )
 
 
-def _cap_integral(d: int, q: np.ndarray) -> np.ndarray:
-    """J_d = int_{theta0}^{pi/2} cos(theta)^d d(theta) with sin(theta0) = q.
+def _lens_integral(d: int, q: np.ndarray) -> np.ndarray:
+    """I_d = int_0^{theta0} cos(theta)^d d(theta) with sin(theta0) = q.
 
-    Wallis reduction J_k = -c^(k-1) q / k + (k-1)/k J_(k-2) from
-    J_0 = arccos q and J_1 = 1 - q, with c = cos(theta0).
+    Wallis reduction I_k = c^(k-1) q / k + (k-1)/k I_(k-2) from
+    I_0 = arcsin q and I_1 = q, with c = cos(theta0): every term is
+    nonnegative, so nothing cancels at any q.
     """
     c = np.sqrt((1.0 - q) * (1.0 + q))  # 1 - q*q cancels near tangency
-    cap = 1.0 - q if d % 2 else np.arccos(q)
+    lens = q.copy() if d % 2 else np.arcsin(q)
     for k in range(2 + d % 2, d + 1, 2):
-        cap = (k - 1) / k * cap - c ** (k - 1) * q / k
-    return cap
+        lens = (k - 1) / k * lens + c ** (k - 1) * q / k
+    return lens
 
 
 def lens_volume_exact(spec: LensSpec) -> float:
     """Lens volume from the closed-form spherical-cap integral.
 
-    Independent of the series route: the overlap of the two balls is
-    twice the cap of height R - r/2, and with s = R sin(theta) the cap
-    volume is c_{d-1} R^d J_d, where J_d = int cos(theta)^d d(theta) over
-    [theta0, pi/2] is elementary (the Wallis reduction), so no term count
+    Independent of the series route: the lens is the ball less twice the
+    cap of height R - r/2, and with s = R sin(theta) it is
+    2 c_{d-1} R^d I_d, where I_d = int cos(theta)^d d(theta) over
+    [0, theta0] is elementary (the Wallis reduction), so no term count
     or tolerance enters.
     """
     return float(lens_volume_exact_many(spec.dim, np.array([spec.r]), spec.R)[0])
@@ -315,5 +316,4 @@ def lens_volume_exact_many(d: int, r: np.ndarray, R: float) -> np.ndarray:
     # r is clipped to the diameter before the division, which then
     # cannot overflow: q = 1 exactly for every r >= 2R
     q = np.clip(np.asarray(r, dtype=float), 0.0, 2.0 * R) / (2.0 * R)
-    overlap = 2.0 * _ball_volume_unchecked(d - 1) * R ** d * _cap_integral(d, q)
-    return np.maximum(unit_ball_volume(d) * R ** d - overlap, 0.0)
+    return 2.0 * _ball_volume_unchecked(d - 1) * R ** d * _lens_integral(d, q)

@@ -1,4 +1,4 @@
-"""Closed-form projection kernels and the Bessel evaluation they need.
+"""Closed-form projection kernels and the Bessel amplitude they need.
 
 Two translation-invariant families are provided:
 
@@ -14,18 +14,13 @@ int |K(x,y)|^2 dy = K(x,x), so the radial variance on a ball of radius
 R is a closed integral over [0, 2R] and needs no bound on the profile
 tail.
 
-The sine kernel's block K(x_i, y_j) between M rows and n columns takes
-no sine per entry: it is (sin x cos y - cos x sin y) / (pi (x - y)),
-whose numerator is the rank-2 product of the 2(M + n) sines and cosines
-of the points, with an absolute error of a few 1e-16 for any x and y.
-Dividing by pi |x - y| >= pi/2 keeps that below 2e-16; entries with
-|x - y| < 1/2 take the Bessel form instead, whose error is relative, and
-so do blocks too thin for the 2(M + n) values to save work. Distances
-in d >= 2 are accumulated one axis at a time, with no M x n x d
-temporary. The radial quadrature of the Paley-Wiener profiles
-(``radial_panels``) takes its sines and cosines by angle addition too:
-its panels are uniform, so every node is a panel start plus one of the
-Gauss offsets that all panels share.
+A Paley-Wiener block K(x_i, y_j) is the amplitude of the distances,
+one sine (and for d >= 2 one cosine) per entry beyond the series range;
+the squared distances are accumulated one axis at a time, with no
+M x n x d temporary. The radial quadrature of the Paley-Wiener
+profiles (``radial_panels``) takes its sines and cosines by angle
+addition: its panels are uniform, so every node is a panel start plus
+one of the Gauss offsets that all panels share.
 
 A field on an evaluation grid is a kernel sum sum_y L(x,y) v(y) over
 the window points y, with L = K or |K|^2 (``Kernel.field_sum``). When
@@ -59,11 +54,10 @@ from .geometry import unit_ball_volume, unit_sphere_area
 from .quadrature import (DEFAULT_NODES_PER_PANEL, geometric_edges,
                          panel_nodes, trapezoid_circle, uniform_panel_count)
 
-_SUPPORTED_BESSEL_ORDERS = (0.5, 1.0, 1.5)
 _J1_CROSSOVER = 13.0
-# below these distances the Paley-Wiener amplitude in dimension d (and
-# J_{d/2} for d = 2, 3) takes its power series, for d = 1 the diagonal
-# value, and from them on sin r and cos r
+# below these distances the Paley-Wiener amplitude in dimension d takes
+# its power series, for d = 1 the diagonal value, and from them on sin r
+# and cos r
 _SERIES_BELOW = {1: 1e-8, 2: _J1_CROSSOVER, 3: 0.6}
 _SERIES_TERMS = {1.0: 40, 1.5: 12}
 # panels per radial quadrature chunk: keeps the per-node temporaries
@@ -74,9 +68,6 @@ _PANEL_CHUNK = 64
 # capped for slowly decaying profiles
 _CORRELATION_DROP = 1e-4
 _CORRELATION_LENGTH_CAP = 20.0
-# sine-kernel entries with |x - y| below this keep the Bessel form, so
-# the angle-addition numerator's absolute error is never divided by less
-_SINE_ADDITION_MIN_DIST = 0.5
 # truncation tolerance of the plane-wave rules of the Paley-Wiener
 # lattice factors (see _fourier_order). Entry by entry, the d = 2 rule
 # for |K|^2 errs by 9.4e-15 of its maximum at 1e-13; from 1e-14 on, every
@@ -96,49 +87,6 @@ _BLOCK_ENTRIES = 1 << 16
 # of build_eval_grid deviate from the progression through their ends by
 # at most 2.9 eps of their largest coordinate (20000 random grids)
 _ARITHMETIC_TOL = 16.0 * np.finfo(float).eps
-
-
-def bessel_j(nu: float, x) -> np.ndarray | float:
-    """Bessel function of the first kind for orders d/2, d in {1,2,3}.
-
-    Half-integer orders use their trigonometric closed forms (with a
-    short power series below x = 0.6 where the nu = 3/2 form cancels).
-    Order 1 uses the ascending power series up to x = 13 and a fixed
-    24-term Hankel asymptotic expansion beyond; at the crossover both
-    branches carry relative error below 1e-11, and in float64 the
-    series cannot be pushed further without losing digits to
-    cancellation. Sines and cosines are taken only where a closed form
-    or the Hankel expansion reads them, and a series only runs on a
-    non-empty set of arguments.
-    """
-    if nu not in _SUPPORTED_BESSEL_ORDERS:
-        raise ValueError(
-            f"unsupported Bessel order {nu}; supported: {_SUPPORTED_BESSEL_ORDERS}"
-        )
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise ValueError("bessel_j is defined here for x >= 0 only")
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-
-    if nu == 0.5:
-        out = np.zeros_like(x_arr)
-        pos = x_arr > 0
-        xp = x_arr[pos]
-        out[pos] = np.sqrt(2.0 / (math.pi * xp)) * np.sin(xp)
-    else:
-        out = np.empty_like(x_arr)
-        lo = x_arr < _SERIES_BELOW[int(2 * nu)]
-        if lo.any():
-            out[lo] = _j_series(nu, x_arr[lo], n_terms=_SERIES_TERMS[nu])
-        xp = x_arr[~lo]
-        if nu == 1.5:
-            out[~lo] = np.sqrt(2.0 / (math.pi * xp)) * (np.sin(xp) / xp
-                                                         - np.cos(xp))
-        else:
-            out[~lo] = _j1_hankel(xp, np.sin(xp), np.cos(xp))
-
-    return float(out[0]) if scalar else out
 
 
 def _j_series(nu: float, x: np.ndarray, n_terms: int) -> np.ndarray:
@@ -604,25 +552,11 @@ class PaleyWienerKernel(Kernel):
         return _j1_hankel(r, s, c) / (2.0 * math.pi * r)
 
     def eval_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """The M x n block K(x_i, y_j).
-
-        For d = 1, when the M n entries outnumber the 2(M + n) sines and
-        cosines of the points, i.e. (M - 2)(n - 2) > 4, entries with
-        |x - y| >= 1/2 are (sin x cos y - cos x sin y) / (pi (x - y)),
-        the numerator a rank-2 product: its absolute error of a few
-        1e-16, divided by at least pi/2, stays under 2e-16. Entries with
-        |x - y| < 1/2, thinner blocks such as single operator columns,
-        and d >= 2 take ``_profile_amplitude`` of the distance, whose
-        square is accumulated axis by axis in one M x n array (in the
-        order of a sum over the axes) and rooted in place.
+        """The M x n block K(x_i, y_j): ``_profile_amplitude`` of the
+        distances, whose square is accumulated axis by axis in one M x n
+        array (in the order of a sum over the axes) and rooted in place.
         """
         xs, ys = self._points(xs), self._points(ys)
-        if self.dim == 1 and len(xs) * len(ys) > 2 * (len(xs) + len(ys)):
-            return self._sine_matrix(xs[:, 0], ys[:, 0])
-        return self._distance_matrix(xs, ys)
-
-    def _distance_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """The block as ``_profile_amplitude`` of the distances."""
         dist = np.subtract.outer(xs[:, 0], ys[:, 0])
         dist *= dist
         for k in range(1, self.dim):
@@ -630,21 +564,6 @@ class PaleyWienerKernel(Kernel):
             diff *= diff
             dist += diff
         return self._profile_amplitude(np.sqrt(dist, out=dist))
-
-    def _sine_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The d = 1 block by angle addition, for points x and y."""
-        r = np.subtract.outer(x, y)
-        out = np.abs(r)
-        near = out < _SINE_ADDITION_MIN_DIST
-        near_dist = out[near]
-        np.matmul(np.stack([np.sin(x), -np.cos(x)], axis=1),
-                  np.stack([np.cos(y), np.sin(y)]), out=out)
-        r *= math.pi
-        # r = 0 only on entries that the Bessel form overwrites
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out /= r
-        out[near] = self._profile_amplitude(near_dist)
-        return out
 
     def _lattice_sum(self, axes, ys, vecs, square):
         """Plane-wave lattice sum.

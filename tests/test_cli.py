@@ -16,7 +16,7 @@ from accspec.cli import UsageError, main, parse_region, parse_scale_list
 from accspec.discretize import (ResourceLimitError, assemble_operator,
                                 build_grid, spectral_decompose)
 from accspec.geometry import Ball, Box, DisjointBallUnion
-from accspec.kernels import GinibreKernel
+from accspec.kernels import GinibreKernel, PaleyWienerKernel
 from accspec.spectrogram import InequalityCheck, RankDeficiencyError
 from accspec.variance import CurvePoint, variance_spectral
 
@@ -246,12 +246,13 @@ def test_lens_command_invalid(capsys):
 @pytest.mark.filterwarnings("error")
 def test_lens_offset_far_beyond_the_diameter_is_quiet(capsys):
     # r / 2R overflows unless r is clipped to the diameter first; past it
-    # the balls are disjoint and both routes give the whole ball
+    # the balls are disjoint and both routes give the whole ball, the
+    # closed form as 2 c_1 R^2 (pi/4), one ulp from c_2 R^2
     assert main(["lens", "--dim", "2", "--r", "1e300", "--R", "1e-10"]) == 0
     captured = capsys.readouterr()
     assert captured.out == ("series = 3.1415926535897936e-20\n"
-                            "exact  = 3.1415926535897936e-20\n"
-                            "diff   = 0\n")
+                            "exact  = 3.141592653589793e-20\n"
+                            "diff   = 6.018531076210112e-36\n")
     assert captured.err == ""
 
 
@@ -515,8 +516,8 @@ def test_check_subcommand_passes():
 CHECK_NAMES = (
     "lens_series_vs_exact_d1", "lens_series_vs_exact_d2",
     "lens_series_vs_exact_d3",
-    "bessel_vs_series_nu0.5", "bessel_vs_series_nu1.0",
-    "bessel_vs_series_nu1.5",
+    "amplitude_vs_series_d1", "amplitude_vs_series_d2",
+    "amplitude_vs_series_d3",
     "asymptotic_constant_identity_d1", "asymptotic_constant_identity_d2",
     "asymptotic_constant_identity_d3",
     "radial_normalization_ginibre_d2", "radial_normalization_sine_d1",
@@ -552,12 +553,12 @@ def test_check_subcommand_fault_injection(capsys, monkeypatch):
 
 @pytest.mark.parametrize("routine_name, nan_from, failing", [
     ("lens_volume_exact", lambda spec: spec.r > 1, "lens_series_vs_exact"),
-    ("bessel_j", lambda nu, x: x > 5, "bessel_vs_series"),
+    ("_amplitude_series_decimal", lambda d, r: r > 5, "amplitude_vs_series"),
 ], ids=["lens", "bessel"])
 def test_check_fails_a_nan_that_is_not_first(routine_name, nan_from, failing,
                                              capsys, monkeypatch):
     # the NaN sits in the middle of each line's grid, where a builtin max
-    # over the errors would drop it; bessel_j takes the whole grid at once
+    # over the errors would drop it; both routines take one point a call
     routine = getattr(checks, routine_name)
 
     def poisoned(*args):
@@ -571,6 +572,23 @@ def test_check_fails_a_nan_that_is_not_first(routine_name, nan_from, failing,
     assert all(" lhs=nan " in line for line in lines
                if line.startswith("FAIL "))
     assert lines[-1] == "3 check(s) failed"
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_check_sees_a_fault_in_the_amplitude(dim, capsys, monkeypatch):
+    # the amplitude's trigonometric form one part in 10^6 off in one
+    # dimension fails that dimension's amplitude line and no other
+    trig = PaleyWienerKernel._trig_amplitude
+
+    def scaled(self, r, s, c):
+        out = trig(self, r, s, c)
+        return out * (1.0 + 1e-6) if self.dim == dim else out
+
+    monkeypatch.setattr(PaleyWienerKernel, "_trig_amplitude", scaled)
+    assert main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split()[1] for line in lines if line.startswith("FAIL ")]
+    assert failed == [f"amplitude_vs_series_d{dim}"]
 
 
 def test_check_prints_a_nonfinite_line_as_a_failure(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from pytest import approx
 
 from accspec import geometry
@@ -184,6 +184,7 @@ def test_lens_series_vs_exact_grid(d, R):
 
 
 @given(st.floats(0.05, 10.0), st.floats(0.0, 2.0))
+@example(lam=10.0, q=1e-6)
 def test_lens_scaling_covariance(lam, q):
     # lens(d, lam r, lam R) = lam^d lens(d, r, R)
     R = 1.0
@@ -254,6 +255,19 @@ def test_lens_exact_accurate_near_tangency(d, R):
         assert abs(v - exact) <= 2e-15 * scale, (r, v)
         scalar = lens_volume_exact(LensSpec(d, float(r), R))
         assert abs(scalar - exact) <= 2e-15 * scale, (r, scalar)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("R", [1.0, 7.3, 1000.0])
+def test_lens_exact_relative_accuracy_at_small_offsets(d, R):
+    # the lens vanishes like q = r / (2R), so its error is read relative
+    # to its own size, not to the ball's
+    qs = [1e-12, 1e-9, 1e-6, 1e-3, 0.1]
+    rs = np.array([2.0 * R * q for q in qs])
+    many = lens_volume_exact_many(d, rs, R)
+    for r, v in zip(rs, many):
+        exact = _lens_mpmath(d, float(r), R)
+        assert abs(v - exact) <= 2e-15 * exact, (r, v)
 
 
 def test_lens_spec_validation():

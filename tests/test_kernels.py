@@ -11,8 +11,8 @@ from pytest import approx
 from accspec.discretize import build_grid
 from accspec.geometry import Ball, Box, unit_ball_volume
 from accspec import kernels
-from accspec.checks import _bessel_series_decimal
-from accspec.kernels import (GinibreKernel, PaleyWienerKernel, bessel_j,
+from accspec.checks import _amplitude_series_decimal
+from accspec.kernels import (GinibreKernel, PaleyWienerKernel,
                              radial_normalization_check, sine_kernel)
 from accspec.spectrogram import build_eval_grid
 
@@ -20,65 +20,86 @@ ALL_KERNELS = [GinibreKernel(1), GinibreKernel(2), PaleyWienerKernel(1),
                PaleyWienerKernel(2), PaleyWienerKernel(3)]
 
 
-def bessel_series_reference(nu: float, x: float, dps: int = 40) -> float:
-    """Ascending power series summed in high precision (the term-by-term
-    definition, free of float64 cancellation)."""
+def amplitude_series_reference(d: int, r: float, dps: int = 40) -> float:
+    """The Paley-Wiener amplitude J_nu(r) / (2 pi r)^nu, nu = d/2, by its
+    ascending power series (4 pi)^(-nu) sum_k (-r^2/4)^k / (k! Gamma(nu +
+    k + 1)) summed in high precision (the term-by-term definition, free of
+    float64 cancellation)."""
     with mp.workdps(dps):
-        xm = mp.mpf(x)
+        nu = mp.mpf(d) / 2
+        rm = mp.mpf(r)
+        term = (4 * mp.pi) ** -nu / mp.gamma(1 + nu)
         total = mp.mpf(0)
-        term = (xm / 2) ** mp.mpf(nu) / mp.gamma(1 + mp.mpf(nu)) if x > 0 else \
-            (mp.mpf(1) / mp.gamma(1 + mp.mpf(nu)) if nu == 0 else mp.mpf(0))
         k = 0
         while True:
             total += term
-            term *= -(xm / 2) ** 2 / ((k + 1) * (k + 1 + mp.mpf(nu)))
+            term *= -(rm / 2) ** 2 / ((k + 1) * (k + 1 + nu))
             k += 1
             if abs(term) < mp.mpf(10) ** (-dps) * (abs(total) + 1):
                 break
         return float(total)
 
 
+def amplitude(d: int, rs) -> np.ndarray:
+    """K at the distances ``rs`` through ``eval_matrix``: the points are
+    placed on the first axis, against the origin."""
+    rs = np.atleast_1d(np.asarray(rs, dtype=float))
+    points = np.zeros((len(rs), d))
+    points[:, 0] = rs
+    return PaleyWienerKernel(d).eval_matrix(points, np.zeros((1, d)))[:, 0]
+
+
 # ---------------------------------------------------------------------------
-# Bessel evaluation
+# the Bessel amplitude J_{d/2}(r) / (2 pi r)^{d/2}, order nu = d/2
 
 
 def test_bessel_half_at_pi_over_two():
-    assert bessel_j(0.5, math.pi / 2) == approx(2.0 / math.pi, rel=1e-14)
+    # J_{1/2}(pi/2) = 2/pi, so the d = 1 amplitude there is 2/pi^2
+    assert amplitude(1, math.pi / 2)[0] == approx(2.0 / math.pi ** 2,
+                                                  rel=1e-14)
 
 
 def test_bessel_zero_argument():
-    for nu in (0.5, 1.0, 1.5):
-        assert bessel_j(nu, 0.0) == 0.0
+    # J_nu(r) / (2 pi r)^nu -> (4 pi)^(-nu) / Gamma(1 + nu) at r = 0: the
+    # diagonal value
+    for d in (1, 2, 3):
+        assert amplitude(d, 0.0)[0] == PaleyWienerKernel(d).diagonal_value
 
 
 def test_bessel_j1_at_one():
-    assert bessel_j(1.0, 1.0) == approx(0.4400505857449335, rel=1e-13)
+    assert amplitude(2, 1.0)[0] == approx(0.4400505857449335 / (2.0 * math.pi),
+                                          rel=1e-13)
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5])
 def test_bessel_matches_series_small_arguments(nu):
-    xs = np.linspace(0.0, 10.0, 81)
-    vals = bessel_j(nu, xs)
-    for x, v in zip(xs, vals):
-        assert v == approx(bessel_series_reference(nu, float(x)),
-                           rel=1e-10, abs=1e-13)
+    # the J_nu line's absolute floor of 1e-13 scaled by the amplitude's
+    # maximum, the diagonal value
+    d = int(2 * nu)
+    rs = np.linspace(0.0, 10.0, 81)
+    floor = 1e-13 * PaleyWienerKernel(d).diagonal_value
+    for r, v in zip(rs, amplitude(d, rs)):
+        assert v == approx(amplitude_series_reference(d, float(r)),
+                           rel=1e-10, abs=floor)
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5])
 def test_bessel_large_arguments_envelope_accuracy(nu):
-    xs = np.concatenate([np.linspace(10.0, 30.0, 41),
+    d = int(2 * nu)
+    rs = np.concatenate([np.linspace(10.0, 30.0, 41),
                          np.geomspace(30.0, 2000.0, 30)])
-    vals = bessel_j(nu, xs)
     with mp.workdps(40):
-        for x, v in zip(xs, vals):
-            exact = float(mp.besselj(nu, mp.mpf(float(x))))
-            envelope = math.sqrt(2.0 / (math.pi * x))
+        for r, v in zip(rs, amplitude(d, rs)):
+            rm = mp.mpf(float(r))
+            exact = float(mp.besselj(nu, rm) / (2 * mp.pi * rm) ** nu)
+            envelope = (math.sqrt(2.0 / (math.pi * r))
+                        / (2.0 * math.pi * r) ** nu)
             assert abs(v - exact) <= 1e-10 * envelope
 
 
 def allocating_j1_series(x):
     """The J_1 power series as a fresh array per operation, the form the
-    in-place recurrence of ``bessel_j`` must reproduce bit for bit."""
+    in-place recurrence of ``_j_series`` must reproduce bit for bit."""
     half = 0.5 * x
     term = half ** 1.0 / math.gamma(2.0)
     total = term.copy()
@@ -91,37 +112,37 @@ def allocating_j1_series(x):
 
 def test_bessel_j1_bits_match_the_allocating_series():
     xs = np.linspace(0.0, 20.0, 100_000)
-    before = xs.copy()
     lo = xs < kernels._J1_CROSSOVER
-    expected = np.empty_like(xs)
-    expected[lo] = allocating_j1_series(xs[lo])
+    below = xs[lo]
+    before = below.copy()
+    assert np.array_equal(kernels._j_series(1.0, below, 40),
+                          allocating_j1_series(before))
+    assert np.array_equal(below, before)
+    # the d = 2 amplitude is that series over 2 pi r below the crossover
+    # (the diagonal value up to r = 1e-8) and the Hankel form beyond
+    series = lo & (xs > 1e-8)
+    two_pi_r = 2.0 * math.pi * xs
+    expected = np.full_like(xs, PaleyWienerKernel(2).diagonal_value)
+    expected[series] = allocating_j1_series(xs[series]) / two_pi_r[series]
     expected[~lo] = kernels._j1_hankel(xs[~lo], np.sin(xs[~lo]),
-                                       np.cos(xs[~lo]))
-    assert np.array_equal(bessel_j(1.0, xs), expected)
-    assert np.array_equal(xs, before)
+                                       np.cos(xs[~lo])) / two_pi_r[~lo]
+    assert np.array_equal(amplitude(2, xs), expected)
 
 
 def test_check_bessel_reference_matches_mpmath():
-    # the decimal series behind the bessel_vs_series check lines, on
-    # their grid; measured 0 ulp from mpmath at every point
-    for nu in (0.5, 1.0, 1.5):
-        for x in np.linspace(0.0, 20.0, 201).tolist():
+    # the decimal series behind the amplitude_vs_series check lines, on
+    # their grid, against mpmath's J_nu(r) / (2 pi r)^nu and its r = 0
+    # limit (4 pi)^(-nu) / Gamma(1 + nu)
+    for d in (1, 2, 3):
+        nu = mp.mpf(d) / 2
+        for r in np.linspace(0.0, 20.0, 201).tolist():
             with mp.workdps(40):
-                exact = float(mp.besselj(nu, mp.mpf(x)))
-            assert (abs(_bessel_series_decimal(nu, x) - exact)
+                rm = mp.mpf(r)
+                exact = float(mp.besselj(nu, rm) / (2 * mp.pi * rm) ** nu
+                              if r else
+                              (4 * mp.pi) ** -nu / mp.gamma(1 + nu))
+            assert (abs(_amplitude_series_decimal(d, r) - exact)
                     <= math.ulp(exact))
-
-
-def test_bessel_unsupported_order():
-    with pytest.raises(ValueError, match="unsupported"):
-        bessel_j(2.0, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(0.25, 1.0)
-
-
-def test_bessel_rejects_negative_argument():
-    with pytest.raises(ValueError):
-        bessel_j(1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +246,8 @@ def sine_block_reference(xs, ys, dps: int = 30) -> np.ndarray:
 
 def test_sine_eval_matrix_matches_high_precision_reference():
     # rows: the R = 16 ladder's lattice (spacing 1/40, margin 80); columns:
-    # window-like nodes and lattice nodes moved by offsets on both sides
-    # of the 1/2 cutoff between the Bessel and the angle-addition forms
+    # window-like nodes and lattice nodes moved by offsets from 0 (the
+    # diagonal value) to 0.51
     offsets = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.49, 0.5 - 1e-6, 0.5 + 1e-6,
                0.51)
     rng = np.random.default_rng(7)
@@ -236,15 +257,15 @@ def test_sine_eval_matrix_matches_high_precision_reference():
                          anchors + np.array(offsets)])
     kernel = PaleyWienerKernel(1)
     reference = sine_block_reference(xs, ys)
-    # measured 1.67e-16, as with one sine per entry
+    # measured 1.67e-16: a block takes one sine per entry, as do single
+    # columns like the pivoted Cholesky's
     block = kernel.eval_matrix(xs[:, None], ys[:, None])
     assert np.abs(block - reference).max() <= 2e-16
-    # single columns, like the pivoted Cholesky's, take one sine per entry
     columns = np.hstack([kernel.eval_matrix(xs[:, None], [[y]]) for y in ys])
     assert np.abs(columns - reference).max() <= 2e-16
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_paley_wiener_eval_matrix_equals_summed_distance_form(dim):
     rng = np.random.default_rng(dim)
     kernel = PaleyWienerKernel(dim)

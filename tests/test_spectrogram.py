@@ -424,18 +424,20 @@ def test_sine_fields_form_no_eval_block(sine_run, monkeypatch):
 def test_self_checks_evaluate_only_operator_columns(monkeypatch):
     # the reference run's fields form no block on its 6800-node
     # evaluation grid: every eval_matrix call is a column block of the
-    # operator on the 400 window nodes
-    rows = []
+    # operator on the 400 window nodes, apart from the three amplitude
+    # lines' 201 distances against the origin
+    shapes = []
     eval_matrix = PaleyWienerKernel.eval_matrix
 
     def counted(self, xs, ys):
-        rows.append(len(xs))
+        shapes.append((len(xs), len(ys)))
         return eval_matrix(self, xs, ys)
 
     monkeypatch.setattr(PaleyWienerKernel, "eval_matrix", counted)
     lines = self_checks()
     assert all(line.passed for line in lines)
-    assert rows and set(rows) == {400}
+    assert shapes[:3] == [(201, 1)] * 3
+    assert len(shapes) > 3 and {rows for rows, _ in shapes[3:]} == {400}
 
 
 @pytest.mark.parametrize("cdim", [1, 2], ids=["cdim1", "cdim2"])
