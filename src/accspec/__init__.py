@@ -13,7 +13,7 @@ from .discretize import (QuadratureGrid, SpectralData, assemble_operator,
 from .spectrogram import (EvalGrid, SpectrogramField, accumulated_spectrogram,
                           build_eval_grid, c_delta, compute_psi, count_n,
                           defect_g, dilation_snapshot, inequality_report,
-                          inner_product_direct, inner_product_spectral)
+                          inner_product_spectral)
 from .variance import (AsymptoticFit, asymptotic_constant,
                        asymptotic_constant_geometric, expected_count,
                        fit_asymptotics, hyperuniformity_curve,
@@ -31,7 +31,7 @@ __all__ = [
     "EvalGrid", "SpectrogramField", "accumulated_spectrogram",
     "build_eval_grid", "c_delta", "compute_psi",
     "count_n", "defect_g", "dilation_snapshot",
-    "inequality_report", "inner_product_direct", "inner_product_spectral",
+    "inequality_report", "inner_product_spectral",
     "AsymptoticFit", "asymptotic_constant", "asymptotic_constant_geometric",
     "expected_count", "fit_asymptotics", "hyperuniformity_curve",
     "variance_radial", "variance_spectral",

@@ -86,8 +86,9 @@ variance summary table, columns:
   {",".join(VARIANCE_COLUMNS)}
   R               dilation scale
   E_count         expected point count in the dilated window
-  var_spectral    sum mu (1-mu) over the discretized spectrum (empty
-                  when the spectral route is off or auto drops it)
+  var_spectral    sum mu (1-mu) over the discretized spectrum, unclipped
+                  (empty when the spectral route is off or auto drops it;
+                  negative on a grid that cannot hold the window's modes)
   var_radial      radial-route variance (balls; upper bound for unions;
                   empty on a box)
   ratio           best variance / E_count

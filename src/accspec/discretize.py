@@ -305,16 +305,15 @@ def assemble_operator(kernel: Kernel, grid: QuadratureGrid) -> OperatorMatrix:
 class SpectralData:
     """Eigenpairs of an OperatorMatrix, eigenvalues descending.
 
-    ``eigenvalues`` has one entry per node: the solver's k eigenvalues
-    (which may overshoot [0, 1] by the discretization slack) followed by
-    zeros past the rank k. The variance formula, which is sign-sensitive
-    to the overshoot, clips them to [0, 1] itself; ``count_above`` needs
-    no clip for thresholds in [0, 1). ``vectors`` is n x k, orthonormal
-    columns matching the leading k eigenvalues; the eigenfunctions at the
-    nodes are Phi_j(x_i) = vectors[i, j] / sqrt(w_i). ``operator_trace``
-    is the operator's diagonal sum and ``residual_trace`` the trace the
-    factor left out, so that ``trace`` = sum(eigenvalues) + residual_trace
-    reproduces ``operator_trace`` up to the ``trace_defect``.
+    ``eigenvalues`` has one entry per node: the solver's k eigenvalues,
+    which every reader takes as they are, overshoot of [0, 1] included,
+    followed by zeros past the rank k. ``vectors`` is n x k, orthonormal
+    columns matching the leading k eigenvalues; the eigenfunctions at
+    the nodes are Phi_j(x_i) = vectors[i, j] / sqrt(w_i).
+    ``operator_trace`` is the operator's diagonal sum and
+    ``residual_trace`` the trace the factor left out, so that ``trace``
+    = sum(eigenvalues) + residual_trace reproduces ``operator_trace`` up
+    to the ``trace_defect``.
     """
 
     eigenvalues: np.ndarray

@@ -383,23 +383,15 @@ class Kernel:
         """Smallest r with envelope(phi)(r) below 1e-4 phi(0), capped."""
         raise NotImplementedError
 
-    def radial_panel_edges(self, a: float, b: float) -> np.ndarray:
-        """Panel edges resolving the radial profile's structure on [a, b]."""
-        raise NotImplementedError
-
     def radial_panels(self, a: float, b: float,
                       n_nodes: int = DEFAULT_NODES_PER_PANEL):
-        """Gauss-Legendre quadrature of the radial profile on [a, b]:
-        yields (nodes, weights, phi(nodes)) for at most ``_PANEL_CHUNK``
-        panels of ``n_nodes`` nodes at a time, over the panels of
-        ``radial_panel_edges``. A panel set beyond its cap raises
-        ResourceLimitError when the first chunk is asked for, before
-        anything of its size is allocated."""
-        edges = self.radial_panel_edges(a, b)
-        for start in range(0, edges.size - 1, _PANEL_CHUNK):
-            nodes, weights = panel_nodes(edges[start:start + _PANEL_CHUNK + 1],
-                                         n_nodes)
-            yield nodes, weights, self.radial_profile(nodes)
+        """Gauss-Legendre quadrature of the radial profile on [a, b], on
+        panels sized to its structure: yields (nodes, weights,
+        phi(nodes)) for at most ``_PANEL_CHUNK`` panels of ``n_nodes``
+        nodes at a time. A panel set beyond its cap raises
+        ResourceLimitError at the first chunk, before anything of its
+        size is allocated."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -479,8 +471,13 @@ class GinibreKernel(Kernel):
         return min(math.sqrt(-math.log(_CORRELATION_DROP) / math.pi),
                    _CORRELATION_LENGTH_CAP)
 
-    def radial_panel_edges(self, a: float, b: float) -> np.ndarray:
-        return geometric_edges(a, b, first_width=0.25, growth=1.4)
+    def radial_panels(self, a: float, b: float,
+                      n_nodes: int = DEFAULT_NODES_PER_PANEL):
+        edges = geometric_edges(a, b, first_width=0.25, growth=1.4)
+        for start in range(0, edges.size - 1, _PANEL_CHUNK):
+            nodes, weights = panel_nodes(edges[start:start + _PANEL_CHUNK + 1],
+                                         n_nodes)
+            yield nodes, weights, self.radial_profile(nodes)
 
 
 @dataclass(frozen=True)

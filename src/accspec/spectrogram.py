@@ -20,9 +20,9 @@ which gives the window integral int_Lambda |K(x,y)|^2 dy. Each field
 forms only its own sum, so a dilation ladder, which reads rho alone,
 never forms the window integral. The evaluation grid is a uniform
 product lattice, on which the Ginibre and the Paley-Wiener kernels,
-the sine kernel included, form no kernel block. ``inner_product_direct``
-is the same sum without the lattice, so it always evaluates blocks and
-is the independent reference for the lattice route.
+the sine kernel included, form no kernel block. The same sum given no
+lattice axes evaluates blocks and is the independent reference for the
+lattice route.
 The window mask 1_Lambda is evaluated once per evaluation grid and the
 limit shape K(x,x) 1_Lambda of rho once per field; their readers share them.
 """
@@ -250,25 +250,6 @@ def inner_product_spectral(psi: PsiSet):
     checked (``accspec.checks.inner_product_identity``).
     """
     return np.sum(np.abs(psi.images) ** 2, axis=1), psi.dropped_trace
-
-
-def inner_product_direct(kernel: Kernel, lambda_grid: QuadratureGrid,
-                         points: np.ndarray) -> np.ndarray:
-    """Window integral of |K(x, .)|^2 by quadrature on the window grid.
-
-    The same ``Kernel.field_sum`` of |K|^2 as ``defect_g``'s, given no
-    lattice axes, so it evaluates blocks of ``eval_matrix`` (its
-    docstring gives the working memory). The points need not form a
-    lattice, and the lattice factors are never used: this is the
-    independent reference for the window integral that ``defect_g``
-    builds on the evaluation lattice, which it matches to rounding, and
-    bitwise where the kernel gives no factors on that lattice
-    (Paley-Wiener windows with fewer nodes than the image rule has
-    waves).
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return kernel.field_sum(lambda_grid.nodes, lambda_grid.weights, points,
-                            square=True)
 
 
 @dataclass(eq=False)

@@ -53,8 +53,9 @@ def expected_count(kernel: Kernel, region: Region) -> float:
 
 
 def variance_spectral(spectral: SpectralData) -> float:
-    """sum mu_j (1 - mu_j) over clamped eigenvalues; nonnegative."""
-    mu = np.clip(spectral.eigenvalues, 0.0, 1.0)
+    """sum mu_j (1 - mu_j) over the eigenvalues as solved, with no clip:
+    negative on a grid that cannot hold the window's modes."""
+    mu = spectral.eigenvalues
     return float(np.sum(mu * (1.0 - mu)))
 
 

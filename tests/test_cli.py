@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from accspec import checks, cli, spectrogram
+from accspec import checks, cli, discretize, spectrogram
 from accspec.cli import UsageError, main, parse_region, parse_scale_list
 from accspec.discretize import (ResourceLimitError, assemble_operator,
                                 build_grid, spectral_decompose)
@@ -522,7 +522,8 @@ CHECK_NAMES = (
     "asymptotic_constant_identity_d3",
     "radial_normalization_ginibre_d2", "radial_normalization_sine_d1",
     "radial_normalization_paley-wiener_d2",
-    "trace_identity_sine", "variance_cross_route_sine",
+    "trace_identity_sine", "hilbert_schmidt_identity_sine",
+    "variance_cross_route_sine",
     *[f"{name}_delta{delta}_Cdelta{c}"
       for delta, c in (("0.1", 10), ("0.25", 4), ("0.5", 2))
       for name in ("psi_approximation", "delta_count", "defect_l1",
@@ -532,7 +533,7 @@ CHECK_NAMES = (
 
 
 def test_check_line_names_pinned(capsys):
-    assert len(CHECK_NAMES) == 28
+    assert len(CHECK_NAMES) == 29
     assert main(["check"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == f"all {len(CHECK_NAMES)} checks passed"
@@ -644,6 +645,19 @@ def test_check_fails_an_operator_trace_off_by_1e_9(capsys, monkeypatch):
     assert [line.split()[1] for line in lines if line.startswith("FAIL ")] \
         == ["trace_identity_sine"]
     assert lines[-1] == "1 check(s) failed"
+
+
+def test_hilbert_schmidt_line_sees_a_truncated_factor(monkeypatch):
+    # a factor stopped at 1e-10 of the trace drops three of the reference
+    # run's 13 eigenpairs; the counted residual trace keeps the trace
+    # identity exact, and the Frobenius norm from kernel blocks does not
+    monkeypatch.setattr(discretize, "_RESIDUAL_TRACE_TOL", 1e-10)
+    lines = {c.name: c for c in checks.self_checks()}
+    assert checks.reference_run().spectral.vectors.shape[1] == 10
+    assert lines["trace_identity_sine"].lhs == 0.0
+    # measured 2.2e-12, 22 times the bound
+    hilbert_schmidt = lines["hilbert_schmidt_identity_sine"]
+    assert hilbert_schmidt.lhs > 10.0 * hilbert_schmidt.rhs
 
 
 def _check_with_radial_variance_scaled(factor, capsys, monkeypatch):

@@ -293,16 +293,15 @@ def test_identity_matrix_spectrum():
     assert sd.eigenvalues == approx([1.0, 1.0])
 
 
-def test_eigenvalues_descending_and_clamped(sine_run):
+def test_eigenvalues_descending_and_read_as_solved(sine_run):
     mu = sine_run.spectral.eigenvalues
     assert np.all(np.diff(mu) <= 1e-14)
-    # the variance and count formulas read the spectrum clipped to [0, 1]
-    clamped = np.clip(mu, 0.0, 1.0)
+    # the variance and count formulas read the spectrum as solved
     assert variance_spectral(sine_run.spectral) == float(
-        np.sum(clamped * (1.0 - clamped)))
+        np.sum(mu * (1.0 - mu)))
     for threshold in (0.0, 1e-12, 0.5, 1.0 - 1e-12):
         assert sine_run.spectral.count_above(threshold) == int(
-            np.sum(clamped > threshold))
+            np.sum(mu > threshold))
 
 
 def test_sine_reference_spectrum(sine_run):
@@ -347,7 +346,7 @@ def test_low_rank_solver_matches_dense_oracle(make_operator):
     a = _dense(op)
     dense = np.linalg.eigh(a)[0][::-1]
     assert np.abs(sd.eigenvalues - dense).max() <= 1e-11
-    assert sd.count_above(1e-12) == int(np.sum(np.clip(dense, 0, 1) > 1e-12))
+    assert sd.count_above(1e-12) == int(np.sum(dense > 1e-12))
     v = sd.vectors
     mu = sd.eigenvalues[:v.shape[1]]
     norm = max(abs(dense[0]), abs(dense[-1]), 1e-300)

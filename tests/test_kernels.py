@@ -10,6 +10,7 @@ from pytest import approx
 
 from accspec.discretize import build_grid
 from accspec.geometry import Ball, Box, unit_ball_volume
+from accspec.quadrature import panel_nodes
 from accspec import kernels
 from accspec.checks import _amplitude_series_decimal
 from accspec.kernels import (GinibreKernel, PaleyWienerKernel,
@@ -663,7 +664,7 @@ def test_kernel_dimension_validation():
 
 class _FlatProfileStub(kernels.Kernel):
     """Constant radial profile: not integrable, not a projection kernel.
-    Its quadrature is the base ``Kernel.radial_panels`` over its edges."""
+    Its quadrature is one chunk of 63 equal panels."""
 
     ambient_dim = 1
     diagonal_value = 1.0
@@ -672,8 +673,9 @@ class _FlatProfileStub(kernels.Kernel):
     def radial_profile(self, r):
         return np.ones_like(np.asarray(r, dtype=float))
 
-    def radial_panel_edges(self, a, b):
-        return np.linspace(a, b, 64)
+    def radial_panels(self, a, b, n_nodes=64):
+        nodes, weights = panel_nodes(np.linspace(a, b, 64), n_nodes)
+        yield nodes, weights, self.radial_profile(nodes)
 
 
 def test_normalization_residual_rejects_flat_profile():

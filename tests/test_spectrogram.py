@@ -19,7 +19,6 @@ from accspec.spectrogram import (ConvergenceRow, DefectField,
                                  accumulated_spectrogram, build_eval_grid,
                                  c_delta, compute_psi, count_n, defect_g,
                                  dilation_snapshot, inequality_report,
-                                 inner_product_direct,
                                  inner_product_spectral)
 
 
@@ -59,7 +58,7 @@ def test_count_n_delta():
 
 def test_psi_norms_approach_eigenvalues(sine_run):
     n = sine_run.field.n_count
-    mu = np.clip(sine_run.spectral.eigenvalues, 0.0, 1.0)
+    mu = sine_run.spectral.eigenvalues
     ratios = sine_run.psi.norms_sq[:n] / mu[:n]
     # window truncation removes a little of each mode's mass; the slow
     # 1/x^2 kernel tail keeps the plunge mode a percent or two short
@@ -109,8 +108,9 @@ def test_rho_bulk_and_decay(sine_run):
 
 def test_inner_product_identity(sine_run):
     _, dropped = inner_product_spectral(sine_run.psi)
-    ipd = inner_product_direct(sine_run.kernel, sine_run.grid,
-                               sine_run.eval_grid.nodes)
+    grid = sine_run.grid
+    ipd = sine_run.kernel.field_sum(grid.nodes, grid.weights,
+                                    sine_run.eval_grid.nodes, square=True)
     line = inner_product_identity(sine_run.psi, ipd)
     assert line.lhs < line.rhs, line
     assert dropped < 1e-10
@@ -122,19 +122,22 @@ def test_inner_product_identity(sine_run):
 
 
 def test_inner_product_bounded_by_diagonal(sine_run):
-    ipd = inner_product_direct(sine_run.kernel, sine_run.grid,
-                               sine_run.eval_grid.nodes)
+    grid = sine_run.grid
+    ipd = sine_run.kernel.field_sum(grid.nodes, grid.weights,
+                                    sine_run.eval_grid.nodes, square=True)
     assert ipd.max() <= sine_run.kernel.diagonal_value + 1e-8
     assert ipd.min() >= 0.0
 
 
 def test_inner_product_limits(sine_run):
     k, grid = sine_run.kernel, sine_run.grid
-    deep = inner_product_direct(k, grid, np.array([[0.0]]))[0]
+    deep = k.field_sum(grid.nodes, grid.weights, np.array([[0.0]]),
+                       square=True)[0]
     # the 1/r^2 profile tail beyond (-5, 5) removes ~ 1/(5 pi^2) of mass
     assert deep == approx(k.diagonal_value - 1.0 / (5.0 * math.pi ** 2),
                           rel=0.02)
-    far = inner_product_direct(k, grid, np.array([[300.0]]))[0]
+    far = k.field_sum(grid.nodes, grid.weights, np.array([[300.0]]),
+                      square=True)[0]
     assert far < 1e-4
 
 
@@ -142,14 +145,16 @@ def test_inner_product_empty_window():
     empty = QuadratureGrid(region=Box(np.zeros(1), np.ones(1)),
                            nodes=np.empty((0, 1)), weights=np.empty(0),
                            spacing=np.array([1.0]))
-    out = inner_product_direct(sine_kernel(), empty, np.array([[0.0], [1.0]]))
+    out = sine_kernel().field_sum(empty.nodes, empty.weights,
+                                  np.array([[0.0], [1.0]]), square=True)
     assert out == approx([0.0, 0.0])
 
 
 def test_ginibre_center_inner_product():
     k = GinibreKernel(1)
     grid = build_grid(Ball(np.zeros(2), 3.0), 48)
-    value = inner_product_direct(k, grid, np.zeros((1, 2)))[0]
+    value = k.field_sum(grid.nodes, grid.weights, np.zeros((1, 2)),
+                        square=True)[0]
     assert value == approx(1.0, rel=1e-3)
 
 
@@ -249,7 +254,7 @@ def factor_route(kernel, grid, eval_grid):
                             eval_grid.axes, square=True)
 
 
-# The lattice factors and inner_product_direct's eval_matrix round
+# The lattice factors and the eval_matrix blocks round
 # differently; measured 1.4e-15 of the maximum on the ginibre fields below
 CROSS_ROUTE_REL = 1e-14
 # the sine kernel's plane waves against its blocks on the reference run,
@@ -268,13 +273,15 @@ def test_fields_do_not_depend_on_the_block_size(fields, budget, request,
     n_modes = count_n(spectral.trace)
     psi = unit_psi(compute_psi(kernel, spectral, eval_grid, j_max=n_modes))
     window = defect_g(kernel, grid, eval_grid).window_integral
-    ipd = inner_product_direct(kernel, grid, eval_grid.nodes)
+    ipd = kernel.field_sum(grid.nodes, grid.weights, eval_grid.nodes,
+                           square=True)
     entries = grid.n_nodes * (1 if budget == "one-row"
                               else eval_grid.nodes.shape[0])
     monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", entries)
     psi_b = unit_psi(compute_psi(kernel, spectral, eval_grid, j_max=n_modes))
     window_b = defect_g(kernel, grid, eval_grid).window_integral
-    ipd_b = inner_product_direct(kernel, grid, eval_grid.nodes)
+    ipd_b = kernel.field_sum(grid.nodes, grid.weights, eval_grid.nodes,
+                             square=True)
     assert np.abs(psi_b - psi).max() <= 1e-13 * np.abs(psi).max()
     assert np.abs(window_b - window).max() <= 1e-13 * window.max()
     assert np.abs(ipd_b - ipd).max() <= 1e-13 * ipd.max()
@@ -315,7 +322,8 @@ def test_ginibre_fields_form_no_kernel_block(ginibre_disk_fields,
     monkeypatch.undo()
     assert np.array_equal(defect.window_integral,
                           factor_route(kernel, grid, eval_grid))
-    ipd = inner_product_direct(kernel, grid, eval_grid.nodes)
+    ipd = kernel.field_sum(grid.nodes, grid.weights, eval_grid.nodes,
+                           square=True)
     assert (np.abs(defect.window_integral - ipd).max()
             <= CROSS_ROUTE_REL * ipd.max())
 
@@ -390,7 +398,7 @@ def test_plane_wave_pass_matches_eval_matrix(case, request, monkeypatch):
     # both lattice sums are plane-wave passes, with no kernel block
     assert entries == []
     reference = kernel.field_sum(grid.nodes, scaled_vecs, nodes)
-    ipd = inner_product_direct(kernel, grid, nodes)
+    ipd = kernel.field_sum(grid.nodes, grid.weights, nodes, square=True)
     assert (np.abs(images - reference).max()
             <= PLANE_WAVE_CROSS_ROUTE_REL * np.abs(reference).max())
     assert np.abs(window - ipd).max() <= PLANE_WAVE_CROSS_ROUTE_REL * ipd.max()
@@ -425,7 +433,8 @@ def test_self_checks_evaluate_only_operator_columns(monkeypatch):
     # the reference run's fields form no block on its 6800-node
     # evaluation grid: every eval_matrix call is a column block of the
     # operator on the 400 window nodes, apart from the three amplitude
-    # lines' 201 distances against the origin
+    # lines' 201 distances against the origin and the Hilbert-Schmidt
+    # line's row blocks of the window against itself, 400 rows in all
     shapes = []
     eval_matrix = PaleyWienerKernel.eval_matrix
 
@@ -437,7 +446,10 @@ def test_self_checks_evaluate_only_operator_columns(monkeypatch):
     lines = self_checks()
     assert all(line.passed for line in lines)
     assert shapes[:3] == [(201, 1)] * 3
-    assert len(shapes) > 3 and {rows for rows, _ in shapes[3:]} == {400}
+    columns = [shape for shape in shapes[3:] if shape[0] == 400]
+    window = [shape for shape in shapes[3:] if shape[0] != 400]
+    assert columns and {cols for _, cols in window} == {400}
+    assert sum(rows for rows, _ in window) == 400
 
 
 @pytest.mark.parametrize("cdim", [1, 2], ids=["cdim1", "cdim2"])
@@ -461,7 +473,7 @@ def test_lattice_pass_matches_eval_matrix(cdim):
     reference = np.concatenate([
         kernel.eval_matrix(nodes[i:i + 2048], grid.nodes) @ scaled_vecs
         for i in range(0, len(nodes), 2048)])
-    ipd = inner_product_direct(kernel, grid, nodes)
+    ipd = kernel.field_sum(grid.nodes, grid.weights, nodes, square=True)
     assert (np.abs(images - reference).max()
             <= CROSS_ROUTE_REL * np.abs(reference).max())
     assert np.abs(window - ipd).max() <= CROSS_ROUTE_REL * ipd.max()
@@ -498,7 +510,7 @@ def test_defect_sign_structure(sine_run):
 def test_defect_l1_vs_variance_equality(sine_run):
     # for projection kernels the defect bound is attained: both sides
     # compute the window/complement cross mass of |K|^2
-    mu = np.clip(sine_run.spectral.eigenvalues, 0.0, 1.0)
+    mu = sine_run.spectral.eigenvalues
     var = float(np.sum(mu * (1 - mu)))
     assert sine_run.defect.l1_total == approx(2.0 * var, rel=0.02)
     assert sine_run.defect.l1_total <= 2.0 * var + sine_run.defect.quad_error_estimate
@@ -556,7 +568,7 @@ def test_pure_projection_equality_case():
     sd = synthetic_spectral([1.0, 1.0, 1.0, 0.0])
     n_delta = sd.count_above(1.0 - 0.3)
     assert n_delta == 3
-    mu = np.clip(sd.eigenvalues, 0.0, 1.0)
+    mu = sd.eigenvalues
     var = float(np.sum(mu * (1 - mu)))
     assert var == 0.0
     assert abs(n_delta - sd.trace) <= c_delta(0.3) * var + 1e-12
