@@ -9,13 +9,14 @@ reference sine window (-5, 5) at 400 nodes, the paper's six identities
 and the Hilbert-Schmidt one: the trace identity, sum mu_j^2 = ||A||_F^2,
 the spectral against the radial count variance, the four spectral-count
 inequalities at each threshold of ``DELTAS``, the dual inner-product
-identity and mass conservation of the accumulated spectrogram. The
-suite is one fixed configuration: ``accspec check`` prints its lines
-and the acceptance tests assert the same lines. ``trace_identity``,
-``hilbert_schmidt_identity``, ``variance_cross_route`` and
-``inner_product_identity`` hold the formula and bound of their
-identity, so the tests read them rather than restate a bound, and apply
-them to other windows. ``reference_run`` builds the reference window's
+identity and mass conservation of the accumulated spectrogram, and the
+count variance's two routes again on the Paley-Wiener disk of radius
+1/2 at 16 nodes per axis. The suite is one fixed configuration: ``accspec check``
+prints its lines and the acceptance tests assert the same lines.
+``trace_identity``, ``hilbert_schmidt_identity``,
+``variance_cross_route`` and ``inner_product_identity`` hold the
+formula and bound of their identity, so the tests read them rather than
+restate a bound, and apply them to other windows. ``reference_run`` builds the reference window's
 pipeline, which the tests also share.
 """
 
@@ -28,7 +29,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .discretize import assemble_operator, build_grid, spectral_decompose
-from .geometry import Box, LensSpec, lens_volume_exact, lens_volume_series
+from .geometry import (Ball, Box, LensSpec, lens_volume_exact,
+                       lens_volume_series)
 from .kernels import (GinibreKernel, PaleyWienerKernel,
                       radial_normalization_check, sine_kernel)
 from .spectrogram import (InequalityCheck, accumulated_spectrogram,
@@ -92,8 +94,8 @@ def variance_cross_route(label: str, kernel, spectral,
     count variance in the ball of ``radius``, relative to the latter.
     The bound is 1e-12: the windows the line serves (the reference sine
     window, sine r = 2 at 400 nodes, the Ginibre unit disk at 50 and 64
-    nodes per axis, the Ginibre disk r = 2 at 64) measure 9.1e-16 to
-    1.9e-14."""
+    nodes per axis, the Ginibre disk r = 2 at 64, the Paley-Wiener disks
+    r = 1/2 at 16 and r = 1 at 24) measure 9.1e-16 to 1.9e-14."""
     radial = variance_radial(kernel, radius).value
     rel = abs(variance_spectral(spectral) - radial) / radial
     return InequalityCheck(f"variance_cross_route_{label}", rel, 1e-12, 0.0)
@@ -162,6 +164,16 @@ def self_checks() -> list[InequalityCheck]:
     lines.append(hilbert_schmidt_identity("sine", run.kernel, run.grid,
                                           run.spectral))
     lines.append(variance_cross_route("sine", run.kernel, run.spectral, 5.0))
+    # in even d the ball overlap has a branch at the diameter, which only
+    # the radial route's graded end panel resolves: 3.65e-11 without it.
+    # The disk's rank, 22, keeps its solve's QR and eigh below OpenBLAS's
+    # threading sizes (the unit disk's 31 is not: its worker threads then
+    # spin for about 0.13 s after the suite returns)
+    pw2 = PaleyWienerKernel(2)
+    pw2_disk = build_grid(Ball(np.zeros(2), 0.5), 16)
+    lines.append(variance_cross_route(
+        "pw2", pw2, spectral_decompose(assemble_operator(pw2, pw2_disk)),
+        0.5))
     for delta in DELTAS:
         report = inequality_report(run.kernel, run.spectral, fld, run.psi,
                                    defect, delta)

@@ -20,7 +20,8 @@ the squared distances are accumulated one axis at a time, with no
 M x n x d temporary. The radial quadrature of the Paley-Wiener
 profiles (``radial_panels``) takes its sines and cosines by angle
 addition: its panels are uniform, so every node is a panel start plus
-one of the Gauss offsets that all panels share.
+one of the Gauss offsets that all panels share, but for those of the
+graded last panel, which take numpy's.
 
 A field on an evaluation grid is a kernel sum sum_y L(x,y) v(y) over
 the window points y, with L = K or |K|^2 (``Kernel.field_sum``). When
@@ -52,7 +53,8 @@ import numpy as np
 
 from .geometry import unit_ball_volume, unit_sphere_area
 from .quadrature import (DEFAULT_NODES_PER_PANEL, geometric_edges,
-                         panel_nodes, trapezoid_circle, uniform_panel_count)
+                         graded_end_panel, panel_nodes, trapezoid_circle,
+                         uniform_panel_count)
 
 _J1_CROSSOVER = 13.0
 # below these distances the Paley-Wiener amplitude in dimension d takes
@@ -60,10 +62,10 @@ _J1_CROSSOVER = 13.0
 # and cos r
 _SERIES_BELOW = {1: 1e-8, 2: _J1_CROSSOVER, 3: 0.6}
 _SERIES_TERMS = {1.0: 40, 1.5: 12}
-# panels per radial quadrature chunk: keeps the per-node temporaries
-# (nodes, weights, profile, and the caller's) the same size at every
-# radius
-_PANEL_CHUNK = 64
+# nodes per radial quadrature chunk, which holds _CHUNK_NODES // n
+# panels of n nodes: keeps the per-node temporaries (nodes, weights,
+# profile, and the caller's) the same size at every radius and order
+_CHUNK_NODES = 4096
 # correlation length = smallest r with envelope(phi)(r) < 1e-4 phi(0),
 # capped for slowly decaying profiles
 _CORRELATION_DROP = 1e-4
@@ -387,10 +389,13 @@ class Kernel:
                       n_nodes: int = DEFAULT_NODES_PER_PANEL):
         """Gauss-Legendre quadrature of the radial profile on [a, b], on
         panels sized to its structure: yields (nodes, weights,
-        phi(nodes)) for at most ``_PANEL_CHUNK`` panels of ``n_nodes``
-        nodes at a time. A panel set beyond its cap raises
-        ResourceLimitError at the first chunk, before anything of its
-        size is allocated."""
+        phi(nodes)) for at most ``_CHUNK_NODES`` // ``n_nodes`` panels of
+        ``n_nodes`` nodes at a time. The last panel, the one ending at
+        b, takes ``graded_end_panel``, so that a (b - r)^(k/2) branch of
+        the caller's factor at b (the ball overlap at the diameter in
+        even d) leaves the integrand analytic. A panel set beyond its cap
+        raises ResourceLimitError at the first chunk, before anything of
+        its size is allocated."""
         raise NotImplementedError
 
 
@@ -474,9 +479,13 @@ class GinibreKernel(Kernel):
     def radial_panels(self, a: float, b: float,
                       n_nodes: int = DEFAULT_NODES_PER_PANEL):
         edges = geometric_edges(a, b, first_width=0.25, growth=1.4)
-        for start in range(0, edges.size - 1, _PANEL_CHUNK):
-            nodes, weights = panel_nodes(edges[start:start + _PANEL_CHUNK + 1],
-                                         n_nodes)
+        count, per_chunk = edges.size - 1, max(1, _CHUNK_NODES // n_nodes)
+        for first in range(0, count, per_chunk):
+            last = min(first + per_chunk, count)
+            nodes, weights = panel_nodes(edges[first:last + 1], n_nodes)
+            if last == count:
+                nodes[-n_nodes:], weights[-n_nodes:] = graded_end_panel(
+                    b, edges[-1] - edges[-2], n_nodes)
             yield nodes, weights, self.radial_profile(nodes)
 
 
@@ -662,23 +671,35 @@ class PaleyWienerKernel(Kernel):
         s_k + t_j, with a few eps of absolute (not relative) error. The
         node itself is that sum rounded once, off by eps/2 relative,
         which the smooth factors of the profile carry as relative error.
+        The graded last panel shares no offsets, so its n_nodes nodes
+        take numpy's sine and cosine.
         """
         count = uniform_panel_count(a, b, 0.5 * math.pi)
         width = (b - a) / count
+        per_chunk = max(1, _CHUNK_NODES // n_nodes)
         offsets, weights = panel_nodes(np.array([0.0, width]), n_nodes)
         sin_t, cos_t = np.sin(offsets), np.cos(offsets)
-        weights = np.tile(weights, min(count, _PANEL_CHUNK))
+        weights = np.tile(weights, min(count, per_chunk))
         weights.setflags(write=False)  # every chunk yields a view of it
-        for first in range(0, count, _PANEL_CHUNK):
-            starts = a + width * np.arange(first,
-                                           min(first + _PANEL_CHUNK, count))
+        end_nodes, end_weights = graded_end_panel(b, width, n_nodes)
+        for first in range(0, count, per_chunk):
+            last = min(first + per_chunk, count)
+            starts = a + width * np.arange(first, last)
             sin_s, cos_s = np.sin(starts)[:, None], np.cos(starts)[:, None]
             nodes = (starts[:, None] + offsets).ravel()
+            chunk_weights = weights[:nodes.size]
             sin_r = (sin_s * cos_t + cos_s * sin_t).ravel()
             cos_r = None if self.dim == 1 else \
                 (cos_s * cos_t - sin_s * sin_t).ravel()
+            if last == count:
+                nodes[-n_nodes:] = end_nodes
+                chunk_weights = np.concatenate([chunk_weights[:-n_nodes],
+                                                end_weights])
+                sin_r[-n_nodes:] = np.sin(end_nodes)
+                if cos_r is not None:
+                    cos_r[-n_nodes:] = np.cos(end_nodes)
             amplitude = self._profile_amplitude(nodes, sin_r, cos_r)
-            yield nodes, weights[:nodes.size], amplitude * amplitude
+            yield nodes, chunk_weights, amplitude * amplitude
 
 
 def sine_kernel() -> PaleyWienerKernel:

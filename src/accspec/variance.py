@@ -79,26 +79,36 @@ def variance_radial(kernel: Kernel, radius: float) -> RadialVariance:
     |B n (B + r e)| dr: beyond the diameter the shifted balls no longer
     overlap. The closed interval is integrated over the kernel's
     ``radial_panels``, sized to the profile's oscillation, a fixed
-    number of panels at a time, at 64 and 32 nodes per panel. The error
-    estimate is the difference of the two resolutions plus N * eps * E,
-    N being the fine node count, which bounds the accumulated rounding:
+    number of nodes at a time, at 16 and 12 nodes per panel. In even d
+    the overlap vanishes like (2 radius - r)^((d+1)/2) at the diameter;
+    the last panel is graded there, so every panel's integrand is
+    analytic and 16 nodes reach rounding. The error estimate is the
+    difference of the two resolutions plus N * eps * E, N being the fine
+    node count, which bounds the accumulated rounding:
     * the terms of the fine sum are non-negative and add up to
-      E - value <= E, so summing them, pairwise within a chunk and in
-      sequence across chunks, errs by far less than N * eps * E;
+      E - value <= E, so numpy's pairwise sum errs by at most 2 eps * E
+      on one panel of 16 terms and by about 12 eps * E on a chunk of
+      4096, and the chunks, added in sequence, by eps / 2 * E each;
     * the weights carry a few eps of relative error per term, and so
       does the profile where it comes from a series or from numpy's
-      sine and cosine;
+      sine and cosine (J_1's float series, which cancels on [10, 13),
+      carries more: under the integral it reads 1.8e-13 of the variance
+      in d = 2 at R = 50, where the estimate is 4.8e-12);
     * on the Paley-Wiener panels sine and cosine come by angle addition
       with a few eps of absolute, not relative, error. Where K is small
       that is a large relative error of phi = K^2, but for an absolute
       error delta, r^{d-1} times 2 |K| times the amplitude's sensitivity
-      to it integrates, from the second panel on, to less than
-      3 delta * E in d = 1, 2, 3 (the first panel starts at r = 0, where
-      the addition returns numpy's sine and cosine of the offsets);
+      to it integrates, over the panels between the first, which starts
+      at r = 0 where the addition returns numpy's sine and cosine of the
+      offsets, and the graded last one, which takes numpy's, to less
+      than 3 delta * E in d = 1, 2, 3;
     * the overlap c_d R^d - lens carries an absolute eps * c_d R^d,
       which sums to at most eps * E since sigma int r^{d-1} phi =
       K(x, x), and the subtraction from E adds eps * E.
-    With N >= 64, N * eps * E covers them together.
+    On one or two panels (N = 16 or 32, no angle addition) they total
+    about 12 eps * E; with angle addition, which enters from the third
+    panel on (N >= 48), under 40 eps * E plus eps / 2 * E per chunk of
+    4096 nodes. N * eps * E covers both.
     """
     if not 0 < radius < math.inf:  # a NaN radius fails as well
         raise ValueError(f"radius must be positive and finite, got {radius}")
@@ -116,11 +126,11 @@ def variance_radial(kernel: Kernel, radius: float) -> RadialVariance:
         return unit_sphere_area(d) * total, count
 
     try:
-        fine, n_fine = pair_integral(64)
+        fine, n_fine = pair_integral(16)
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"radial variance at radius {radius:g}: "
                                  f"{exc}") from None
-    coarse, _ = pair_integral(32)
+    coarse, _ = pair_integral(12)
     error = float(abs(fine - coarse) + n_fine * np.finfo(float).eps * e_count)
     return RadialVariance(value=e_count - fine, error_estimate=error)
 

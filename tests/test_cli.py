@@ -523,7 +523,7 @@ CHECK_NAMES = (
     "radial_normalization_ginibre_d2", "radial_normalization_sine_d1",
     "radial_normalization_paley-wiener_d2",
     "trace_identity_sine", "hilbert_schmidt_identity_sine",
-    "variance_cross_route_sine",
+    "variance_cross_route_sine", "variance_cross_route_pw2",
     *[f"{name}_delta{delta}_Cdelta{c}"
       for delta, c in (("0.1", 10), ("0.25", 4), ("0.5", 2))
       for name in ("psi_approximation", "delta_count", "defect_l1",
@@ -533,7 +533,7 @@ CHECK_NAMES = (
 
 
 def test_check_line_names_pinned(capsys):
-    assert len(CHECK_NAMES) == 29
+    assert len(CHECK_NAMES) == 30
     assert main(["check"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == f"all {len(CHECK_NAMES)} checks passed"
@@ -675,14 +675,17 @@ def _check_with_radial_variance_scaled(factor, capsys, monkeypatch):
 
 def test_check_fails_a_radial_variance_5_percent_high(capsys, monkeypatch):
     assert _check_with_radial_variance_scaled(1.05, capsys, monkeypatch) \
-        == (["variance_cross_route_sine"], "1 check(s) failed")
+        == (["variance_cross_route_sine", "variance_cross_route_pw2"],
+            "2 check(s) failed")
 
 
 def test_check_fails_a_radial_variance_1e_10_high(capsys, monkeypatch):
-    # the line's bound is 1e-12; the reference window measures 2.4e-15
+    # the line's bound is 1e-12; the reference window measures 7.2e-16
+    # and the Paley-Wiener disk 6.6e-15
     assert _check_with_radial_variance_scaled(1 + 1e-10, capsys,
                                               monkeypatch) \
-        == (["variance_cross_route_sine"], "1 check(s) failed")
+        == (["variance_cross_route_sine", "variance_cross_route_pw2"],
+            "2 check(s) failed")
 
 
 def test_union_region_variance_columns(tmp_path):

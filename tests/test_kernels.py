@@ -10,7 +10,7 @@ from pytest import approx
 
 from accspec.discretize import build_grid
 from accspec.geometry import Ball, Box, unit_ball_volume
-from accspec.quadrature import panel_nodes
+from accspec.quadrature import graded_end_panel, panel_nodes
 from accspec import kernels
 from accspec.checks import _amplitude_series_decimal
 from accspec.kernels import (GinibreKernel, PaleyWienerKernel,
@@ -624,12 +624,13 @@ def test_radial_panels_agree_with_the_pointwise_profile(d):
     # Angle addition gives sin and cos of the exact sum start + offset to
     # a few eps; the node is that sum rounded, off by up to eps r / 2, so
     # phi differs by eps (1 + r) times the envelope phi(r) <= 2 /
-    # ((2 pi)^d pi r^(d+1)) (measured at most 1.15 times that), and each
-    # chunk's weights sum to its span within 0.93 eps of it
+    # ((2 pi)^d pi r^(d+1)) (measured at most 0.98 times that), and each
+    # chunk's weights sum to its span within 0.69 eps of it, the last
+    # chunk's graded panel included. The orders are the radial route's
     kernel = PaleyWienerKernel(d)
     eps = np.finfo(float).eps
     width = 6000.0 / math.ceil(6000.0 / (0.5 * math.pi))
-    for n_nodes in (64, 32):
+    for n_nodes in (16, 12):
         covered = 0.0
         for nodes, weights, phi in kernel.radial_panels(0.0, 6000.0, n_nodes):
             envelope = np.minimum(kernel.diagonal_value ** 2,
@@ -641,6 +642,24 @@ def test_radial_panels_agree_with_the_pointwise_profile(d):
             assert abs(weights.sum() - span) <= 2.0 * eps * span
             covered += span
         assert covered == approx(6000.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("n_nodes", [12, 16])
+def test_graded_end_panel_integrates_half_integer_branches(n_nodes):
+    # r = b - h u^2 turns (b - r)^(k/2) into h^(k/2) u^k: measured at
+    # most 7 eps relative for k = 1, 3, 5, 7; the weights sum to h within
+    # 0.7 eps, also at b = 6000 with the sine route's panel width
+    eps = np.finfo(float).eps
+    b, h = 2.0, 0.37
+    nodes, weights = graded_end_panel(b, h, n_nodes)
+    assert np.all(np.diff(nodes) > 0) and b - h <= nodes[0] < nodes[-1] < b
+    for k in (1, 3, 5, 7):
+        exact = h ** (k / 2 + 1) / (k / 2 + 1)
+        assert abs(weights @ (b - nodes) ** (k / 2) - exact) <= 8 * eps * exact
+    width = 6000.0 / math.ceil(6000.0 / (0.5 * math.pi))
+    for b, h in ((2.0, 0.37), (6000.0, width)):
+        weights = graded_end_panel(b, h, n_nodes)[1]
+        assert abs(weights.sum() - h) <= eps * h
 
 
 def test_normalization_check_rejects_bad_range():

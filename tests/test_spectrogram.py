@@ -432,9 +432,10 @@ def test_sine_fields_form_no_eval_block(sine_run, monkeypatch):
 def test_self_checks_evaluate_only_operator_columns(monkeypatch):
     # the reference run's fields form no block on its 6800-node
     # evaluation grid: every eval_matrix call is a column block of the
-    # operator on the 400 window nodes, apart from the three amplitude
-    # lines' 201 distances against the origin and the Hilbert-Schmidt
-    # line's row blocks of the window against itself, 400 rows in all
+    # operator on the 400 window nodes or on the Paley-Wiener disk's 200,
+    # apart from the three amplitude lines' 201 distances against the
+    # origin and the Hilbert-Schmidt line's row blocks of the window
+    # against itself, 400 rows in all
     shapes = []
     eval_matrix = PaleyWienerKernel.eval_matrix
 
@@ -446,9 +447,10 @@ def test_self_checks_evaluate_only_operator_columns(monkeypatch):
     lines = self_checks()
     assert all(line.passed for line in lines)
     assert shapes[:3] == [(201, 1)] * 3
-    columns = [shape for shape in shapes[3:] if shape[0] == 400]
-    window = [shape for shape in shapes[3:] if shape[0] != 400]
-    assert columns and {cols for _, cols in window} == {400}
+    columns = [shape for shape in shapes[3:] if shape[0] in (400, 200)]
+    window = [shape for shape in shapes[3:] if shape[0] not in (400, 200)]
+    assert {rows for rows, _ in columns} == {400, 200}
+    assert {cols for _, cols in window} == {400}
     assert sum(rows for rows, _ in window) == 400
 
 
