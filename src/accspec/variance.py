@@ -84,7 +84,11 @@ def variance_radial(kernel: Kernel, radius: float) -> RadialVariance:
     the last panel is graded there, so every panel's integrand is
     analytic and 16 nodes reach rounding. The error estimate is the
     difference of the two resolutions plus N * eps * E, N being the fine
-    node count, which bounds the accumulated rounding:
+    node count. The graded panel is where the 12-node rule falls short:
+    graded over a width of pi it integrates e^(2ir) to 2.5e-11 of the
+    width (16 nodes: 5.8e-16), so on one or two Paley-Wiener panels the
+    difference reads up to 1e-11 of the variance while the value stays
+    at rounding. N * eps * E bounds the accumulated rounding:
     * the terms of the fine sum are non-negative and add up to
       E - value <= E, so numpy's pairwise sum errs by at most 2 eps * E
       on one panel of 16 terms and by about 12 eps * E on a chunk of
@@ -101,13 +105,15 @@ def variance_radial(kernel: Kernel, radius: float) -> RadialVariance:
       to it integrates, over the panels between the first, which starts
       at r = 0 where the addition returns numpy's sine and cosine of the
       offsets, and the graded last one, which takes numpy's, to less
-      than 3 delta * E in d = 1, 2, 3;
+      than delta * E in d = 1, 2, 3 (0.25, 0.18 and 0.89 delta * E over
+      r >= pi);
     * the overlap c_d R^d - lens carries an absolute eps * c_d R^d,
       which sums to at most eps * E since sigma int r^{d-1} phi =
       K(x, x), and the subtraction from E adds eps * E.
-    On one or two panels (N = 16 or 32, no angle addition) they total
+    On one or two panels (N = 16 or 32, radius <= pi on the Paley-Wiener
+    panels of width pi) no node takes angle addition, and they total
     about 12 eps * E; with angle addition, which enters from the third
-    panel on (N >= 48), under 40 eps * E plus eps / 2 * E per chunk of
+    panel on (N >= 48), under 20 eps * E plus eps / 2 * E per chunk of
     4096 nodes. N * eps * E covers both.
     """
     if not 0 < radius < math.inf:  # a NaN radius fails as well

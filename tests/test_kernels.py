@@ -604,9 +604,9 @@ def test_normalization_residual_pw3():
 
 
 def test_normalization_check_memory_does_not_grow_with_r_max():
-    # the 4.1M nodes of r_max = 1e5 would take 475 MiB formed at once;
-    # chunked, the peak measures 0.42 MiB, as at r_max = 1e3. The first
-    # call fills the Gauss rule's cache.
+    # the 0.51M nodes of r_max = 1e5 would take about 60 MiB formed at
+    # once; chunked, the peak measures 0.45 MiB, as at r_max = 1e3. The
+    # first call fills the Gauss rule's cache.
     kernel = PaleyWienerKernel(2)
     radial_normalization_check(kernel, 10.0)
     tracemalloc.start()
@@ -618,19 +618,27 @@ def test_normalization_check_memory_does_not_grow_with_r_max():
     assert peak < 0.5 * 2 ** 20
 
 
+def _first_panel_width(kernel, b, n_nodes):
+    """The width of the first of ``kernel.radial_panels(0, b)``'s uniform
+    panels, read as its weight sum."""
+    weights = next(kernel.radial_panels(0.0, b, n_nodes))[1]
+    return float(weights[:n_nodes].sum())
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_radial_panels_agree_with_the_pointwise_profile(d):
     # [0, 6000] crosses the series switches at 0.6 (d = 3) and 13 (d = 2).
     # Angle addition gives sin and cos of the exact sum start + offset to
     # a few eps; the node is that sum rounded, off by up to eps r / 2, so
     # phi differs by eps (1 + r) times the envelope phi(r) <= 2 /
-    # ((2 pi)^d pi r^(d+1)) (measured at most 0.98 times that), and each
-    # chunk's weights sum to its span within 0.69 eps of it, the last
-    # chunk's graded panel included. The orders are the radial route's
+    # ((2 pi)^d pi r^(d+1)) (measured at most 0.49 times that), and each
+    # chunk's weights sum to its span within 0.80 eps of it, the last
+    # chunk's graded panel included. The orders are the radial route's,
+    # and the panel width is read from the panels
     kernel = PaleyWienerKernel(d)
     eps = np.finfo(float).eps
-    width = 6000.0 / math.ceil(6000.0 / (0.5 * math.pi))
     for n_nodes in (16, 12):
+        width = _first_panel_width(kernel, 6000.0, n_nodes)
         covered = 0.0
         for nodes, weights, phi in kernel.radial_panels(0.0, 6000.0, n_nodes):
             envelope = np.minimum(kernel.diagonal_value ** 2,
@@ -656,7 +664,7 @@ def test_graded_end_panel_integrates_half_integer_branches(n_nodes):
     for k in (1, 3, 5, 7):
         exact = h ** (k / 2 + 1) / (k / 2 + 1)
         assert abs(weights @ (b - nodes) ** (k / 2) - exact) <= 8 * eps * exact
-    width = 6000.0 / math.ceil(6000.0 / (0.5 * math.pi))
+    width = _first_panel_width(sine_kernel(), 6000.0, n_nodes)
     for b, h in ((2.0, 0.37), (6000.0, width)):
         weights = graded_end_panel(b, h, n_nodes)[1]
         assert abs(weights.sum() - h) <= eps * h

@@ -99,6 +99,28 @@ def test_variance_radial_sine_exact():
 
 
 @pytest.mark.parametrize("d, radius, exact", [
+    # 2R / pi steps across 1, 2 and 3 panels at R = pi / 2, pi and 3 pi / 2
+    (1, 0.197, 0.109819931236151304275798932619),
+    (1, 1.5, 0.339782083270598457514151660587),
+    (1, 1.6, 0.345969247235966446701992404676),
+    (1, 3.1, 0.414346050217097294664583147567),
+    (1, 3.2, 0.417532953858688320393200525033),
+    (1, 4.7, 0.456797117982142096684596082626),
+    (1, 4.75, 0.457866301090975683211179648642),
+    (2, 0.197, 0.00960902352877220947884125834299),
+    (2, 1.5, 0.370364115561841872432271575572),
+    (2, 1.6, 0.405449502631271436992979736997),
+    (2, 3.1, 0.995569058515496787973350103156),
+    (2, 3.2, 1.03789953165490447793613977824),
+    (2, 4.7, 1.70861269254540351340980176266),
+    (2, 4.75, 1.73185588625239610716538741302),
+    (3, 0.197, 0.000540509757685471504027138280982),
+    (3, 1.5, 0.204332647365560400514027716633),
+    (3, 1.6, 0.242193312835145354944627372316),
+    (3, 3.1, 1.25189464151008746009994683028),
+    (3, 3.2, 1.35125184496909721466269344348),
+    (3, 4.7, 3.35656974183146885613711319739),
+    (3, 4.75, 3.44076430870406159926910074356),
     (2, 0.5, 0.0588276115798570942499905438675),
     (2, 1.0, 0.200716667217451941875057407919),
     (2, 2.0, 0.550796961811922190807646034715),
@@ -110,21 +132,41 @@ def test_variance_radial_sine_exact():
 ])
 def test_variance_radial_paley_wiener_exact(d, radius, exact):
     # E - sigma_d int_0^{2R} r^{d-1} phi(r) |B n (B + r e)| dr by mpmath
-    # at 40 digits (quad on panels at multiples of pi), with E = R^2 / 4,
-    # phi = (J_1(r) / (2 pi r))^2 and the disk overlap 2 R^2 acos(r / 2R)
-    # - (r / 2) sqrt(4 R^2 - r^2) in d = 2; E = 2 R^3 / (9 pi),
-    # phi = ((sin r / r - cos r) / (2 pi^2 r^2))^2 and the ball overlap
-    # (pi / 12) (4 R + r) (2 R - r)^2 in d = 3. The error estimate must
-    # bound the actual error. Where J_1's float series, which cancels on
-    # [10, 13), stays out of [0, 2R], the route is at rounding: measured
-    # 0, 0, 2.0e-16 and 3.6e-16 relative in d = 2 at R <= 5, 2.3e-16 and
-    # 4.7e-16 in d = 3 (an ungraded panel at the diameter errs by 3.65e-11,
-    # 1.30e-11 and 9.0e-14 at R = 0.5, 1 and 2); the series' noise reads
-    # 3.8e-15 and 1.8e-13 at R = 20 and 50
+    # at 40 digits (quad on panels at multiples of pi), with E = 2 R / pi,
+    # phi = (sin r / (pi r))^2 and the overlap 2 R - r in d = 1;
+    # E = R^2 / 4, phi = (J_1(r) / (2 pi r))^2 and the disk overlap
+    # 2 R^2 acos(r / 2R) - (r / 2) sqrt(4 R^2 - r^2) in d = 2;
+    # E = 2 R^3 / (9 pi), phi = ((sin r / r - cos r) / (2 pi^2 r^2))^2
+    # and the ball overlap (pi / 12) (4 R + r) (2 R - r)^2 in d = 3. The
+    # error estimate must bound the actual error. Where J_1's float
+    # series, which cancels on [10, 13), stays out of [0, 2R], the route
+    # is at rounding: measured at most 9.4e-16 relative at R <= 5 in
+    # d = 1, 2, 3, and 4.7e-16 in d = 3 at R = 20 (an ungraded panel at
+    # the diameter errs by 3.65e-11, 1.30e-11 and 9.0e-14 at R = 0.5, 1
+    # and 2); the series' noise reads 3.7e-14 and 1.7e-13 at R = 20 and 50
     rv = variance_radial(PaleyWienerKernel(d), radius)
     assert abs(rv.value - exact) <= rv.error_estimate, (d, radius, rv)
     if d == 3 or radius <= 5.0:
         assert abs(rv.value - exact) <= 1e-15 * exact, (d, radius, rv)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_variance_radial_node_counts(d, monkeypatch):
+    # one panel per period pi of phi = K^2, at 16 fine and 12 coarse nodes
+    panels = PaleyWienerKernel.radial_panels
+    counts = {}
+
+    def counted(self, a, b, n_nodes):
+        for chunk in panels(self, a, b, n_nodes):
+            counts[n_nodes] = counts.get(n_nodes, 0) + chunk[0].size
+            yield chunk
+
+    monkeypatch.setattr(PaleyWienerKernel, "radial_panels", counted)
+    for radius in (0.197, 1.5, 1.6, 3.2, 100.0, 1000.0):
+        counts.clear()
+        variance_radial(PaleyWienerKernel(d), radius)
+        count = math.ceil(2.0 * radius / math.pi)
+        assert counts == {16: 16 * count, 12: 12 * count}, (radius, counts)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
