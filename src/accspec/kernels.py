@@ -62,10 +62,10 @@ _J1_CROSSOVER = 13.0
 # and cos r
 _SERIES_BELOW = {1: 1e-8, 2: _J1_CROSSOVER, 3: 0.6}
 _SERIES_TERMS = {1.0: 40, 1.5: 12}
-# nodes per radial quadrature chunk, which holds _CHUNK_NODES // n
-# panels of n nodes: keeps the per-node temporaries (nodes, weights,
-# profile, and the caller's) the same size at every radius and order
-_CHUNK_NODES = 4096
+# whole panels per radial quadrature chunk, 4096 nodes: keeps the
+# per-node temporaries (nodes, weights, profile, and the caller's) the
+# same size at every radius
+_CHUNK_PANELS = 4096 // DEFAULT_NODES_PER_PANEL
 # correlation length = smallest r with envelope(phi)(r) < 1e-4 phi(0),
 # capped for slowly decaying profiles
 _CORRELATION_DROP = 1e-4
@@ -385,17 +385,17 @@ class Kernel:
         """Smallest r with envelope(phi)(r) below 1e-4 phi(0), capped."""
         raise NotImplementedError
 
-    def radial_panels(self, a: float, b: float,
-                      n_nodes: int = DEFAULT_NODES_PER_PANEL):
+    def radial_panels(self, a: float, b: float):
         """Gauss-Legendre quadrature of the radial profile on [a, b], on
         panels sized to its structure: yields (nodes, weights,
-        phi(nodes)) for at most ``_CHUNK_NODES`` // ``n_nodes`` panels of
-        ``n_nodes`` nodes at a time. The last panel, the one ending at
-        b, takes ``graded_end_panel``, so that a (b - r)^(k/2) branch of
-        the caller's factor at b (the ball overlap at the diameter in
-        even d) leaves the integrand analytic. A panel set beyond its cap
-        raises ResourceLimitError at the first chunk, before anything of
-        its size is allocated."""
+        phi(nodes)) for at most ``_CHUNK_PANELS`` whole panels of
+        ``DEFAULT_NODES_PER_PANEL`` nodes at a time, panel by panel, so
+        that a caller can reshape a chunk to (panels, nodes). The last
+        panel, the one ending at b, takes ``graded_end_panel``, so that a
+        (b - r)^(k/2) branch of the caller's factor at b (the ball overlap
+        at the diameter in even d) leaves the integrand analytic. A panel
+        set beyond its cap raises ResourceLimitError at the first chunk,
+        before anything of its size is allocated."""
         raise NotImplementedError
 
 
@@ -476,16 +476,16 @@ class GinibreKernel(Kernel):
         return min(math.sqrt(-math.log(_CORRELATION_DROP) / math.pi),
                    _CORRELATION_LENGTH_CAP)
 
-    def radial_panels(self, a: float, b: float,
-                      n_nodes: int = DEFAULT_NODES_PER_PANEL):
+    def radial_panels(self, a: float, b: float):
+        n = DEFAULT_NODES_PER_PANEL
         edges = geometric_edges(a, b, first_width=0.25, growth=1.4)
-        count, per_chunk = edges.size - 1, max(1, _CHUNK_NODES // n_nodes)
-        for first in range(0, count, per_chunk):
-            last = min(first + per_chunk, count)
-            nodes, weights = panel_nodes(edges[first:last + 1], n_nodes)
+        count = edges.size - 1
+        for first in range(0, count, _CHUNK_PANELS):
+            last = min(first + _CHUNK_PANELS, count)
+            nodes, weights = panel_nodes(edges[first:last + 1], n)
             if last == count:
-                nodes[-n_nodes:], weights[-n_nodes:] = graded_end_panel(
-                    b, edges[-1] - edges[-2], n_nodes)
+                nodes[-n:], weights[-n:] = graded_end_panel(
+                    b, edges[-1] - edges[-2], n)
             yield nodes, weights, self.radial_profile(nodes)
 
 
@@ -658,34 +658,33 @@ class PaleyWienerKernel(Kernel):
             ** (1.0 / (d + 1))
         return min(r, _CORRELATION_LENGTH_CAP)
 
-    def radial_panels(self, a: float, b: float,
-                      n_nodes: int = DEFAULT_NODES_PER_PANEL):
+    def radial_panels(self, a: float, b: float):
         """The radial quadrature on uniform panels of width at most pi,
         one period of the profile phi = K^2, whose top frequency is 2
-        (Gauss-Legendre at 12 nodes integrates e^(2ir) on such a panel
-        to rounding; at 2 pi it errs by 1.4e-12).
+        (Gauss-Legendre at 16 nodes integrates e^(2ir) on such a panel
+        to rounding, graded or not).
 
         The panel count is checked against the cap before anything is
         allocated. Every node is a panel start s_k plus one of the
-        ``n_nodes`` Gauss offsets t_j shared by all panels, so sin and
+        16 Gauss offsets t_j shared by all panels, so sin and
         cos of the node come by angle addition from one table over the
         chunk's starts and one over the offsets: those of the exact sum
         s_k + t_j, with a few eps of absolute (not relative) error. The
         node itself is that sum rounded once, off by eps/2 relative,
         which the smooth factors of the profile carry as relative error.
-        The graded last panel shares no offsets, so its n_nodes nodes
-        take numpy's sine and cosine.
+        The graded last panel shares no offsets, so its 16 nodes take
+        numpy's sine and cosine.
         """
+        n = DEFAULT_NODES_PER_PANEL
         count = uniform_panel_count(a, b, math.pi)
         width = (b - a) / count
-        per_chunk = max(1, _CHUNK_NODES // n_nodes)
-        offsets, weights = panel_nodes(np.array([0.0, width]), n_nodes)
+        offsets, weights = panel_nodes(np.array([0.0, width]), n)
         sin_t, cos_t = np.sin(offsets), np.cos(offsets)
-        weights = np.tile(weights, min(count, per_chunk))
+        weights = np.tile(weights, min(count, _CHUNK_PANELS))
         weights.setflags(write=False)  # every chunk yields a view of it
-        end_nodes, end_weights = graded_end_panel(b, width, n_nodes)
-        for first in range(0, count, per_chunk):
-            last = min(first + per_chunk, count)
+        end_nodes, end_weights = graded_end_panel(b, width, n)
+        for first in range(0, count, _CHUNK_PANELS):
+            last = min(first + _CHUNK_PANELS, count)
             starts = a + width * np.arange(first, last)
             sin_s, cos_s = np.sin(starts)[:, None], np.cos(starts)[:, None]
             nodes = (starts[:, None] + offsets).ravel()
@@ -694,12 +693,12 @@ class PaleyWienerKernel(Kernel):
             cos_r = None if self.dim == 1 else \
                 (cos_s * cos_t - sin_s * sin_t).ravel()
             if last == count:
-                nodes[-n_nodes:] = end_nodes
-                chunk_weights = np.concatenate([chunk_weights[:-n_nodes],
+                nodes[-n:] = end_nodes
+                chunk_weights = np.concatenate([chunk_weights[:-n],
                                                 end_weights])
-                sin_r[-n_nodes:] = np.sin(end_nodes)
+                sin_r[-n:] = np.sin(end_nodes)
                 if cos_r is not None:
-                    cos_r[-n_nodes:] = np.cos(end_nodes)
+                    cos_r[-n:] = np.cos(end_nodes)
             amplitude = self._profile_amplitude(nodes, sin_r, cos_r)
             yield nodes, chunk_weights, amplitude * amplitude
 

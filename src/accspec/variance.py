@@ -27,6 +27,7 @@ from .geometry import (Ball, DisjointBallUnion, Region,
                        _ball_volume_unchecked, lens_volume_exact_many,
                        unit_ball_volume, unit_sphere_area)
 from .kernels import Kernel
+from .quadrature import legendre_tail
 
 
 class FitRangeError(ValueError):
@@ -78,18 +79,15 @@ def variance_radial(kernel: Kernel, radius: float) -> RadialVariance:
     variance is exactly E - sigma int_0^{2 radius} r^{d-1} phi(r)
     |B n (B + r e)| dr: beyond the diameter the shifted balls no longer
     overlap. The closed interval is integrated over the kernel's
-    ``radial_panels``, sized to the profile's oscillation, a fixed
-    number of nodes at a time, at 16 and 12 nodes per panel. In even d
-    the overlap vanishes like (2 radius - r)^((d+1)/2) at the diameter;
-    the last panel is graded there, so every panel's integrand is
-    analytic and 16 nodes reach rounding. The error estimate is the
-    difference of the two resolutions plus N * eps * E, N being the fine
-    node count. The graded panel is where the 12-node rule falls short:
-    graded over a width of pi it integrates e^(2ir) to 2.5e-11 of the
-    width (16 nodes: 5.8e-16), so on one or two Paley-Wiener panels the
-    difference reads up to 1e-11 of the variance while the value stays
-    at rounding. N * eps * E bounds the accumulated rounding:
-    * the terms of the fine sum are non-negative and add up to
+    ``radial_panels``, sized to the profile's oscillation, 16 nodes per
+    panel and a fixed number of panels at a time. In even d the overlap
+    vanishes like (2 radius - r)^((d+1)/2) at the diameter; the last
+    panel is graded there, so every panel's integrand is analytic and 16
+    nodes reach rounding. The error estimate is the panels' truncation
+    error, read off the Legendre coefficients of their own terms
+    (``quadrature.legendre_tail``), plus N * eps * E, N being the node
+    count. N * eps * E bounds the accumulated rounding:
+    * the terms of the sum are non-negative and add up to
       E - value <= E, so numpy's pairwise sum errs by at most 2 eps * E
       on one panel of 16 terms and by about 12 eps * E on a chunk of
       4096, and the chunks, added in sequence, by eps / 2 * E each;
@@ -97,7 +95,7 @@ def variance_radial(kernel: Kernel, radius: float) -> RadialVariance:
       does the profile where it comes from a series or from numpy's
       sine and cosine (J_1's float series, which cancels on [10, 13),
       carries more: under the integral it reads 1.8e-13 of the variance
-      in d = 2 at R = 50, where the estimate is 4.8e-12);
+      in d = 2 at R = 50, where the estimate is 2.4e-12 of it);
     * on the Paley-Wiener panels sine and cosine come by angle addition
       with a few eps of absolute, not relative, error. Where K is small
       that is a large relative error of phi = K^2, but for an absolute
@@ -122,23 +120,20 @@ def variance_radial(kernel: Kernel, radius: float) -> RadialVariance:
     ball = unit_ball_volume(d) * radius ** d
     e_count = kernel.diagonal_value * ball
 
-    def pair_integral(n_nodes):
-        total, count = 0.0, 0
-        for nodes, weights, phi in kernel.radial_panels(0.0, 2.0 * radius,
-                                                        n_nodes):
-            overlap = ball - lens_volume_exact_many(d, nodes, radius)
-            total += float(np.sum(weights * nodes ** (d - 1) * phi * overlap))
-            count += nodes.size
-        return unit_sphere_area(d) * total, count
-
+    total, tail, count = 0.0, 0.0, 0
     try:
-        fine, n_fine = pair_integral(16)
+        for nodes, weights, phi in kernel.radial_panels(0.0, 2.0 * radius):
+            overlap = ball - lens_volume_exact_many(d, nodes, radius)
+            terms = weights * nodes ** (d - 1) * phi * overlap
+            total += float(np.sum(terms))
+            tail += legendre_tail(terms)
+            count += nodes.size
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"radial variance at radius {radius:g}: "
                                  f"{exc}") from None
-    coarse, _ = pair_integral(12)
-    error = float(abs(fine - coarse) + n_fine * np.finfo(float).eps * e_count)
-    return RadialVariance(value=e_count - fine, error_estimate=error)
+    sigma = unit_sphere_area(d)
+    error = float(sigma * tail + count * np.finfo(float).eps * e_count)
+    return RadialVariance(value=e_count - sigma * total, error_estimate=error)
 
 
 def variance_subadditive_upper(kernel: Kernel,

@@ -618,11 +618,11 @@ def test_normalization_check_memory_does_not_grow_with_r_max():
     assert peak < 0.5 * 2 ** 20
 
 
-def _first_panel_width(kernel, b, n_nodes):
+def _first_panel_width(kernel, b):
     """The width of the first of ``kernel.radial_panels(0, b)``'s uniform
-    panels, read as its weight sum."""
-    weights = next(kernel.radial_panels(0.0, b, n_nodes))[1]
-    return float(weights[:n_nodes].sum())
+    panels of 16 nodes, read as its weight sum."""
+    weights = next(kernel.radial_panels(0.0, b))[1]
+    return float(weights[:16].sum())
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -633,23 +633,22 @@ def test_radial_panels_agree_with_the_pointwise_profile(d):
     # phi differs by eps (1 + r) times the envelope phi(r) <= 2 /
     # ((2 pi)^d pi r^(d+1)) (measured at most 0.49 times that), and each
     # chunk's weights sum to its span within 0.80 eps of it, the last
-    # chunk's graded panel included. The orders are the radial route's,
-    # and the panel width is read from the panels
+    # chunk's graded panel included. The panel width is read from the
+    # panels
     kernel = PaleyWienerKernel(d)
     eps = np.finfo(float).eps
-    for n_nodes in (16, 12):
-        width = _first_panel_width(kernel, 6000.0, n_nodes)
-        covered = 0.0
-        for nodes, weights, phi in kernel.radial_panels(0.0, 6000.0, n_nodes):
-            envelope = np.minimum(kernel.diagonal_value ** 2,
-                                  2.0 / ((2.0 * math.pi) ** d * math.pi
-                                         * nodes ** (d + 1)))
-            gap = np.abs(phi - kernel.radial_profile(nodes))
-            assert np.all(gap <= 2.0 * eps * (1.0 + nodes) * envelope)
-            span = nodes.size // n_nodes * width
-            assert abs(weights.sum() - span) <= 2.0 * eps * span
-            covered += span
-        assert covered == approx(6000.0, rel=1e-14)
+    width = _first_panel_width(kernel, 6000.0)
+    covered = 0.0
+    for nodes, weights, phi in kernel.radial_panels(0.0, 6000.0):
+        envelope = np.minimum(kernel.diagonal_value ** 2,
+                              2.0 / ((2.0 * math.pi) ** d * math.pi
+                                     * nodes ** (d + 1)))
+        gap = np.abs(phi - kernel.radial_profile(nodes))
+        assert np.all(gap <= 2.0 * eps * (1.0 + nodes) * envelope)
+        span = nodes.size // 16 * width
+        assert abs(weights.sum() - span) <= 2.0 * eps * span
+        covered += span
+    assert covered == approx(6000.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("n_nodes", [12, 16])
@@ -664,7 +663,7 @@ def test_graded_end_panel_integrates_half_integer_branches(n_nodes):
     for k in (1, 3, 5, 7):
         exact = h ** (k / 2 + 1) / (k / 2 + 1)
         assert abs(weights @ (b - nodes) ** (k / 2) - exact) <= 8 * eps * exact
-    width = _first_panel_width(sine_kernel(), 6000.0, n_nodes)
+    width = _first_panel_width(sine_kernel(), 6000.0)
     for b, h in ((2.0, 0.37), (6000.0, width)):
         weights = graded_end_panel(b, h, n_nodes)[1]
         assert abs(weights.sum() - h) <= eps * h
@@ -700,8 +699,8 @@ class _FlatProfileStub(kernels.Kernel):
     def radial_profile(self, r):
         return np.ones_like(np.asarray(r, dtype=float))
 
-    def radial_panels(self, a, b, n_nodes=64):
-        nodes, weights = panel_nodes(np.linspace(a, b, 64), n_nodes)
+    def radial_panels(self, a, b):
+        nodes, weights = panel_nodes(np.linspace(a, b, 64), 64)
         yield nodes, weights, self.radial_profile(nodes)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from accspec import kernels
 from accspec.checks import variance_cross_route
 from accspec.discretize import (assemble_operator, build_grid,
                                 spectral_decompose)
@@ -78,7 +79,7 @@ def test_variance_radial_rejects_nonfinite_radius(kernel, radius):
 
 
 def test_variance_radial_error_budget():
-    # two-resolution difference plus N * eps * E for the rounding
+    # the panels' Legendre tail plus N * eps * E for the rounding
     kernel = sine_kernel()
     rv = variance_radial(kernel, 5.0)
     e_count = expected_count(kernel, Ball(np.zeros(1), 5.0))
@@ -150,23 +151,36 @@ def test_variance_radial_paley_wiener_exact(d, radius, exact):
         assert abs(rv.value - exact) <= 1e-15 * exact, (d, radius, rv)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_variance_radial_node_counts(d, monkeypatch):
-    # one panel per period pi of phi = K^2, at 16 fine and 12 coarse nodes
-    panels = PaleyWienerKernel.radial_panels
-    counts = {}
+_PW_PANELS = {radius: math.ceil(2.0 * radius / math.pi)
+              for radius in (0.197, 1.5, 1.6, 3.2, 100.0, 1000.0)}
 
-    def counted(self, a, b, n_nodes):
-        for chunk in panels(self, a, b, n_nodes):
-            counts[n_nodes] = counts.get(n_nodes, 0) + chunk[0].size
+
+@pytest.mark.parametrize("kernel, panels", [
+    (PaleyWienerKernel(1), _PW_PANELS),
+    (PaleyWienerKernel(2), _PW_PANELS),
+    (PaleyWienerKernel(3), _PW_PANELS),
+    # at R = 3 the diameter is 0.037 past the edge 5.963, and that sliver
+    # joins the panel before it
+    (GinibreKernel(1), {0.25: 2, 1.0: 5, 3.0: 7, 8.0: 10}),
+], ids=["1", "2", "3", "ginibre"])
+def test_variance_radial_node_counts(kernel, panels, monkeypatch):
+    # one pass over the panels at 16 nodes each: one panel per period pi
+    # of phi = K^2 on the Paley-Wiener kernels, geometric panels
+    # 0.25 * 1.4^k wide on the Ginibre kernel
+    radial_panels = type(kernel).radial_panels
+    passes = []
+
+    def counted(self, a, b):
+        passes.append(0)
+        for chunk in radial_panels(self, a, b):
+            passes[-1] += chunk[0].size
             yield chunk
 
-    monkeypatch.setattr(PaleyWienerKernel, "radial_panels", counted)
-    for radius in (0.197, 1.5, 1.6, 3.2, 100.0, 1000.0):
-        counts.clear()
-        variance_radial(PaleyWienerKernel(d), radius)
-        count = math.ceil(2.0 * radius / math.pi)
-        assert counts == {16: 16 * count, 12: 12 * count}, (radius, counts)
+    monkeypatch.setattr(type(kernel), "radial_panels", counted)
+    for radius, count in panels.items():
+        passes.clear()
+        variance_radial(kernel, radius)
+        assert passes == [16 * count], (radius, passes)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -176,15 +190,57 @@ def test_variance_radial_no_warning_at_large_radius(d):
 
 
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("radius", [0.25, 0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("radius", [0.25, 0.5, 1.0, 2.0, 3.0, 0.1250000001,
+                                    0.3000000001])
 def test_variance_radial_ginibre_exact_spectrum(m, radius):
     # C^1 at R = 0.25 and 0.5 reads 0 and 2.5e-16 (1.34e-11 and 4.2e-12
     # with an ungraded panel at the diameter, where the overlap vanishes
-    # like (2R - r)^(3/2))
+    # like (2R - r)^(3/2)). At R = 0.1250000001 and 0.3000000001 the
+    # diameter lies 2e-10 past a panel edge: C^1 reads 4.4e-16 and
+    # 1.3e-16 (2.8e-8 and 2.0e-8 with that sliver a panel of its own, the
+    # panel before it ending next to the branch point)
     exact = ginibre_ball_variance(m, radius)
     rv = variance_radial(GinibreKernel(m), radius)
     assert abs(rv.value - exact) <= 1e-12 * exact, (rv, exact)
     assert abs(rv.value - exact) <= rv.error_estimate, (rv, exact)
+
+
+@pytest.mark.parametrize("kernel, radius, wider, off", [
+    (PaleyWienerKernel(1), 50.0, 4, False),
+    (PaleyWienerKernel(2), 20.0, 4, False),
+    (PaleyWienerKernel(3), 20.0, 4, False),
+    (GinibreKernel(1), 3.0, 8, False),
+    (PaleyWienerKernel(1), 12.0, 8, True),
+    (PaleyWienerKernel(2), 12.0, 8, True),
+    (PaleyWienerKernel(3), 12.0, 8, True),
+    (GinibreKernel(1), 4.5, 32, True),
+], ids=["sine", "pw2", "pw3", "ginibre", "sine-off", "pw2-off", "pw3-off",
+        "ginibre-off"])
+def test_error_estimate_sees_an_under_resolved_rule(kernel, radius, wider, off,
+                                                    monkeypatch):
+    # the route's panels made `wider` times as wide: Paley-Wiener panels
+    # 4 pi or 8 pi wide in place of pi, Ginibre's first panel 8 or 32
+    # times as wide. The estimate must cover the error against the
+    # route's own value, and a rule more than 1% off must set the
+    # warning. At 4 pi the estimate reads 0.62, 0.46 and 0.86 against
+    # errors of 1.9e-8, 1.5e-8 and 1.7e-8 (sine, pw2, pw3), and Ginibre
+    # 3.7e-9 against 5.3e-14: on panels four periods wide the Legendre
+    # coefficients up to degree 15 have not begun to decay, so the
+    # estimate cannot read convergence from them. At R = 12 one panel 24
+    # wide holds 7.6 periods of phi, two nodes a period, and the rule errs
+    # by 8-12%; past that the samples alias
+    exact = variance_radial(kernel, radius).value
+    uniform, geometric = kernels.uniform_panel_count, kernels.geometric_edges
+    monkeypatch.setattr(kernels, "uniform_panel_count",
+                        lambda a, b, width: uniform(a, b, wider * width))
+    monkeypatch.setattr(kernels, "geometric_edges",
+                        lambda a, b, first_width, growth:
+                        geometric(a, b, wider * first_width, growth))
+    rv = variance_radial(kernel, radius)
+    error = abs(rv.value - exact)
+    assert error <= rv.error_estimate, (error, rv)
+    assert (error > 0.01 * exact) == off, (error, exact)
+    assert rv.accuracy_warning or not off, rv
 
 
 def test_criterion_3_gaps_at_rounding_level(sine_run):
